@@ -15,13 +15,13 @@ Tracks a scalar radius ``gamma`` such that the event
 Before the warm-up completes the radius is the running quantile of the
 scores seen so far, or ``+inf`` while fewer than ``min_scores`` are
 available -- maximally conservative defaults for consumers that cannot wait.
-Calibration is episode-scoped: ``reset_episode`` starts a fresh state.
+Calibration is episode-scoped: each episode starts from a fresh ``AcpState``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,15 +69,12 @@ class AcpState:
     calibration: list[float] = field(default_factory=list)
     miss_count: int = 0
     update_count: int = 0
-    eta_fixed: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.warmup_len < 1:
             raise ValueError("warmup_len must be >= 1")
-        if self.eta is not None:
-            self.eta_fixed = True
 
     @property
     def miss_rate(self) -> float:
@@ -121,15 +118,3 @@ def observe(state: AcpState, new_score: float) -> AcpState:
         state.warmed_up = True
     return state
 
-
-def reset_episode(state: AcpState) -> AcpState:
-    """Fresh per-episode state with the same configuration."""
-    return replace(
-        state,
-        eta=state.eta if state.eta_fixed else None,
-        gamma=0.0,
-        warmed_up=False,
-        calibration=[],
-        miss_count=0,
-        update_count=0,
-    )

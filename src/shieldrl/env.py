@@ -29,8 +29,7 @@ runtime shield verifies against.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,43 +352,3 @@ def nu_batch(positions: np.ndarray, env_features: np.ndarray, config: EnvConfig)
         return dists.min(axis=1) - config.safe_distance
     return (config.region_radius - np.linalg.norm(P, axis=1)) - config.region_margin
 
-
-# ---------------------------------------------------------------------------
-# Layout serialization (replay support)
-# ---------------------------------------------------------------------------
-
-LAYOUT_VERSION = 1
-
-
-def serialize_layout(state: EnvState, phi: HiddenParams, seed: int | None = None) -> str:
-    """One-line JSON record of a layout, sufficient to replay the episode."""
-    record = {
-        "version": LAYOUT_VERSION,
-        "seed": seed,
-        "phi": list(phi.as_array()),
-        "start": list(state.position),
-        "goal": list(world_goal(state)),
-        "obstacles": [list(row) for row in world_obstacles(state)],
-    }
-    return json.dumps(record, sort_keys=True)
-
-
-def restore_layout(record: str, config: EnvConfig) -> tuple[HiddenParams, EnvState]:
-    data = json.loads(record)
-    if data.get("version") != LAYOUT_VERSION:
-        raise ValueError(f"unsupported layout version {data.get('version')!r}")
-    phi = HiddenParams.from_array(data["phi"])
-    start = np.asarray(data["start"], dtype=np.float64)
-    obstacles = np.asarray(data["obstacles"], dtype=np.float64).reshape(-1, 2)
-    if config.task == "navigation":
-        goal_rel = np.asarray(data["goal"], dtype=np.float64) - start
-    else:
-        goal_rel = np.zeros(2)
-    state = EnvState(
-        position=start,
-        velocity=np.zeros(2),
-        goal_rel=goal_rel,
-        sensor=_sorted_sensor(obstacles, start),
-        step_index=0,
-    )
-    return phi, state

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import AdamState, Gradients, Mlp, adam_step, solve_ridge
+from .numerics import AdamState, Gradients, Mlp, SingularMatrixError, adam_step, solve_ridge
 
 BASIS_FORMAT = "basis-set"
 BASIS_VERSION = 1
@@ -150,19 +150,6 @@ def compute_coefficients(
 def predict_delta_batch(basis: BasisSet, coeffs: Coefficients, X: np.ndarray) -> np.ndarray:
     Phi = basis.evaluate(X)
     return np.einsum("k,nko->no", coeffs.b, Phi)
-
-
-def predict_next_state(
-    basis: BasisSet, coeffs: Coefficients, state_vec: np.ndarray, action: np.ndarray
-) -> np.ndarray:
-    """One-step prediction ``s + sum_i b_i g_i(s, a)``."""
-    state_vec = np.asarray(state_vec, dtype=np.float64)
-    x = np.concatenate([state_vec, np.asarray(action, dtype=np.float64)])
-    if x.shape[0] != basis.input_dim:
-        raise ValueError(
-            f"state+action length {x.shape[0]} does not match basis input dim {basis.input_dim}"
-        )
-    return state_vec + predict_delta_batch(basis, coeffs, x[None, :])[0]
 
 
 def predict_next_batch(
@@ -290,14 +277,15 @@ class OnlineCoefficients:
     Starts from the zero vector (so predictions degenerate to "no motion"
     until data arrives) and re-solves the least-squares problem over the
     episode's buffered transitions every ``refresh_period`` observations.
-    ``sample_cap`` > 0 restricts the solve to the most recent transitions.
+    A singular solve keeps the previous coefficients and is counted in
+    ``solve_failures``.
     """
 
     basis: BasisSet
     refresh_period: int = 10
     ridge: float = 1e-6
-    sample_cap: int = 0
     coeffs: Coefficients = None  # type: ignore[assignment]
+    solve_failures: int = 0
     _inputs: list[np.ndarray] = field(default_factory=list)
     _targets: list[np.ndarray] = field(default_factory=list)
     # Basis outputs per buffered transition; every input is pushed through
@@ -332,39 +320,11 @@ class OnlineCoefficients:
         if done < n:
             block = self.basis.evaluate(np.asarray(self._inputs[done:]))
             self._phi = block if self._phi is None else np.concatenate([self._phi, block])
-        Phi = self._phi
-        targets = np.asarray(self._targets)
-        if self.sample_cap > 0 and n > self.sample_cap:
-            Phi = Phi[-self.sample_cap :]
-            targets = targets[-self.sample_cap :]
-        self.coeffs = _coefficients_from_phi(Phi, targets, self.ridge)
+        try:
+            self.coeffs = _coefficients_from_phi(self._phi, np.asarray(self._targets), self.ridge)
+        except SingularMatrixError:
+            self.solve_failures += 1
         return self.coeffs
-
-    def reset(self) -> None:
-        self._inputs.clear()
-        self._targets.clear()
-        self._phi = None
-        self.coeffs = Coefficients.zeros(self.basis.k)
-
-
-def update_online(
-    est: OnlineCoefficients, transition, refresh_period: int | None = None
-) -> Coefficients:
-    """Feed one transition into an online estimator and return the coefficients.
-
-    ``transition`` is either an object with ``state`` / ``action`` /
-    ``next_state`` attributes (states exposing ``as_vector``) or a plain
-    ``(state_vec, action, next_state_vec)`` triple.
-    """
-    if refresh_period is not None:
-        est.refresh_period = refresh_period
-    if hasattr(transition, "state"):
-        s = transition.state.as_vector()
-        a = transition.action
-        s2 = transition.next_state.as_vector()
-    else:
-        s, a, s2 = transition
-    return est.observe(s, a, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 
+from ..env import PlacementError
 from .config import ConfigError, apply_overrides, load_config
 
 
@@ -117,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write("\n".join(lines) + "\n")
             return 0 if all(r.passed for r in results) else 1
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

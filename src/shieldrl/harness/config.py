@@ -33,7 +33,6 @@ class FeSettings:
     ridge: float = 1e-6
     reg_weight: float = 1.0
     refresh_period: int = 10
-    sample_cap: int = 0  # 0 = use the full episode buffer
     pretrain_episodes: int = 200
     heldout_fraction: float = 0.2
     context_samples: int = 100  # per-episode samples used for held-out scoring

@@ -93,6 +93,7 @@ class EpisodeResult:
     acp_updates: int = 0
     gamma_sum: float = 0.0
     gamma_count: int = 0
+    fe_solve_failures: int = 0
     wall_clock: float = 0.0
 
     @property
@@ -128,6 +129,7 @@ def episode_record(index: int, epoch: int, res: EpisodeResult) -> dict:
         "safe_set_empty_rate": res.empty_rate,
         "acp_miss_rate": res.acp_miss_rate,
         "mean_gamma": res.mean_gamma,
+        "fe_solve_failures": res.fe_solve_failures,
         "wall_clock_seconds": res.wall_clock,
     }
 
@@ -174,9 +176,7 @@ def run_episode(
     phi = envmod.sample_phi(rngs["env"], env_cfg.param_intervals)
     state = envmod.reset(env_cfg, phi, rngs["env"])
     online = (
-        fe.OnlineCoefficients(
-            basis, cfg.fe.refresh_period, cfg.fe.ridge, cfg.fe.sample_cap
-        )
+        fe.OnlineCoefficients(basis, cfg.fe.refresh_period, cfg.fe.ridge)
         if track_context
         else None
     )
@@ -207,15 +207,8 @@ def run_episode(
         if shield_on:
             predictor = shieldmod.FePredictor(basis, online.coeffs)
             gamma = conformal.current_gamma(acp)
-            policy_mean = None
-            if cfg.shield.horizon > 1:
-                def policy_mean(S, _c=context):  # noqa: E731 - bound per step
-                    return policy.mean_batch(np.hstack([S, np.tile(_c, (S.shape[0], 1))]))
-
             view_state = envmod.EnvState.from_vector(sview, state.step_index)
-            sctx = shieldmod.ShieldContext(
-                predictor, env_cfg, gamma, rngs["shield"], policy_mean=policy_mean
-            )
+            sctx = shieldmod.ShieldContext(predictor, env_cfg, gamma, rngs["shield"])
             decision = shieldmod.select_action(
                 lambda n: policy.sample_n(sview, context, n, rngs["rollout"]),
                 view_state,
@@ -268,6 +261,8 @@ def run_episode(
         buffer.end_episode(
             float(critics.v_r_values(X_last)[0]), float(critics.v_c_values(X_last)[0])
         )
+    if online is not None:
+        res.fe_solve_failures = online.solve_failures
     res.wall_clock = time.perf_counter() - t0
     return res
 
@@ -389,7 +384,9 @@ def train(
     ``out_path`` is given a resumable checkpoint is rewritten after every
     epoch; ``resume`` restores parameters, optimizers, the dual variable,
     and all random streams, so a resumed run continues the original one
-    bit-for-bit.
+    bit-for-bit.  A ``ValueError`` or ``env.PlacementError`` inside an epoch
+    writes an abort record and the checkpoint of the finished epochs, then
+    propagates.
     """
     cfg.validate()
     if (cfg.shield_enabled or cfg.fe_context) and basis is None:
@@ -527,14 +524,15 @@ def train(
                         "reason": "non-finite policy gradient; parameters restored",
                     }
                 )
-            checkpoint_now(epoch + 1)
-    except ValueError as exc:
+            ck = checkpoint_now(epoch + 1)
+    except (ValueError, envmod.PlacementError) as exc:
         writer.write({"kind": "abort", "epoch": epochs_run + start_epoch, "reason": str(exc)})
         checkpoint_now(epochs_run + start_epoch)
         writer.close()
         raise
 
-    ck = checkpoint_now(max(start_epoch + epochs_run, start_epoch))
+    if epochs_run == 0:  # zero steps, or resumed at the last epoch: nothing saved yet
+        ck = checkpoint_now(start_epoch)
     writer.close()
     return TrainResult(checkpoint=ck, records=writer.records, epochs_run=epochs_run)
 

@@ -9,8 +9,8 @@ Conventions:
   * An ``Mlp`` applies tanh after every hidden layer and leaves the output
     layer linear.
   * Batches are row-major: ``X`` has shape ``(batch, input_dim)``.
-  * ``mlp_backward`` returns gradients of ``sum(upstream * output)`` with
-    respect to every weight and bias, i.e. upstream is ``dL/dy``.
+  * ``Mlp.backward_cached`` returns gradients of ``sum(upstream * output)``
+    with respect to every weight and bias, i.e. upstream is ``dL/dy``.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(list(self.layer_sizes), [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     # -- forward -------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -156,21 +153,6 @@ class Mlp:
 
     def zero_gradients(self) -> Gradients:
         return Gradients([np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
-
-
-def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
-
-
-def mlp_backward(net: Mlp, x: np.ndarray, upstream_grad: np.ndarray) -> Gradients:
-    """Gradients of ``sum(upstream_grad * net(x))`` w.r.t. all parameters."""
-    batch, single = _as_batch(x, net.input_dim, "mlp_backward input")
-    up = np.asarray(upstream_grad, dtype=np.float64)
-    if single and up.ndim == 1:
-        up = up[None, :]
-    _, cache = net.forward_cached(batch)
-    grads, _ = net.backward_cached(cache, up)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +240,8 @@ class AdamVector:
 def solve_ridge(G: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
     """Solve ``(G + ridge * I) x = y`` for symmetric ``G``.
 
-    Tries a Cholesky factorization first (the Gram matrices this is used on
-    are positive semidefinite, so the ridge makes them positive definite);
-    falls back to partially pivoted Gaussian elimination when the
-    factorization fails.  The solution is residual-checked so a numerically
-    meaningless answer raises ``SingularMatrixError`` instead of leaking.
+    The solution is residual-checked so a numerically meaningless answer
+    raises ``SingularMatrixError`` instead of leaking.
     """
     G = np.asarray(G, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -274,28 +253,12 @@ def solve_ridge(G: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> np.ndarray
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     A = G + ridge * np.eye(G.shape[0])
     try:
-        L = np.linalg.cholesky(A)
-        x = _cholesky_solve(L, y)
-    except np.linalg.LinAlgError:
-        try:
-            x = np.linalg.solve(A, y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"system is singular (ridge={ridge})") from exc
+        x = np.linalg.solve(A, y)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"system is singular (ridge={ridge})") from exc
     residual = np.linalg.norm(A @ x - y)
     if not np.isfinite(residual) or residual > 1e-8 * (np.linalg.norm(y) + 1.0):
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds tolerance; system too ill-conditioned"
         )
-    return x
-
-
-def _cholesky_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Two triangular substitutions for ``L L^T x = y``."""
-    n = L.shape[0]
-    z = np.zeros(n)
-    for i in range(n):
-        z[i] = (y[i] - L[i, :i] @ z[:i]) / L[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (z[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
     return x

@@ -38,8 +38,6 @@ class ShieldConfig:
     top_k: int = 5
     l_nu: float = 1.0
     pre_safety_margin: float = 0.275
-    horizon: int = 1
-    delta: float = 0.02
 
     def __post_init__(self) -> None:
         if self.n_candidates < 1:
@@ -48,8 +46,6 @@ class ShieldConfig:
             raise ValueError(
                 f"top_k must lie in [1, n_candidates], got {self.top_k} vs {self.n_candidates}"
             )
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.pre_safety_margin <= 0 or self.l_nu <= 0:
             raise ValueError("pre_safety_margin and l_nu must be positive")
 
@@ -60,14 +56,7 @@ class ShieldDecision:
     intervened: bool
     safe_set_empty: bool
     scores: np.ndarray | None
-    gamma_used: float
     chosen_index: int | None = None
-
-    @property
-    def chosen_score(self) -> float | None:
-        if self.scores is None or self.chosen_index is None:
-            return None
-        return float(self.scores[self.chosen_index])
 
 
 class Predictor(Protocol):
@@ -94,9 +83,10 @@ class FePredictor:
         )
 
     def predict(self, state_vec: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return fe.predict_next_state(
-            self.basis, self.coeffs, state_vec, np.clip(np.asarray(action), -1.0, 1.0)
-        )
+        """One-row prediction; bypasses ``predict_batch``, whose trace counts scoring only."""
+        return fe.predict_next_batch(
+            self.basis, self.coeffs, state_vec[None, :], np.clip(action, -1.0, 1.0)[None, :]
+        )[0]
 
 
 @dataclass
@@ -113,24 +103,15 @@ class GroundTruthPredictor:
             out[i] = envmod.step(st, actions[i], self.phi, self.config).next_state.as_vector()
         return out
 
-    def predict(self, state_vec: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return self.predict_batch(state_vec[None, :], np.asarray(action)[None, :])[0]
-
 
 @dataclass
 class ShieldContext:
-    """Episode-scoped inputs: model, radius, randomness, optional policy mean.
-
-    ``policy_mean`` (state-batch -> action-batch) is only needed for
-    multi-step verification, where actions after the first predicted step
-    are taken at the policy mean.
-    """
+    """Episode-scoped inputs: model, radius, randomness."""
 
     predictor: Predictor
     env_config: envmod.EnvConfig
     gamma: float
     rng: np.random.Generator
-    policy_mean: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def pre_safety_check(
@@ -139,57 +120,6 @@ def pre_safety_check(
     """True when the current margin certifies one-step safety for any action."""
     margin = envmod.nu(state.position, envmod.world_obstacles(state), env_config)
     return margin > config.l_nu * config.pre_safety_margin
-
-
-def _rollout_margins(
-    candidates: np.ndarray,
-    state: envmod.EnvState,
-    context: ShieldContext,
-    horizon: int,
-) -> np.ndarray:
-    """Minimum predicted margin over ``horizon`` steps, per candidate."""
-    obstacles = envmod.world_obstacles(state)
-    n = candidates.shape[0]
-    states = np.repeat(state.as_vector()[None, :], n, axis=0)
-    actions = candidates
-    margins = np.full(n, np.inf)
-    for step_idx in range(horizon):
-        states = context.predictor.predict_batch(states, actions)
-        margins = np.minimum(
-            margins,
-            envmod.nu_batch(states[:, envmod.POSITION_SLICE], obstacles, context.env_config),
-        )
-        if step_idx + 1 < horizon:
-            if context.policy_mean is None:
-                raise ValueError("multi-step verification requires context.policy_mean")
-            actions = context.policy_mean(states)
-    return margins
-
-
-def safety_score(
-    candidate_action: np.ndarray,
-    state: envmod.EnvState,
-    context: ShieldContext,
-    config: ShieldConfig,
-) -> float:
-    """Uncertainty-discounted one-step margin of a single candidate."""
-    return multi_step_score(candidate_action, state, context, config, horizon=1)
-
-
-def multi_step_score(
-    candidate_action: np.ndarray,
-    state: envmod.EnvState,
-    context: ShieldContext,
-    config: ShieldConfig,
-    horizon: int | None = None,
-) -> float:
-    """Aggregate (minimum) score over a predicted ``horizon``-step rollout."""
-    h = config.horizon if horizon is None else horizon
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    cand = np.asarray(candidate_action, dtype=np.float64)[None, :]
-    margin = _rollout_margins(cand, state, context, h)[0]
-    return float(margin - 2.0 * config.l_nu * context.gamma)
 
 
 def select_action(
@@ -214,14 +144,18 @@ def select_action(
             intervened=False,
             safe_set_empty=False,
             scores=None,
-            gamma_used=context.gamma,
         )
     candidates = np.asarray(policy_sampler(config.n_candidates), dtype=np.float64)
     if candidates.shape[0] != config.n_candidates:
         raise ValueError(
             f"policy_sampler returned {candidates.shape[0]} candidates, expected {config.n_candidates}"
         )
-    margins = _rollout_margins(candidates, state, context, config.horizon)
+    predicted = context.predictor.predict_batch(
+        np.repeat(state.as_vector()[None, :], config.n_candidates, axis=0), candidates
+    )
+    margins = envmod.nu_batch(
+        predicted[:, envmod.POSITION_SLICE], envmod.world_obstacles(state), context.env_config
+    )
     scores = margins - 2.0 * config.l_nu * context.gamma
     positive = np.flatnonzero(scores > 0.0)
     if positive.size > 0:
@@ -240,6 +174,5 @@ def select_action(
         intervened=True,
         safe_set_empty=empty,
         scores=scores,
-        gamma_used=context.gamma,
         chosen_index=chosen,
     )

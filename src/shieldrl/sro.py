@@ -126,26 +126,8 @@ class GaussianPolicy:
             - 0.5 * self.action_dim * LOG_2PI
         )
 
-    def log_prob(self, state_vec: np.ndarray, context: np.ndarray, action: np.ndarray) -> float:
-        X = np.concatenate([state_vec, context])[None, :]
-        return float(self.log_prob_batch(X, np.asarray(action)[None, :])[0])
-
     def density_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         return np.exp(self.log_prob_batch(X, A))
-
-
-def act(
-    policy: GaussianPolicy,
-    state_vec: np.ndarray,
-    coeffs_vec: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """Sample an action and return it with its log-density."""
-    action = policy.sample_n(state_vec, coeffs_vec, 1, rng)[0]
-    logp = policy.log_prob(state_vec, coeffs_vec, action)
-    if not np.isfinite(logp):
-        raise ValueError(f"non-finite log-probability {logp}")
-    return action, logp
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +164,6 @@ class CriticSet:
 
     def v_c_values(self, X: np.ndarray) -> np.ndarray:
         return self.v_c.forward_batch(X)[:, 0]
-
-    def q_c_values(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-        return self.q_c.forward_batch(np.hstack([X, A]))[:, 0]
 
 
 @dataclass
@@ -353,31 +332,6 @@ def q_safe_batch(
     m = np.mean(density * q_vals, axis=1)
     denom = np.maximum(v_c_values, 0.0) + cfg.eps_num
     return np.clip(-m / denom, -1.0 + 1e-6, 0.0)
-
-
-def q_safe_estimate(
-    state_vec: np.ndarray,
-    action: np.ndarray,
-    coeffs_vec: np.ndarray,
-    policy: GaussianPolicy,
-    q_c_net: Mlp,
-    v_c_value: float,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Safety score of one (state, action) pair; lies in (-1, 0] by clamping."""
-    return float(
-        q_safe_batch(
-            np.asarray(state_vec, dtype=np.float64)[None, :],
-            np.asarray(coeffs_vec, dtype=np.float64)[None, :],
-            np.asarray(action, dtype=np.float64)[None, :],
-            policy,
-            q_c_net,
-            np.array([float(v_c_value)]),
-            cfg,
-            rng,
-        )[0]
-    )
 
 
 def augmented_advantage(a_r, q_safe, alpha: float):

@@ -87,7 +87,6 @@ def test_warmup_completion_seeds_radius_and_step_size():
     assert state.warmed_up
     assert state.gamma == 5.0  # ceil(6 * 0.98) = 6, clamped to n=5
     assert state.eta == pytest.approx(0.05 * 5.0)
-    assert not state.eta_fixed
     # further observations adapt instead of recalibrating
     conformal.observe(state, 100.0)
     assert state.update_count == 1 and state.miss_count == 1
@@ -95,30 +94,9 @@ def test_warmup_completion_seeds_radius_and_step_size():
 
 def test_explicit_step_size_is_kept():
     state = conformal.AcpState(delta=0.02, eta=0.123, warmup_len=3)
-    assert state.eta_fixed
     for s in [1.0, 2.0, 3.0]:
         conformal.observe(state, s)
-    assert state.eta == 0.123
-    fresh = conformal.reset_episode(state)
-    assert fresh.eta == 0.123 and fresh.eta_fixed
-
-
-def test_reset_episode_clears_evidence_but_keeps_config():
-    state = conformal.AcpState(delta=0.07, eta_scale=0.2, warmup_len=4, min_scores=2)
-    for s in [1.0, 2.0, 3.0, 4.0, 5.0]:
-        conformal.observe(state, s)
-    assert state.warmed_up and state.update_count == 1
-
-    fresh = conformal.reset_episode(state)
-    assert not fresh.warmed_up
-    assert fresh.calibration == [] and fresh.gamma == 0.0
-    assert fresh.miss_count == 0 and fresh.update_count == 0
-    assert fresh.eta is None  # derived step sizes are re-derived next warm-up
-    assert (fresh.delta, fresh.eta_scale, fresh.warmup_len, fresh.min_scores) == (
-        0.07, 0.2, 4, 2,
-    )
-    # the original is untouched
-    assert state.warmed_up
+    assert state.warmed_up and state.eta == 0.123
 
 
 def test_stationary_coverage_tracks_delta():

@@ -1,6 +1,4 @@
-"""Environment tests: dynamics, margins, layouts, and replay."""
-
-import json
+"""Environment tests: dynamics, margins, and layouts."""
 
 import numpy as np
 import pytest
@@ -368,38 +366,6 @@ def test_state_vector_round_trip():
         env.EnvState.from_vector(np.zeros(5))
     with pytest.raises(ValueError):
         env.EnvState.from_vector(np.zeros(7))
-
-
-def test_layout_replay_is_bit_identical():
-    cfg = nav_config()
-    rng = np.random.default_rng(14)
-    phi = env.sample_phi(rng, cfg.param_intervals)
-    start = env.reset(cfg, phi, rng)
-    record = env.serialize_layout(start, phi, seed=14)
-
-    phi2, start2 = env.restore_layout(record, cfg)
-    assert phi2 == phi
-    np.testing.assert_array_equal(start2.as_vector(), start.as_vector())
-
-    actions = np.random.default_rng(15).uniform(-1, 1, size=(40, 2))
-    s1, s2 = start, start2
-    for a in actions:
-        t1 = env.step(s1, a, phi, cfg)
-        t2 = env.step(s2, a, phi2, cfg)
-        assert t1.reward == t2.reward and t1.cost == t2.cost
-        np.testing.assert_array_equal(t1.next_state.as_vector(), t2.next_state.as_vector())
-        s1, s2 = t1.next_state, t2.next_state
-
-
-def test_layout_record_is_plain_json():
-    cfg = nav_config()
-    rng = np.random.default_rng(16)
-    state = env.reset(cfg, unit_phi(), rng)
-    data = json.loads(env.serialize_layout(state, unit_phi(), seed=16))
-    assert data["seed"] == 16
-    assert len(data["obstacles"]) == cfg.obstacle_count
-    with pytest.raises(ValueError):
-        env.restore_layout(json.dumps({**data, "version": 99}), cfg)
 
 
 def test_config_validation():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shieldrl import env
 from shieldrl import function_encoder as fe
 from shieldrl.numerics import Mlp
 
@@ -95,10 +94,10 @@ def test_predict_next_state_arithmetic():
     # state_dim 1, action_dim 1: g1 = s, g2 = a; delta = 2 s - 0.5 a
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
     coeffs = fe.Coefficients(np.array([2.0, -0.5]), 1, 0.0)
-    out = fe.predict_next_state(basis, coeffs, np.array([3.0]), np.array([4.0]))
-    np.testing.assert_allclose(out, [3.0 + 2.0 * 3.0 - 0.5 * 4.0])
+    out = fe.predict_next_batch(basis, coeffs, np.array([[3.0]]), np.array([[4.0]]))
+    np.testing.assert_allclose(out, [[3.0 + 2.0 * 3.0 - 0.5 * 4.0]])
     with pytest.raises(ValueError):
-        fe.predict_next_state(basis, coeffs, np.array([3.0, 1.0]), np.array([4.0]))
+        fe.predict_next_batch(basis, coeffs, np.array([[3.0, 1.0]]), np.array([[4.0]]))
 
 
 def test_predict_next_batch_matches_scalar():
@@ -108,7 +107,7 @@ def test_predict_next_batch_matches_scalar():
     S, A = rng.standard_normal((16, 1)), rng.standard_normal((16, 1))
     batch = fe.predict_next_batch(basis, coeffs, S, A)
     for i in range(16):
-        np.testing.assert_allclose(batch[i], fe.predict_next_state(basis, coeffs, S[i], A[i]))
+        np.testing.assert_allclose(batch[i], S[i] + 1.5 * S[i] + 0.25 * A[i])
 
 
 def test_dataset_from_arrays_builds_deltas():
@@ -216,7 +215,8 @@ def test_online_prior_predicts_no_motion():
     np.testing.assert_array_equal(online.coeffs.b, np.zeros(1))
     state = np.array([0.7])
     np.testing.assert_array_equal(
-        fe.predict_next_state(basis, online.coeffs, state, np.array([0.3])), state
+        fe.predict_next_batch(basis, online.coeffs, state[None, :], np.array([[0.3]]))[0],
+        state,
     )
 
 
@@ -232,51 +232,17 @@ def test_online_refresh_cadence():
     assert online.coeffs.b[0] == pytest.approx(2.0, abs=1e-4)
 
 
-def test_online_sample_cap_limits_the_solve():
-    basis = plain_basis([linear_net([[1.0, 0.0]])])
-    capped = fe.OnlineCoefficients(basis, refresh_period=1, sample_cap=5)
-    rng = np.random.default_rng(10)
-    rows = [(rng.standard_normal(1), rng.standard_normal(1)) for _ in range(12)]
-    for s, a in rows:
-        capped.observe(s, a, s + 3.0 * s)
-    assert capped.coeffs.sample_count == 5
-    # must equal a direct solve over exactly the five newest transitions
-    X = np.array([np.concatenate([s, a]) for s, a in rows[-5:]])
-    T = np.array([3.0 * s for s, _ in rows[-5:]])
-    direct = fe.compute_coefficients(basis, fe.TransitionDataset(X, T))
-    np.testing.assert_array_equal(capped.coeffs.b, direct.b)
-
-
-def test_online_reset_restores_zero_prior():
-    basis = plain_basis([linear_net([[1.0, 0.0]])])
-    online = fe.OnlineCoefficients(basis, refresh_period=1)
+def test_online_singular_solve_keeps_the_previous_coefficients():
+    # two identical basis functions make the Gram matrix singular at ridge 0
+    basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[1.0, 0.0]])])
+    prior = fe.Coefficients(np.array([0.5, 0.5]), 0, float("nan"))
+    online = fe.OnlineCoefficients(basis, refresh_period=1, ridge=0.0, coeffs=prior)
     rng = np.random.default_rng(11)
-    for _ in range(4):
+    for _ in range(3):
         s = rng.standard_normal(1)
-        online.observe(s, rng.standard_normal(1), s + s)
-    assert online.coeffs.sample_count == 4
-    online.reset()
-    np.testing.assert_array_equal(online.coeffs.b, np.zeros(1))
-    assert online.coeffs.sample_count == 0
-
-
-def test_update_online_accepts_transitions_and_triples():
-    cfg = env.EnvConfig(obstacle_count=1)
-    rng = np.random.default_rng(12)
-    phi = env.sample_phi(rng, cfg.param_intervals)
-    state = env.reset(cfg, phi, rng)
-    tr = env.step(state, np.array([0.5, -0.5]), phi, cfg)
-
-    basis = plain_basis([linear_net([np.ones(cfg.state_dim + 2).tolist()])])
-    # a linear scalar map cannot express an 8-d delta; only the plumbing matters
-    from_obj = fe.OnlineCoefficients(basis, refresh_period=1)
-    fe.update_online(from_obj, tr)
-    from_triple = fe.OnlineCoefficients(basis, refresh_period=1)
-    fe.update_online(
-        from_triple, (tr.state.as_vector(), tr.action, tr.next_state.as_vector())
-    )
-    np.testing.assert_array_equal(from_obj.coeffs.b, from_triple.coeffs.b)
-    assert from_obj.coeffs.sample_count == 1
+        online.observe(s, rng.standard_normal(1), s + 2.0 * s)
+    assert online.solve_failures == 3
+    assert online.coeffs is prior
 
 
 def test_online_rejects_bad_refresh_period():

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shieldrl import env, sro
+from shieldrl import function_encoder as fe
 from shieldrl.harness import cli, run
 from shieldrl.harness.config import (
     ConfigError,
@@ -16,6 +18,7 @@ from shieldrl.harness.config import (
     save_config,
     serialize_config,
 )
+from shieldrl.numerics import Mlp
 
 
 def tiny_config(seed=3, total_steps=200, **flags):
@@ -81,6 +84,14 @@ def test_unknown_keys_are_rejected():
         parse_config(base + "\nenv.gravity_wells = 3\n")
     with pytest.raises(ConfigError):
         parse_config("seed five\n")
+
+
+def test_removed_keys_are_neither_written_nor_accepted():
+    text = serialize_config(ExperimentConfig())
+    for key in ("shield.horizon", "shield.delta", "fe.sample_cap"):
+        assert key not in text
+        with pytest.raises(ConfigError):
+            parse_config(f"{key} = 1\n")
 
 
 def test_value_parsing_errors_are_config_errors():
@@ -210,6 +221,59 @@ def test_resume_continues_bit_for_bit(tmp_path):
     run.save_checkpoint(full.checkpoint, tmp_path / "a.json")
     run.save_checkpoint(resumed.checkpoint, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_final_checkpoint_is_written_once(tmp_path, monkeypatch):
+    saved = []
+    original = run.save_checkpoint
+
+    def recording(ck, path):
+        saved.append(ck["epoch"])
+        original(ck, path)
+
+    monkeypatch.setattr(run, "save_checkpoint", recording)
+    run.train(tiny_config(total_steps=200), out_path=tmp_path / "two.json")
+    assert saved == [1, 2]
+    saved.clear()
+    run.train(tiny_config(total_steps=0), out_path=tmp_path / "zero.json")
+    assert saved == [0]
+    assert (tmp_path / "zero.json").exists()
+
+
+def crowded_config():
+    """36 obstacles: placement succeeds for the first episode at seed 1, not the second."""
+    cfg = ExperimentConfig(
+        seed=1, total_steps=4000, sro_enabled=False, shield_enabled=False, fe_context=False
+    )
+    cfg.env = replace(cfg.env, obstacle_count=36)
+    return cfg.validate()
+
+
+def test_placement_failure_writes_abort_record_and_checkpoint(tmp_path):
+    out, metrics = tmp_path / "ck.json", tmp_path / "m.jsonl"
+    with pytest.raises(env.PlacementError):
+        run.train(crowded_config(), out_path=out, metrics_path=metrics)
+    records = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [r["kind"] for r in records] == ["header", "episode", "abort"]
+    assert records[-1]["epoch"] == 0
+    ck = run.load_checkpoint(out)
+    assert ck["epoch"] == 0 and ck["steps_done"] == 0
+
+
+def test_singular_online_solves_are_counted_not_fatal():
+    cfg = tiny_config(fe_context=True)
+    cfg.fe = replace(cfg.fe, ridge=0.0)
+    sdim, dim = cfg.env.state_dim, cfg.env.state_dim + cfg.env.action_dim
+    # two identical basis functions: every Gram matrix is singular at ridge 0
+    net = Mlp([dim, sdim], [np.full((sdim, dim), 0.1)], [np.zeros(sdim)])
+    basis = fe.BasisSet([net, net.copy()], np.zeros(dim), np.ones(dim))
+    rng = np.random.default_rng(0)
+    policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
+    rngs = {name: np.random.default_rng(i) for i, name in enumerate(("env", "rollout"))}
+    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis)
+    assert res.steps == cfg.env.horizon
+    assert res.fe_solve_failures == cfg.env.horizon // cfg.fe.refresh_period
+    assert run.episode_record(0, 0, res)["fe_solve_failures"] == res.fe_solve_failures
 
 
 def test_resume_requires_a_training_checkpoint():
@@ -347,6 +411,14 @@ def test_cli_reports_config_errors(tmp_path):
     cfg_path.write_text("seed = banana\n")
     out = tmp_path / "ck.json"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+
+
+def test_cli_reports_placement_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "crowded.cfg"
+    save_config(crowded_config(), cfg_path)
+    rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "ck.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: could not place layout")
 
 
 def test_state_view_truncates_to_the_nearest_obstacles():

@@ -12,8 +12,6 @@ from shieldrl.numerics import (
     ShapeMismatchError,
     SingularMatrixError,
     adam_step,
-    mlp_backward,
-    mlp_forward,
     solve_ridge,
 )
 
@@ -33,6 +31,13 @@ def _hand_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _backward(net: Mlp, x: np.ndarray, upstream: np.ndarray):
+    """Gradients of ``sum(upstream * net(x))`` for one input row."""
+    _, cache = net.forward_cached(x[None, :])
+    grads, _ = net.backward_cached(cache, upstream[None, :])
+    return grads
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -40,12 +45,12 @@ def _hand_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 def test_forward_zero_weight_net_returns_zero():
     net = Mlp([3, 4, 2], [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
-    assert np.array_equal(mlp_forward(net, np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
 
 def test_forward_single_linear_layer_is_identity():
     net = Mlp([2, 2], [np.eye(2)], [np.zeros(2)])
-    out = mlp_forward(net, np.array([1.0, 2.0]))
+    out = net.forward(np.array([1.0, 2.0]))
     assert np.allclose(out, [1.0, 2.0])
 
 
@@ -54,7 +59,7 @@ def test_forward_matches_independent_hand_rolled_pass():
     net = Mlp.create([2, 3, 1], rng)
     for _ in range(5):
         x = rng.standard_normal(2)
-        assert np.allclose(mlp_forward(net, x), _hand_forward(net, x), atol=1e-12)
+        assert np.allclose(net.forward(x), _hand_forward(net, x), atol=1e-12)
 
 
 def test_forward_batch_agrees_with_single_rows():
@@ -69,7 +74,7 @@ def test_forward_batch_agrees_with_single_rows():
 def test_forward_rejects_wrong_input_dim():
     net = Mlp.create([3, 2], np.random.default_rng(0))
     with pytest.raises(ShapeMismatchError):
-        mlp_forward(net, np.zeros(4))
+        net.forward(np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +85,14 @@ def test_forward_rejects_wrong_input_dim():
 def test_backward_linear_scalar_case():
     # y = w*x with x=3: d(y)/dw = 3, d(y)/db = 1
     net = Mlp([1, 1], [np.array([[2.0]])], [np.zeros(1)])
-    grads = mlp_backward(net, np.array([3.0]), np.array([1.0]))
+    grads = _backward(net, np.array([3.0]), np.array([1.0]))
     assert np.allclose(grads.weights[0], [[3.0]])
     assert np.allclose(grads.biases[0], [1.0])
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
     net = Mlp.create([3, 5, 2], np.random.default_rng(3))
-    grads = mlp_backward(net, np.ones(3), np.zeros(2))
+    grads = _backward(net, np.ones(3), np.zeros(2))
     assert all(np.all(g == 0.0) for g in grads.weights)
     assert all(np.all(g == 0.0) for g in grads.biases)
 

@@ -1,5 +1,7 @@
 """Shield tests: pre-safety gate, scoring, selection, soundness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,12 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.8, 1.8), obstacles=()):
     )
 
 
-def truth_context(state_cfg, phi=None, gamma=0.0, seed=0, policy_mean=None):
+def truth_context(state_cfg, phi=None, gamma=0.0, seed=0):
     return shield.ShieldContext(
         predictor=shield.GroundTruthPredictor(phi or unit_phi(), state_cfg),
         env_config=state_cfg,
         gamma=gamma,
         rng=np.random.default_rng(seed),
-        policy_mean=policy_mean,
     )
 
 
@@ -47,6 +48,12 @@ def fixed_sampler(candidates):
         return arr[:n]
 
     return sampler
+
+
+def scored(action, state, ctx, scfg):
+    """Score of one candidate, from a decision forced past the pre-safety gate."""
+    forced = replace(scfg, n_candidates=1, top_k=1, pre_safety_margin=np.inf)
+    return shield.select_action(fixed_sampler([action]), state, ctx, forced).scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def test_safety_score_frozen_example():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
     ctx = truth_context(cfg, gamma=0.1)
-    got = shield.safety_score(np.zeros(2), state, ctx, shield.ShieldConfig())
+    got = scored(np.zeros(2), state, ctx, shield.ShieldConfig())
     assert got == pytest.approx(0.55, abs=1e-12)
 
 
@@ -99,8 +106,8 @@ def test_safety_score_decreases_linearly_with_radius():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
     scfg = shield.ShieldConfig(l_nu=1.5)
-    a = shield.safety_score(np.zeros(2), state, truth_context(cfg, gamma=0.0), scfg)
-    b = shield.safety_score(np.zeros(2), state, truth_context(cfg, gamma=0.3), scfg)
+    a = scored(np.zeros(2), state, truth_context(cfg, gamma=0.0), scfg)
+    b = scored(np.zeros(2), state, truth_context(cfg, gamma=0.3), scfg)
     assert a - b == pytest.approx(2.0 * 1.5 * 0.3, abs=1e-12)
 
 
@@ -111,56 +118,10 @@ def test_zero_radius_exact_model_scores_true_margin():
     for _ in range(50):
         state = env.reset(cfg, phi, rng)
         action = rng.uniform(-1.0, 1.0, size=2)
-        got = shield.safety_score(
-            action, state, truth_context(cfg, phi=phi), shield.ShieldConfig()
-        )
+        got = scored(action, state, truth_context(cfg, phi=phi), shield.ShieldConfig())
         tr = env.step(state, action, phi, cfg)
         true_margin = env.nu(tr.next_state.position, env.world_obstacles(state), cfg)
         assert got == true_margin
-
-
-def test_one_step_horizon_equals_single_step_score():
-    cfg = nav_config()
-    rng = np.random.default_rng(2)
-    phi = env.sample_phi(rng, cfg.param_intervals)
-    state = env.reset(cfg, phi, rng)
-    ctx = truth_context(cfg, phi=phi, gamma=0.07)
-    scfg = shield.ShieldConfig()
-    for _ in range(10):
-        a = rng.uniform(-1, 1, size=2)
-        assert shield.multi_step_score(a, state, ctx, scfg, horizon=1) == shield.safety_score(
-            a, state, ctx, scfg
-        )
-
-
-def test_multi_step_score_takes_the_worst_step():
-    # drifting toward the obstacle: the second predicted step is the binding one
-    cfg = nav_config()
-    phi = unit_phi()
-    state = make_state((0.0, 0.0), velocity=(1.2, 0.0), obstacles=[(0.8, 0.0)])
-
-    def mean_thrust(S):
-        return np.tile(np.array([1.0, 0.0]), (S.shape[0], 1))
-
-    ctx = truth_context(cfg, gamma=0.0, policy_mean=mean_thrust)
-    action = np.array([1.0, 0.0])
-    t1 = env.step(state, action, phi, cfg)
-    t2 = env.step(t1.next_state, np.array([1.0, 0.0]), phi, cfg)
-    obstacles = env.world_obstacles(state)
-    m1 = env.nu(t1.next_state.position, obstacles, cfg)
-    m2 = env.nu(t2.next_state.position, obstacles, cfg)
-    assert m2 < m1
-    got = shield.multi_step_score(action, state, ctx, shield.ShieldConfig(), horizon=2)
-    assert got == min(m1, m2)
-
-
-def test_multi_step_requires_a_policy_mean():
-    cfg = nav_config()
-    state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        shield.multi_step_score(
-            np.zeros(2), state, truth_context(cfg), shield.ShieldConfig(), horizon=2
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +142,7 @@ def test_pre_safety_pass_returns_the_policy_sample():
         fixed_sampler(sample), state, truth_context(cfg), shield.ShieldConfig()
     )
     assert not decision.intervened and not decision.safe_set_empty
-    assert decision.scores is None and decision.chosen_score is None
+    assert decision.scores is None and decision.chosen_index is None
     np.testing.assert_array_equal(decision.action, sample[0])
 
 
@@ -289,7 +250,6 @@ def test_intervention_returns_a_sampled_candidate():
         assert decision.intervened
         assert any(np.array_equal(decision.action, c) for c in candidates)
         assert decision.scores.shape == (10,)
-        assert decision.chosen_score == decision.scores[decision.chosen_index]
 
 
 def test_sampler_size_is_checked():
@@ -341,9 +301,11 @@ def test_ground_truth_predictor_matches_the_environment():
     phi = env.sample_phi(rng, cfg.param_intervals)
     state = env.reset(cfg, phi, rng)
     action = rng.uniform(-1, 1, size=2)
-    pred = shield.GroundTruthPredictor(phi, cfg).predict(state.as_vector(), action)
+    pred = shield.GroundTruthPredictor(phi, cfg).predict_batch(
+        state.as_vector()[None, :], action[None, :]
+    )
     np.testing.assert_array_equal(
-        pred, env.step(state, action, phi, cfg).next_state.as_vector()
+        pred[0], env.step(state, action, phi, cfg).next_state.as_vector()
     )
 
 
@@ -363,7 +325,5 @@ def test_config_validation():
         shield.ShieldConfig(n_candidates=0)
     with pytest.raises(ValueError):
         shield.ShieldConfig(top_k=11, n_candidates=10)
-    with pytest.raises(ValueError):
-        shield.ShieldConfig(horizon=0)
     with pytest.raises(ValueError):
         shield.ShieldConfig(pre_safety_margin=0.0)

@@ -72,7 +72,6 @@ def test_log_prob_matches_the_closed_form():
     np.testing.assert_allclose(
         policy.density_batch(X, A), np.exp(expected), rtol=1e-12
     )
-    assert policy.log_prob(X[0, :3], X[0, 3:], A[0]) == pytest.approx(expected[0])
 
 
 def test_mean_depends_on_the_context():
@@ -97,9 +96,14 @@ def test_sample_n_statistics_and_determinism():
 
 
 def test_act_returns_a_consistent_log_density():
+    # the density of a sample is the standard-normal density of its own noise
     policy = small_policy(seed=5)
-    action, logp = sro.act(policy, np.ones(3), np.zeros(2), np.random.default_rng(6))
-    assert logp == policy.log_prob(np.ones(3), np.zeros(2), action)
+    s, c = np.ones(3), np.zeros(2)
+    action = policy.sample_n(s, c, 1, np.random.default_rng(6))[0]
+    z = np.random.default_rng(6).standard_normal((1, 2))[0]
+    logp = policy.log_prob_batch(np.concatenate([s, c])[None, :], action[None, :])[0]
+    expected = -0.5 * np.sum(z**2) - np.sum(policy.log_std) - math.log(2 * math.pi)
+    assert logp == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_std_clamping():
@@ -252,16 +256,16 @@ def test_q_safe_matches_the_gaussian_convolution_limit():
     var = math.exp(-1.0) + 0.1**2
     density = 1.0 / (2 * math.pi * var)  # N(0; 0, var*I) in 2-D
     expected = -q0 * density / (v_c + cfg.eps_num)
-    got = sro.q_safe_estimate(
-        np.zeros(3),
-        np.zeros(2),
-        np.zeros(2),
+    got = sro.q_safe_batch(
+        np.zeros((1, 3)),
+        np.zeros((1, 2)),
+        np.zeros((1, 2)),
         policy,
         constant_net(7, q0),
-        v_c,
+        np.array([v_c]),
         cfg,
         np.random.default_rng(17),
-    )
+    )[0]
     assert got == pytest.approx(expected, rel=0.02)
 
 
@@ -270,10 +274,10 @@ def test_q_safe_clamps_at_minus_one():
     policy = sro.GaussianPolicy(Mlp([5, 2], [np.zeros((2, 5))], [np.zeros(2)]),
                                 np.array([-0.5, -0.5]))
     cfg = sro.TrainConfig(n_qsafe=64)
-    got = sro.q_safe_estimate(
-        np.zeros(3), np.zeros(2), np.zeros(2), policy,
-        constant_net(7, 100.0), 0.0, cfg, np.random.default_rng(18),
-    )
+    got = sro.q_safe_batch(
+        np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), policy,
+        constant_net(7, 100.0), np.zeros(1), cfg, np.random.default_rng(18),
+    )[0]
     assert got == -1.0 + 1e-6
 
 
