@@ -70,19 +70,6 @@ class TransitionDataset:
 
 
 @dataclass
-class Coefficients:
-    """Result of one least-squares identification."""
-
-    b: np.ndarray
-    sample_count: int
-    residual: float
-
-    @classmethod
-    def zeros(cls, k: int) -> "Coefficients":
-        return cls(np.zeros(k), 0, float("nan"))
-
-
-@dataclass
 class BasisSet:
     """``k`` basis networks plus frozen input normalization and metadata."""
 
@@ -125,43 +112,34 @@ def gram_and_targets(Phi: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.nda
     return G, y
 
 
-def _coefficients_from_phi(Phi: np.ndarray, targets: np.ndarray, ridge: float) -> Coefficients:
-    """Ridge solve over precomputed basis outputs (shape ``(n, k, out)``)."""
-    G, y = gram_and_targets(Phi, targets)
-    b = solve_ridge(G, y, ridge)
-    pred = np.einsum("k,nko->no", b, Phi)
-    residual = float(np.mean(np.sum((pred - targets) ** 2, axis=1)))
-    return Coefficients(b, Phi.shape[0], residual)
-
-
 def compute_coefficients(
     basis: BasisSet, samples: TransitionDataset, ridge: float = 1e-6
-) -> Coefficients:
-    """Identify the coefficient vector for one parameter draw.
+) -> np.ndarray:
+    """Identify the coefficient vector ``b`` for one parameter draw.
 
-    Solves ``(G + ridge I) b = y`` over the provided samples and reports the
-    mean squared reconstruction error as the residual.
+    Solves ``(G + ridge I) b = y`` over the provided samples.
     """
     if len(samples) < 1:
         raise ValueError("need at least one transition to identify coefficients")
-    return _coefficients_from_phi(basis.evaluate(samples.inputs), samples.targets, ridge)
+    G, y = gram_and_targets(basis.evaluate(samples.inputs), samples.targets)
+    return solve_ridge(G, y, ridge)
 
 
-def predict_delta_batch(basis: BasisSet, coeffs: Coefficients, X: np.ndarray) -> np.ndarray:
+def predict_delta_batch(basis: BasisSet, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     Phi = basis.evaluate(X)
-    return np.einsum("k,nko->no", coeffs.b, Phi)
+    return np.einsum("k,nko->no", b, Phi)
 
 
 def predict_next_batch(
-    basis: BasisSet, coeffs: Coefficients, states: np.ndarray, actions: np.ndarray
+    basis: BasisSet, b: np.ndarray, states: np.ndarray, actions: np.ndarray
 ) -> np.ndarray:
     X = np.hstack([states, actions])
-    return states + predict_delta_batch(basis, coeffs, X)
+    return states + predict_delta_batch(basis, b, X)
 
 
-def dataset_mse(basis: BasisSet, coeffs: Coefficients, ds: TransitionDataset) -> float:
+def dataset_mse(basis: BasisSet, b: np.ndarray, ds: TransitionDataset) -> float:
     """Mean squared one-step delta error on a dataset for fixed coefficients."""
-    pred = predict_delta_batch(basis, coeffs, ds.inputs)
+    pred = predict_delta_batch(basis, b, ds.inputs)
     return float(np.mean(np.sum((pred - ds.targets) ** 2, axis=1)))
 
 
@@ -284,7 +262,7 @@ class OnlineCoefficients:
     basis: BasisSet
     refresh_period: int = 10
     ridge: float = 1e-6
-    coeffs: Coefficients = None  # type: ignore[assignment]
+    b: np.ndarray = None  # type: ignore[assignment]
     solve_failures: int = 0
     _inputs: list[np.ndarray] = field(default_factory=list)
     _targets: list[np.ndarray] = field(default_factory=list)
@@ -295,12 +273,12 @@ class OnlineCoefficients:
     def __post_init__(self) -> None:
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
-        if self.coeffs is None:
-            self.coeffs = Coefficients.zeros(self.basis.k)
+        if self.b is None:
+            self.b = np.zeros(self.basis.k)
 
     def observe(
         self, state_vec: np.ndarray, action: np.ndarray, next_state_vec: np.ndarray
-    ) -> Coefficients:
+    ) -> np.ndarray:
         x = np.concatenate(
             [np.asarray(state_vec, dtype=np.float64), np.asarray(action, dtype=np.float64)]
         )
@@ -310,9 +288,9 @@ class OnlineCoefficients:
         )
         if len(self._inputs) % self.refresh_period == 0:
             self.refresh()
-        return self.coeffs
+        return self.b
 
-    def refresh(self) -> Coefficients:
+    def refresh(self) -> np.ndarray:
         n = len(self._inputs)
         if n < 1:
             raise ValueError("need at least one transition to identify coefficients")
@@ -320,11 +298,12 @@ class OnlineCoefficients:
         if done < n:
             block = self.basis.evaluate(np.asarray(self._inputs[done:]))
             self._phi = block if self._phi is None else np.concatenate([self._phi, block])
+        G, y = gram_and_targets(self._phi, np.asarray(self._targets))
         try:
-            self.coeffs = _coefficients_from_phi(self._phi, np.asarray(self._targets), self.ridge)
+            self.b = solve_ridge(G, y, self.ridge)
         except SingularMatrixError:
             self.solve_failures += 1
-        return self.coeffs
+        return self.b
 
 
 # ---------------------------------------------------------------------------

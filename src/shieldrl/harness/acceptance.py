@@ -30,6 +30,7 @@ from .run import (
     evaluate,
     pooled_from_dict,
     pretrain_fe,
+    score_heldout,
     train,
     train_pooled,
 )
@@ -104,7 +105,7 @@ def check_qsafe_bound(ws: Workspace) -> CriterionResult:
         contexts = rng.uniform(-3.0, 3.0, size=(n, ctx_dim))
         actions = rng.uniform(-2.0, 2.0, size=(n, act_dim))
         v_c = rng.normal(scale=3.0, size=n)
-        q = sro.q_safe_batch(states, contexts, actions, policy, q_c, v_c, cfg, rng)
+        q = sro.q_safe_batch(np.hstack([states, contexts]), actions, policy, q_c, v_c, cfg, rng)
         draws += n
         bad = ~((q > -1.0) & (q <= 0.0) & np.isfinite(q))
         violations += int(bad.sum())
@@ -370,10 +371,11 @@ def _exact_span_case() -> dict:
     rng = rng_for(606, "fe")
     X = rng.standard_normal((200, 2))
     targets = (2.0 * X[:, 0] - 1.0 * X[:, 1])[:, None]
-    coeffs = fe.compute_coefficients(basis, fe.TransitionDataset(X, targets), ridge=0.0)
+    samples = fe.TransitionDataset(X, targets)
+    b = fe.compute_coefficients(basis, samples, ridge=0.0)
     return {
-        "coeff_error": float(np.max(np.abs(coeffs.b - np.array([2.0, -1.0])))),
-        "residual": coeffs.residual,
+        "coeff_error": float(np.max(np.abs(b - np.array([2.0, -1.0])))),
+        "residual": fe.dataset_mse(basis, b, samples),
     }
 
 
@@ -401,8 +403,8 @@ def _synthetic_family_case() -> dict:
     for w in rng.uniform(0.5, 2.0, size=8):
         ident_fe, _ = make_task(w, 100)
         test_fe, test_oracle = make_task(w, 300)
-        coeffs = fe.compute_coefficients(basis, ident_fe)
-        fe_mses.append(fe.dataset_mse(basis, coeffs, test_fe))
+        b = fe.compute_coefficients(basis, ident_fe)
+        fe_mses.append(fe.dataset_mse(basis, b, test_fe))
         oracle_mses.append(oracle.dataset_mse(test_oracle))
     return {"fe_mse": float(np.mean(fe_mses)), "oracle_mse": float(np.mean(oracle_mses))}
 
@@ -418,18 +420,10 @@ def _env_advantage_case(ws: Workspace) -> dict:
         episodes, _ = collect_random_episodes(
             cfg.env, 24, rng_for(608, "fe", 0 if label == "id" else 1), intervals
         )
-        fe_mses, pooled_mses = [], []
-        for ds in episodes:
-            ctx = fe.TransitionDataset(ds.inputs[:100], ds.targets[:100])
-            rest = fe.TransitionDataset(ds.inputs[100:], ds.targets[100:])
-            coeffs = fe.compute_coefficients(basis, ctx, cfg.fe.ridge)
-            fe_mses.append(fe.dataset_mse(basis, coeffs, rest))
-            pooled_mses.append(pooled.dataset_mse(rest))
-        out[label] = {
-            "episodes": len(episodes),
-            "fe_mse": float(np.mean(fe_mses)),
-            "pooled_mse": float(np.mean(pooled_mses)),
-        }
+        fe_mse, pooled_mse = score_heldout(
+            basis, pooled, episodes, cfg.fe.context_samples, cfg.fe.ridge
+        )
+        out[label] = {"episodes": len(episodes), "fe_mse": fe_mse, "pooled_mse": pooled_mse}
     return out
 
 

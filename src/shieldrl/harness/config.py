@@ -37,6 +37,10 @@ class FeSettings:
     heldout_fraction: float = 0.2
     context_samples: int = 100  # per-episode samples used for held-out scoring
 
+    def __post_init__(self) -> None:
+        if self.refresh_period < 1:
+            raise ValueError("refresh_period must be >= 1")
+
 
 @dataclass
 class AcpSettings:
@@ -44,6 +48,12 @@ class AcpSettings:
     eta_scale: float = 0.05
     warmup_len: int = 100
     min_scores: int = 5
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.warmup_len < 1:
+            raise ValueError("warmup_len must be >= 1")
 
 
 @dataclass

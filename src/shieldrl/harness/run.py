@@ -155,11 +155,10 @@ def run_episode(
     rngs: dict[str, np.random.Generator],
     *,
     basis: fe.BasisSet | None = None,
-    critics: sro.CriticSet | None = None,
     buffer: sro.RolloutBuffer | None = None,
     shield_on: bool | None = None,
 ) -> EpisodeResult:
-    """Roll one full episode; fills ``buffer`` when training structures are given.
+    """Roll one full episode; records its transitions in ``buffer`` when given.
 
     A fresh hidden-parameter draw, layout, online coefficient estimate, and
     conformal state are used each call.  ``env_cfg`` may carry more obstacles
@@ -195,7 +194,7 @@ def run_episode(
         if cfg.oracle_phi:
             return phi.as_array()
         if cfg.fe_context and online is not None:
-            return online.coeffs.b
+            return online.b
         return np.zeros(cfg.fe.k)
 
     res = EpisodeResult()
@@ -205,7 +204,7 @@ def run_episode(
         context = context_vec()
 
         if shield_on:
-            predictor = shieldmod.FePredictor(basis, online.coeffs)
+            predictor = shieldmod.FePredictor(basis, online.b)
             gamma = conformal.current_gamma(acp)
             view_state = envmod.EnvState.from_vector(sview, state.step_index)
             sctx = shieldmod.ShieldContext(predictor, env_cfg, gamma, rngs["shield"])
@@ -230,22 +229,9 @@ def run_episode(
         next_view = _state_view(tr.next_state.as_vector(), view_dim)
 
         if buffer is not None:
-            X = np.concatenate([sview, context])[None, :]
-            logp = float(policy.log_prob_batch(X, action[None, :])[0])
-            buffer.add(
-                sview,
-                context,
-                action,
-                logp,
-                tr.reward,
-                tr.cost,
-                float(critics.v_r_values(X)[0]),
-                float(critics.v_c_values(X)[0]),
-            )
+            buffer.add(sview, context, action, tr.reward, tr.cost)
         if shield_on:
             conformal.observe(acp, conformal.score(predicted, next_view))
-            res.acp_misses = acp.miss_count
-            res.acp_updates = acp.update_count
         if online is not None:
             online.observe(sview, tr.action, next_view)
 
@@ -255,12 +241,10 @@ def run_episode(
         state = tr.next_state
 
     if buffer is not None:
-        X_last = np.concatenate([_state_view(state.as_vector(), view_dim), context_vec()])[
-            None, :
-        ]
-        buffer.end_episode(
-            float(critics.v_r_values(X_last)[0]), float(critics.v_c_values(X_last)[0])
-        )
+        buffer.end_episode(_state_view(state.as_vector(), view_dim), context_vec())
+    if shield_on:
+        res.acp_misses = acp.miss_count
+        res.acp_updates = acp.update_count
     if online is not None:
         res.fe_solve_failures = online.solve_failures
     res.wall_clock = time.perf_counter() - t0
@@ -464,14 +448,12 @@ def train(
             ep_returns: list[float] = []
             ep_cost_rates: list[float] = []
             while len(buffer) < steps_per_epoch:
-                res = run_episode(
-                    policy, cfg, env_cfg, rngs, basis=basis, critics=critics, buffer=buffer
-                )
+                res = run_episode(policy, cfg, env_cfg, rngs, basis=basis, buffer=buffer)
                 writer.write(episode_record(episode_index, epoch, res))
                 episode_index += 1
                 ep_returns.append(res.ep_return)
                 ep_cost_rates.append(res.cost_rate)
-            buffer.finalize(cfg.train.gamma, cfg.train.gae_lambda)
+            buffer.finalize(policy, critics, cfg.train.gamma, cfg.train.gae_lambda)
 
             closs = {}
             for _ in range(cfg.train.critic_iters):
@@ -729,7 +711,7 @@ def collect_random_episodes(
     return datasets, draws
 
 
-def _score_heldout(
+def score_heldout(
     basis: fe.BasisSet,
     pooled: PooledRegressor,
     heldout: list[fe.TransitionDataset],
@@ -746,8 +728,8 @@ def _score_heldout(
         ctx_n = min(context_samples, len(ds) // 2)
         ident = fe.TransitionDataset(ds.inputs[:ctx_n], ds.targets[:ctx_n])
         rest = fe.TransitionDataset(ds.inputs[ctx_n:], ds.targets[ctx_n:])
-        coeffs = fe.compute_coefficients(basis, ident, ridge)
-        fe_mses.append(fe.dataset_mse(basis, coeffs, rest))
+        b = fe.compute_coefficients(basis, ident, ridge)
+        fe_mses.append(fe.dataset_mse(basis, b, rest))
         pooled_mses.append(pooled.dataset_mse(rest))
     return float(np.mean(fe_mses)), float(np.mean(pooled_mses))
 
@@ -784,7 +766,7 @@ def pretrain_fe(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Pr
     pooled = train_pooled(
         train_sets, cfg.fe.hidden, cfg.fe.epochs, cfg.fe.lr, cfg.fe.batch, pooled_rng
     )
-    fe_mse, pooled_mse = _score_heldout(
+    fe_mse, pooled_mse = score_heldout(
         basis, pooled, heldout, cfg.fe.context_samples, cfg.fe.ridge
     )
     header = {

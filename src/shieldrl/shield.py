@@ -75,17 +75,15 @@ class FePredictor:
     """
 
     basis: fe.BasisSet
-    coeffs: fe.Coefficients
+    b: np.ndarray
 
     def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return fe.predict_next_batch(
-            self.basis, self.coeffs, states, np.clip(actions, -1.0, 1.0)
-        )
+        return fe.predict_next_batch(self.basis, self.b, states, np.clip(actions, -1.0, 1.0))
 
     def predict(self, state_vec: np.ndarray, action: np.ndarray) -> np.ndarray:
         """One-row prediction; bypasses ``predict_batch``, whose trace counts scoring only."""
         return fe.predict_next_batch(
-            self.basis, self.coeffs, state_vec[None, :], np.clip(action, -1.0, 1.0)[None, :]
+            self.basis, self.b, state_vec[None, :], np.clip(action, -1.0, 1.0)[None, :]
         )[0]
 
 

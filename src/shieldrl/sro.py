@@ -18,6 +18,11 @@ is what keeps reward optimization unbiased among zero-violation policies.
 Cost pressure enters twice: the multiplier ``lambda`` scales the raw
 (unnormalized) cost advantage in the surrogate, and is itself adapted from
 observed episode costs against the cost limit.
+
+The policy and the critics stay frozen while an epoch's episodes are rolled
+out.  A rollout therefore only samples actions; ``RolloutBuffer.finalize``
+evaluates the behaviour log-probabilities and the value estimates in one
+batch per epoch, and the critic and policy updates read those arrays.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ class TrainConfig:
             raise ValueError("gae_lambda must lie in [0, 1]")
         if self.minibatch < 1 or self.steps_per_epoch < 1:
             raise ValueError("minibatch and steps_per_epoch must be positive")
+        if self.n_qsafe < 1:
+            raise ValueError("n_qsafe must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 
@@ -225,77 +232,88 @@ def gae(
 
 @dataclass
 class RolloutBuffer:
-    """One training epoch of experience, stored per step with episode spans."""
+    """One training epoch of experience, stored per step with episode spans.
 
-    states: list = field(default_factory=list)
-    contexts: list = field(default_factory=list)
+    The rollout records only what happened: the policy input (state ++
+    context), the action, the reward and the cost, plus each episode's
+    bootstrap input, the state and context after its last step.  The policy
+    and critics stay frozen while an epoch is collected, so :meth:`finalize`
+    evaluates the behaviour log-probabilities and both value heads once over
+    the whole epoch instead of once per step.
+    """
+
+    inputs: list = field(default_factory=list)
     actions: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     costs: list = field(default_factory=list)
-    v_r: list = field(default_factory=list)
-    v_c: list = field(default_factory=list)
-    episodes: list = field(default_factory=list)  # (start, end, boot_r, boot_c)
+    episodes: list = field(default_factory=list)  # (start, end)
+    boot_inputs: list = field(default_factory=list)  # one row per episode
     _episode_start: int = 0
     # populated by finalize()
+    X: np.ndarray | None = None
+    A: np.ndarray | None = None
+    log_probs: np.ndarray | None = None
     adv_r: np.ndarray | None = None
     adv_r_norm: np.ndarray | None = None
     adv_c: np.ndarray | None = None
     ret_r: np.ndarray | None = None
     ret_c: np.ndarray | None = None
 
-    def add(self, state_vec, context, action, log_prob, reward, cost, v_r, v_c) -> None:
-        self.states.append(np.asarray(state_vec, dtype=np.float64))
-        self.contexts.append(np.asarray(context, dtype=np.float64))
+    def add(self, state_vec, context, action, reward, cost) -> None:
+        self.inputs.append(np.concatenate([state_vec, context]))
         self.actions.append(np.asarray(action, dtype=np.float64))
-        self.log_probs.append(float(log_prob))
         self.rewards.append(float(reward))
         self.costs.append(float(cost))
-        self.v_r.append(float(v_r))
-        self.v_c.append(float(v_c))
 
-    def end_episode(self, bootstrap_r: float = 0.0, bootstrap_c: float = 0.0) -> None:
-        end = len(self.states)
+    def end_episode(self, last_state, last_context) -> None:
+        end = len(self.rewards)
         if end == self._episode_start:
             return
-        self.episodes.append((self._episode_start, end, float(bootstrap_r), float(bootstrap_c)))
+        self.episodes.append((self._episode_start, end))
+        self.boot_inputs.append(np.concatenate([last_state, last_context]))
         self._episode_start = end
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.rewards)
 
-    def finalize(self, gamma: float, lam: float) -> None:
-        """Compute advantages/targets; normalizes the reward advantage only."""
-        if self._episode_start != len(self.states):
+    def finalize(
+        self, policy: GaussianPolicy, critics: CriticSet, gamma: float, lam: float
+    ) -> None:
+        """Evaluate log-probs and values, then advantages and targets.
+
+        The policy runs once over the epoch's rows and each value head once
+        over those rows plus the bootstrap rows.  Only the reward advantage
+        is normalized.
+        """
+        if self._episode_start != len(self):
             raise ValueError("open episode: call end_episode before finalize")
-        n = len(self.states)
+        n = len(self)
         if n == 0:
             raise ValueError("empty buffer")
+        self.X = np.asarray(self.inputs)
+        self.A = np.asarray(self.actions)
+        self.log_probs = policy.log_prob_batch(self.X, self.A)
+        X_all = np.vstack([self.X, np.asarray(self.boot_inputs)])
+        v_r = critics.v_r_values(X_all)
+        v_c = critics.v_c_values(X_all)
         self.adv_r = np.zeros(n)
         self.adv_c = np.zeros(n)
         self.ret_r = np.zeros(n)
         self.ret_c = np.zeros(n)
         rewards = np.asarray(self.rewards)
         costs = np.asarray(self.costs)
-        vr = np.asarray(self.v_r)
-        vc = np.asarray(self.v_c)
-        for start, end, boot_r, boot_c in self.episodes:
+        for i, (start, end) in enumerate(self.episodes):
             sl = slice(start, end)
-            self.adv_r[sl], self.ret_r[sl] = gae(rewards[sl], vr[sl], gamma, lam, boot_r)
-            self.adv_c[sl], self.ret_c[sl] = gae(costs[sl], vc[sl], gamma, lam, boot_c)
+            self.adv_r[sl], self.ret_r[sl] = gae(rewards[sl], v_r[sl], gamma, lam, v_r[n + i])
+            self.adv_c[sl], self.ret_c[sl] = gae(costs[sl], v_c[sl], gamma, lam, v_c[n + i])
         # Cost advantages keep their scale: the Lagrange multiplier prices
         # real cost units, so only the reward advantage is standardized.
         std = float(self.adv_r.std())
         self.adv_r_norm = (self.adv_r - self.adv_r.mean()) / (std + 1e-8)
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.hstack([np.asarray(self.states), np.asarray(self.contexts)])
-        A = np.asarray(self.actions)
-        return X, A, np.asarray(self.log_probs)
-
     def episode_cost_totals(self) -> np.ndarray:
         costs = np.asarray(self.costs)
-        return np.array([costs[s:e].sum() for s, e, _, _ in self.episodes])
+        return np.array([costs[s:e].sum() for s, e in self.episodes])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +322,7 @@ class RolloutBuffer:
 
 
 def q_safe_batch(
-    states: np.ndarray,
-    contexts: np.ndarray,
+    X: np.ndarray,
     actions: np.ndarray,
     policy: GaussianPolicy,
     q_c_net: Mlp,
@@ -313,15 +330,12 @@ def q_safe_batch(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized safety score for a batch of (state, action) pairs.
+    """Vectorized safety score for a batch of (state ++ context, action) pairs.
 
     All inputs are constants for the policy update: the estimate never
     carries gradients.
     """
-    if cfg.n_qsafe < 1:
-        raise ValueError("n_qsafe must be >= 1")
     n, da = actions.shape
-    X = np.hstack([states, contexts])
     eps = cfg.sigma_qsafe * rng.standard_normal((n, cfg.n_qsafe, da))
     perturbed = actions[:, None, :] + eps
     flat_actions = perturbed.reshape(n * cfg.n_qsafe, da)
@@ -407,19 +421,9 @@ def policy_update(
     disabled they are identically zero and no perturbation noise is drawn,
     so both configurations follow the identical plain-Lagrangian path.
     """
-    X, A, logp_old = buffer.stacked()
+    X, A, logp_old = buffer.X, buffer.A, buffer.log_probs
     if sro_enabled and cfg.alpha > 0:
-        v_c_vals = critics.v_c_values(X)
-        q_safe = q_safe_batch(
-            np.asarray(buffer.states),
-            np.asarray(buffer.contexts),
-            A,
-            policy,
-            critics.q_c,
-            v_c_vals,
-            cfg,
-            rng,
-        )
+        q_safe = q_safe_batch(X, A, policy, critics.q_c, critics.v_c_values(X), cfg, rng)
     else:
         q_safe = np.zeros(len(buffer))
     adv = augmented_advantage(buffer.adv_r_norm, q_safe, cfg.alpha) - lam * buffer.adv_c
@@ -476,7 +480,7 @@ def critic_update(
     The cost Q-critic regresses onto ``stopgrad(V_C(s)) + A_C``; the cost
     value net's parameters never receive gradient from that loss.
     """
-    X, A, _ = buffer.stacked()
+    X, A = buffer.X, buffer.A
     n = X.shape[0]
     losses = {"v_r": 0.0, "v_c": 0.0, "q_c": 0.0}
     batches = 0

@@ -51,10 +51,10 @@ def test_exact_span_recovers_coefficients():
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
     X = np.random.default_rng(0).standard_normal((200, 2))
     targets = (2.0 * X[:, 0] - 1.0 * X[:, 1])[:, None]
-    coeffs = fe.compute_coefficients(basis, fe.TransitionDataset(X, targets), ridge=0.0)
-    np.testing.assert_allclose(coeffs.b, [2.0, -1.0], atol=1e-10)
-    assert coeffs.residual < 1e-20
-    assert coeffs.sample_count == 200
+    samples = fe.TransitionDataset(X, targets)
+    b = fe.compute_coefficients(basis, samples, ridge=0.0)
+    np.testing.assert_allclose(b, [2.0, -1.0], atol=1e-10)
+    assert fe.dataset_mse(basis, b, samples) < 1e-20
 
 
 def test_ridge_shrinks_toward_zero():
@@ -63,8 +63,8 @@ def test_ridge_shrinks_toward_zero():
     targets = (3.0 * X[:, 0])[:, None]
     loose = fe.compute_coefficients(basis, fe.TransitionDataset(X, targets), ridge=0.0)
     tight = fe.compute_coefficients(basis, fe.TransitionDataset(X, targets), ridge=10.0)
-    assert abs(tight.b[0]) < abs(loose.b[0])
-    np.testing.assert_allclose(loose.b, [3.0], atol=1e-8)
+    assert abs(tight[0]) < abs(loose[0])
+    np.testing.assert_allclose(loose, [3.0], atol=1e-8)
 
 
 def test_compute_coefficients_requires_samples():
@@ -82,7 +82,7 @@ def test_coefficients_are_permutation_invariant():
     perm = rng.permutation(128)
     a = fe.compute_coefficients(basis, fe.TransitionDataset(X, targets))
     b = fe.compute_coefficients(basis, fe.TransitionDataset(X[perm], targets[perm]))
-    np.testing.assert_allclose(a.b, b.b, atol=1e-12)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +93,18 @@ def test_coefficients_are_permutation_invariant():
 def test_predict_next_state_arithmetic():
     # state_dim 1, action_dim 1: g1 = s, g2 = a; delta = 2 s - 0.5 a
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
-    coeffs = fe.Coefficients(np.array([2.0, -0.5]), 1, 0.0)
-    out = fe.predict_next_batch(basis, coeffs, np.array([[3.0]]), np.array([[4.0]]))
+    b = np.array([2.0, -0.5])
+    out = fe.predict_next_batch(basis, b, np.array([[3.0]]), np.array([[4.0]]))
     np.testing.assert_allclose(out, [[3.0 + 2.0 * 3.0 - 0.5 * 4.0]])
     with pytest.raises(ValueError):
-        fe.predict_next_batch(basis, coeffs, np.array([[3.0, 1.0]]), np.array([[4.0]]))
+        fe.predict_next_batch(basis, b, np.array([[3.0, 1.0]]), np.array([[4.0]]))
 
 
 def test_predict_next_batch_matches_scalar():
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
-    coeffs = fe.Coefficients(np.array([1.5, 0.25]), 1, 0.0)
     rng = np.random.default_rng(3)
     S, A = rng.standard_normal((16, 1)), rng.standard_normal((16, 1))
-    batch = fe.predict_next_batch(basis, coeffs, S, A)
+    batch = fe.predict_next_batch(basis, np.array([1.5, 0.25]), S, A)
     for i in range(16):
         np.testing.assert_allclose(batch[i], S[i] + 1.5 * S[i] + 0.25 * A[i])
 
@@ -154,7 +153,7 @@ def test_coefficients_scale_with_the_hidden_parameter(scalar_family_basis):
     basis, _ = scalar_family_basis
     rng = np.random.default_rng(102)
     b = {
-        w: fe.compute_coefficients(basis, family_dataset(w, 300, rng)).b[0]
+        w: fe.compute_coefficients(basis, family_dataset(w, 300, rng))[0]
         for w in (0.5, 2.0)
     }
     assert b[2.0] / b[0.5] == pytest.approx(4.0, rel=0.1)
@@ -212,10 +211,10 @@ def test_train_basis_preconditions():
 def test_online_prior_predicts_no_motion():
     basis = plain_basis([linear_net([[1.0, 0.0]])])
     online = fe.OnlineCoefficients(basis)
-    np.testing.assert_array_equal(online.coeffs.b, np.zeros(1))
+    np.testing.assert_array_equal(online.b, np.zeros(1))
     state = np.array([0.7])
     np.testing.assert_array_equal(
-        fe.predict_next_batch(basis, online.coeffs, state[None, :], np.array([[0.3]]))[0],
+        fe.predict_next_batch(basis, online.b, state[None, :], np.array([[0.3]]))[0],
         state,
     )
 
@@ -225,24 +224,24 @@ def test_online_refresh_cadence():
     online = fe.OnlineCoefficients(basis, refresh_period=10)
     rng = np.random.default_rng(9)
     for i in range(1, 26):
+        before = online.b
         s = rng.standard_normal(1)
         online.observe(s, rng.standard_normal(1), s + 2.0 * s)
-        expected = 10 * (i // 10)
-        assert online.coeffs.sample_count == expected
-    assert online.coeffs.b[0] == pytest.approx(2.0, abs=1e-4)
+        assert (online.b is not before) == (i % 10 == 0)  # solved only on refresh
+    assert online.b[0] == pytest.approx(2.0, abs=1e-4)
 
 
 def test_online_singular_solve_keeps_the_previous_coefficients():
     # two identical basis functions make the Gram matrix singular at ridge 0
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[1.0, 0.0]])])
-    prior = fe.Coefficients(np.array([0.5, 0.5]), 0, float("nan"))
-    online = fe.OnlineCoefficients(basis, refresh_period=1, ridge=0.0, coeffs=prior)
+    prior = np.array([0.5, 0.5])
+    online = fe.OnlineCoefficients(basis, refresh_period=1, ridge=0.0, b=prior)
     rng = np.random.default_rng(11)
     for _ in range(3):
         s = rng.standard_normal(1)
         online.observe(s, rng.standard_normal(1), s + 2.0 * s)
     assert online.solve_failures == 3
-    assert online.coeffs is prior
+    assert online.b is prior
 
 
 def test_online_rejects_bad_refresh_period():

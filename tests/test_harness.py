@@ -1,6 +1,7 @@
 """Harness tests: config files, training loop, evaluation, CLI."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,21 @@ def test_removed_keys_are_neither_written_nor_accepted():
         assert key not in text
         with pytest.raises(ConfigError):
             parse_config(f"{key} = 1\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train.n_qsafe", "0"),
+        ("fe.refresh_period", "0"),
+        ("acp.warmup_len", "0"),
+        ("acp.delta", "0.0"),
+        ("acp.delta", "1.0"),
+    ],
+)
+def test_values_a_run_would_reject_do_not_parse(key, value):
+    with pytest.raises(ValueError):
+        parse_config(f"{key} = {value}\n")
 
 
 def test_value_parsing_errors_are_config_errors():
@@ -205,6 +221,29 @@ def test_training_consumes_the_requested_steps():
     episodes = [r for r in result.records if r["kind"] == "episode"]
     assert sum(e["steps"] for e in episodes) == 200
     assert all(e["cost_rate"] <= 1.0 for e in episodes)
+
+
+def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
+    calls = Counter()
+    for owner, name in (
+        (sro.GaussianPolicy, "log_prob_batch"),
+        (sro.CriticSet, "v_r_values"),
+        (sro.CriticSet, "v_c_values"),
+    ):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    counts = []
+    for steps in (100, 200):
+        calls.clear()
+        cfg = tiny_config(total_steps=steps, sro_enabled=True)
+        cfg.train = replace(cfg.train, steps_per_epoch=steps)
+        run.train(cfg.validate())
+        counts.append(dict(calls))
+    # finalize makes one pass of each; the safety score one more policy and v_c pass
+    assert counts == [{"log_prob_batch": 2, "v_r_values": 1, "v_c_values": 2}] * 2
 
 
 def test_resume_continues_bit_for_bit(tmp_path):
@@ -406,11 +445,19 @@ def test_cli_rejects_unknown_acceptance_suite(capsys):
     assert "warp-drive" in err
 
 
-def test_cli_reports_config_errors(tmp_path):
+def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("seed = banana\n")
     out = tmp_path / "ck.json"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    # a value the first episode would reject stops pretraining before any work
+    save_config(tiny_config(), cfg_path)
+    basis = tmp_path / "basis.json"
+    rc = cli.main(["pretrain-fe", "--config", str(cfg_path), "--out", str(basis),
+                   "--set", "fe.refresh_period=0"])
+    assert rc == 2
+    assert not basis.exists()
+    assert capsys.readouterr().err.endswith("error: refresh_period must be >= 1\n")
 
 
 def test_cli_reports_placement_errors(tmp_path, capsys):

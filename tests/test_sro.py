@@ -27,23 +27,28 @@ def constant_net(input_dim: int, value: float) -> Mlp:
     return Mlp([input_dim, 1], [np.zeros((1, input_dim))], [np.array([value])])
 
 
-def random_buffer(rng, n_episodes=3, ep_len=20, state_dim=3, context_dim=2, action_dim=2):
+def random_buffer(rng, n_episodes=3, ep_len=20, policy=None, critics=None):
+    """Random transitions, finalized with ``policy`` and ``critics`` (small defaults)."""
     buf = sro.RolloutBuffer()
     for _ in range(n_episodes):
         for _ in range(ep_len):
             buf.add(
-                rng.standard_normal(state_dim),
-                rng.standard_normal(context_dim),
-                rng.standard_normal(action_dim),
-                float(rng.normal()),
+                rng.standard_normal(3),
+                rng.standard_normal(2),
+                rng.standard_normal(2),
                 float(rng.normal()),
                 float(rng.integers(0, 2)),
-                float(rng.normal()),
-                float(rng.normal()),
             )
-        buf.end_episode()
-    buf.finalize(0.99, 0.95)
+        buf.end_episode(rng.standard_normal(3), rng.standard_normal(2))
+    policy = small_policy() if policy is None else policy
+    critics = small_critics() if critics is None else critics
+    buf.finalize(policy, critics, 0.99, 0.95)
     return buf
+
+
+def one_row_at_a_time(fn, X, *rest):
+    """``fn`` applied to each row of ``X`` (and of ``rest``) as its own batch."""
+    return np.array([fn(X[i : i + 1], *(r[i : i + 1] for r in rest))[0] for i in range(len(X))])
 
 
 # ---------------------------------------------------------------------------
@@ -159,48 +164,60 @@ def test_gae_rejects_mismatched_shapes():
 
 
 def test_buffer_finalize_is_per_episode():
-    rng = np.random.default_rng(10)
-    buf = random_buffer(rng, n_episodes=2, ep_len=15)
+    # batched log-probs, values and bootstraps agree with one-row evaluation,
+    # and each episode's advantages are that episode's own GAE
+    policy, critics = small_policy(seed=10), small_critics(seed=10)
+    buf = random_buffer(np.random.default_rng(10), n_episodes=2, ep_len=15,
+                        policy=policy, critics=critics)
+    np.testing.assert_allclose(
+        buf.log_probs, one_row_at_a_time(policy.log_prob_batch, buf.X, buf.A), rtol=1e-12
+    )
     rewards = np.asarray(buf.rewards)
-    vr = np.asarray(buf.v_r)
-    for start, end, boot_r, _ in buf.episodes:
-        adv, ret = sro.gae(rewards[start:end], vr[start:end], 0.99, 0.95, boot_r)
-        np.testing.assert_array_equal(buf.adv_r[start:end], adv)
-        np.testing.assert_array_equal(buf.ret_r[start:end], ret)
+    v_r = one_row_at_a_time(critics.v_r_values, buf.X)
+    boot_r = one_row_at_a_time(critics.v_r_values, np.asarray(buf.boot_inputs))
+    assert [end - start for start, end in buf.episodes] == [15, 15]
+    for (start, end), boot in zip(buf.episodes, boot_r):
+        adv, ret = sro.gae(rewards[start:end], v_r[start:end], 0.99, 0.95, boot)
+        np.testing.assert_allclose(buf.adv_r[start:end], adv, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(buf.ret_r[start:end], ret, rtol=1e-12, atol=1e-14)
 
 
 def test_buffer_normalizes_only_the_reward_advantage():
-    buf = random_buffer(np.random.default_rng(11))
+    critics = small_critics(seed=11)
+    buf = random_buffer(np.random.default_rng(11), critics=critics)
     assert buf.adv_r_norm.mean() == pytest.approx(0.0, abs=1e-9)
     assert buf.adv_r_norm.std() == pytest.approx(1.0, rel=1e-6)
     costs = np.asarray(buf.costs)
-    vc = np.asarray(buf.v_c)
-    start, end, _, boot_c = buf.episodes[0]
-    adv_c, _ = sro.gae(costs[start:end], vc[start:end], 0.99, 0.95, boot_c)
-    np.testing.assert_array_equal(buf.adv_c[start:end], adv_c)  # raw scale
+    v_c = one_row_at_a_time(critics.v_c_values, buf.X)
+    boot_c = one_row_at_a_time(critics.v_c_values, np.asarray(buf.boot_inputs))
+    for (start, end), boot in zip(buf.episodes, boot_c):
+        adv_c, ret_c = sro.gae(costs[start:end], v_c[start:end], 0.99, 0.95, boot)
+        np.testing.assert_allclose(buf.adv_c[start:end], adv_c, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(buf.ret_c[start:end], ret_c, rtol=1e-12, atol=1e-14)
 
 
 def test_buffer_guards():
+    policy, critics = small_policy(), small_critics()
     buf = sro.RolloutBuffer()
     with pytest.raises(ValueError):
-        buf.finalize(0.99, 0.95)
-    buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, 1.0, 0.0, 0.0, 0.0)
+        buf.finalize(policy, critics, 0.99, 0.95)
+    buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 1.0, 0.0)
     with pytest.raises(ValueError):
-        buf.finalize(0.99, 0.95)  # open episode
-    buf.end_episode()
-    buf.finalize(0.99, 0.95)
+        buf.finalize(policy, critics, 0.99, 0.95)  # open episode
+    buf.end_episode(np.zeros(3), np.zeros(2))
+    buf.finalize(policy, critics, 0.99, 0.95)
     np.testing.assert_array_equal(buf.episode_cost_totals(), [0.0])
 
 
 def test_episode_cost_totals():
     buf = sro.RolloutBuffer()
     for cost in (1.0, 0.0, 1.0):
-        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, 0.0, cost, 0.0, 0.0)
-    buf.end_episode()
+        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, cost)
+    buf.end_episode(np.zeros(3), np.zeros(2))
     for cost in (0.0, 0.0):
-        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, 0.0, cost, 0.0, 0.0)
-    buf.end_episode()
-    buf.finalize(0.99, 0.95)
+        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, cost)
+    buf.end_episode(np.zeros(3), np.zeros(2))
+    buf.finalize(small_policy(), small_critics(), 0.99, 0.95)
     np.testing.assert_array_equal(buf.episode_cost_totals(), [2.0, 0.0])
 
 
@@ -215,8 +232,7 @@ def test_q_safe_lies_in_the_half_open_unit_interval():
     rng = np.random.default_rng(13)
     q_c = Mlp.create([7, 8, 1], np.random.default_rng(14))
     out = sro.q_safe_batch(
-        rng.standard_normal((500, 3)),
-        rng.standard_normal((500, 2)),
+        rng.standard_normal((500, 5)),
         rng.standard_normal((500, 2)),
         policy,
         q_c,
@@ -234,8 +250,7 @@ def test_q_safe_is_zero_when_cost_q_is_never_positive():
     rng = np.random.default_rng(16)
     q_c = constant_net(7, -1.0)  # max(Q, 0) = 0 everywhere
     out = sro.q_safe_batch(
-        rng.standard_normal((50, 3)),
-        rng.standard_normal((50, 2)),
+        rng.standard_normal((50, 5)),
         rng.standard_normal((50, 2)),
         policy,
         q_c,
@@ -257,8 +272,7 @@ def test_q_safe_matches_the_gaussian_convolution_limit():
     density = 1.0 / (2 * math.pi * var)  # N(0; 0, var*I) in 2-D
     expected = -q0 * density / (v_c + cfg.eps_num)
     got = sro.q_safe_batch(
-        np.zeros((1, 3)),
-        np.zeros((1, 2)),
+        np.zeros((1, 5)),
         np.zeros((1, 2)),
         policy,
         constant_net(7, q0),
@@ -275,7 +289,7 @@ def test_q_safe_clamps_at_minus_one():
                                 np.array([-0.5, -0.5]))
     cfg = sro.TrainConfig(n_qsafe=64)
     got = sro.q_safe_batch(
-        np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), policy,
+        np.zeros((1, 5)), np.zeros((1, 2)), policy,
         constant_net(7, 100.0), np.zeros(1), cfg, np.random.default_rng(18),
     )[0]
     assert got == -1.0 + 1e-6
@@ -398,19 +412,12 @@ def test_policy_update_weighted_safety_off_matches_plain_path_bitwise():
     assert d1["mean_q_safe"] == 0.0
 
 
-def sync_log_probs(buf, policy):
-    """Overwrite stored behavior log-probs with the policy's own values."""
-    X, A, _ = buf.stacked()
-    buf.log_probs = [float(v) for v in policy.log_prob_batch(X, A)]
-
-
 def test_policy_update_early_stops_on_kl_drift():
     policy = small_policy(seed=26)
     critics = small_critics(seed=26)
     cfg = sro.TrainConfig(kl_max=1e-9, policy_lr=0.05, minibatch=8, policy_iters=4)
     opt = sro.PolicyOptimizer.create(policy, cfg.policy_lr)
-    buf = random_buffer(np.random.default_rng(27))
-    sync_log_probs(buf, policy)
+    buf = random_buffer(np.random.default_rng(27), policy=policy)
     diag = sro.policy_update(
         buf, policy, critics, 0.0, cfg, np.random.default_rng(28), opt
     )
@@ -425,8 +432,7 @@ def test_policy_update_aborts_and_restores_on_nonfinite_advantage():
     critics = small_critics(seed=29)
     cfg = sro.TrainConfig(minibatch=16)
     opt = sro.PolicyOptimizer.create(policy, cfg.policy_lr)
-    buf = random_buffer(np.random.default_rng(30))
-    sync_log_probs(buf, policy)
+    buf = random_buffer(np.random.default_rng(30), policy=policy)
     buf.adv_r_norm = np.full(len(buf), np.inf)
     with np.errstate(invalid="ignore"):
         diag = sro.policy_update(
@@ -444,7 +450,7 @@ def test_policy_update_improves_the_surrogate():
     cfg = sro.TrainConfig(minibatch=32, policy_iters=4, policy_lr=1e-2, kl_max=1e9)
     opt = sro.PolicyOptimizer.create(policy, cfg.policy_lr)
     buf = random_buffer(np.random.default_rng(33), n_episodes=4, ep_len=25)
-    X, A, logp_old = buf.stacked()
+    X, A, logp_old = buf.X, buf.A, buf.log_probs
     adv = buf.adv_r_norm - 0.0 * buf.adv_c
 
     def surrogate():
@@ -466,8 +472,7 @@ def test_critic_update_learns_a_constant_target():
     rng = np.random.default_rng(37)
     for _ in range(150):
         losses = sro.critic_update(buf, critics, cfg, rng, opt)
-    X, _, _ = buf.stacked()
-    np.testing.assert_allclose(critics.v_r_values(X), 3.0, atol=0.1)
+    np.testing.assert_allclose(critics.v_r_values(buf.X), 3.0, atol=0.1)
     assert losses["v_r"] < 1e-2
 
 
@@ -476,10 +481,9 @@ def test_cost_q_target_does_not_backpropagate_into_the_value_net():
     cfg = sro.TrainConfig(minibatch=32)
     opt = sro.CriticOptimizer.create(critics, cfg.critic_lr)
     buf = random_buffer(np.random.default_rng(39), n_episodes=2, ep_len=16)
-    X, _, _ = buf.stacked()
     # zero cost-value error and zero cost advantage: v_c must not move even
     # though q_c keeps training against v_c's (stop-gradient) predictions
-    buf.ret_c = critics.v_c_values(X).copy()
+    buf.ret_c = critics.v_c_values(buf.X).copy()
     buf.adv_c = np.zeros(len(buf))
     v_c_before = [w.copy() for w in critics.v_c.weights]
     q_c_before = [w.copy() for w in critics.q_c.weights]
@@ -498,3 +502,5 @@ def test_train_config_validation():
         sro.TrainConfig(gae_lambda=1.5)
     with pytest.raises(ValueError):
         sro.TrainConfig(minibatch=0)
+    with pytest.raises(ValueError):
+        sro.TrainConfig(n_qsafe=0)
