@@ -16,6 +16,14 @@ are estimated Monte-Carlo style over the sample inputs:
 so the Gram matrix is ``G_ij = <g_i, g_j>`` and the projection targets are
 ``y_i = <f, g_i>`` with ``f`` the observed state deltas.
 
+The ``k`` networks share one architecture and are stored stacked layer by
+layer, so ``BasisSet.evaluate`` runs all of them in one batched forward
+pass.  Online, ``OnlineCoefficients`` keeps ``G`` and ``y`` as running sums
+over the episode's transitions; the shield's one-step prediction already
+evaluates the basis at each executed ``(s, a)``, and that same basis row
+goes into the sums, so every executed transition passes through the
+networks once.
+
 Training alternates exact coefficient solves (per parameter draw) with
 gradient steps on the reconstruction error, plus a regularizer pulling
 every basis function toward unit norm so the solve stays well conditioned.
@@ -29,7 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import AdamState, Gradients, Mlp, SingularMatrixError, adam_step, solve_ridge
+from .numerics import (
+    AdamState,
+    Gradients,
+    Mlp,
+    ShapeMismatchError,
+    SingularMatrixError,
+    adam_step,
+    solve_ridge,
+)
 
 BASIS_FORMAT = "basis-set"
 BASIS_VERSION = 1
@@ -71,32 +87,74 @@ class TransitionDataset:
 
 @dataclass
 class BasisSet:
-    """``k`` basis networks plus frozen input normalization and metadata."""
+    """``k`` basis networks, stacked layer by layer, plus input normalization.
 
-    nets: list[Mlp]
+    Every net has the ``layer_sizes`` architecture of an ``Mlp`` (tanh hidden
+    layers, linear output).  ``weights[l]`` has shape ``(k, out, in)`` and
+    ``biases[l]`` shape ``(k, out)``: net ``i`` is ``weights[l][i]``,
+    ``biases[l][i]``.
+    """
+
+    layer_sizes: list[int]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     norm_mean: np.ndarray
     norm_std: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_nets(
+        cls, nets: list[Mlp], norm_mean: np.ndarray, norm_std: np.ndarray, meta: dict | None = None
+    ) -> "BasisSet":
+        layer_sizes = list(nets[0].layer_sizes)
+        if any(list(net.layer_sizes) != layer_sizes for net in nets):
+            raise ShapeMismatchError("basis networks must share one architecture")
+        return cls(
+            layer_sizes,
+            [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+            [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+            np.asarray(norm_mean, dtype=np.float64),
+            np.asarray(norm_std, dtype=np.float64),
+            {} if meta is None else meta,
+        )
+
     @property
     def k(self) -> int:
-        return len(self.nets)
+        return self.weights[0].shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.nets[0].input_dim
+        return self.layer_sizes[0]
 
     @property
     def output_dim(self) -> int:
-        return self.nets[0].output_dim
+        return self.layer_sizes[-1]
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.norm_mean) / self.norm_std
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Stack basis outputs over a batch: returns ``(B, k, output_dim)``."""
-        Xn = self.normalize(np.asarray(X, dtype=np.float64))
-        return np.stack([net.forward_batch(Xn) for net in self.nets], axis=1)
+        """All ``k`` basis outputs over a batch: returns ``(B, k, output_dim)``.
+
+        One pass for every net: the first layers form one ``(k * h, in)``
+        product over the batch, and later layers run as one stacked product
+        over contiguous ``(k, B, h)`` activations.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ShapeMismatchError(
+                f"BasisSet.evaluate input: expected shape (B, {self.input_dim}), got {X.shape}"
+            )
+        k, h, _ = self.weights[0].shape
+        Z = self.normalize(X) @ self.weights[0].reshape(k * h, -1).T + self.biases[0].reshape(-1)
+        if len(self.weights) == 1:
+            return Z.reshape(-1, k, h)
+        A = np.ascontiguousarray(np.tanh(Z).reshape(-1, k, h).transpose(1, 0, 2))
+        last = len(self.weights) - 1
+        for i in range(1, last + 1):
+            Z = A @ self.weights[i].transpose(0, 2, 1) + self.biases[i][:, None, :]
+            A = Z if i == last else np.tanh(Z)
+        return A.transpose(1, 0, 2)
 
 
 def gram_and_targets(Phi: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +183,13 @@ def compute_coefficients(
     return solve_ridge(G, y, ridge)
 
 
-def predict_delta_batch(basis: BasisSet, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    Phi = basis.evaluate(X)
+def combine(b: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """Predicted deltas ``sum_i b_i g_i(x_n)`` from basis outputs ``(N, k, out)``."""
     return np.einsum("k,nko->no", b, Phi)
+
+
+def predict_delta_batch(basis: BasisSet, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return combine(b, basis.evaluate(X))
 
 
 def predict_next_batch(
@@ -193,7 +255,6 @@ def train_basis(
     layer_sizes = [input_dim, *hidden, output_dim]
     nets = [Mlp.create(layer_sizes, rng) for _ in range(k)]
     opts = [AdamState.for_net(net, lr) for net in nets]
-    basis = BasisSet(nets, norm_mean, norm_std)
 
     group_size = min(8, len(datasets))
     loss_history: list[float] = []
@@ -208,7 +269,7 @@ def train_basis(
                 n = len(ds)
                 take = min(batch, n)
                 idx = rng.choice(n, size=take, replace=False) if take < n else np.arange(n)
-                Xn = basis.normalize(ds.inputs[idx])
+                Xn = (ds.inputs[idx] - norm_mean) / norm_std
                 F = ds.targets[idx]
                 outs, caches = [], []
                 for net in nets:
@@ -218,7 +279,7 @@ def train_basis(
                 Phi = np.stack(outs, axis=1)  # (take, k, out)
                 G, y = gram_and_targets(Phi, F)
                 b = solve_ridge(G, y, ridge)
-                pred = np.einsum("k,nko->no", b, Phi)
+                pred = combine(b, Phi)
                 err = pred - F
                 epoch_loss += float(np.mean(np.sum(err**2, axis=1)))
                 norms = np.mean(np.sum(Phi**2, axis=2), axis=0)  # ||g_i||^2 per basis
@@ -232,7 +293,7 @@ def train_basis(
                 adam_step(net, opt, g.scale(scale))
         loss_history.append(epoch_loss / len(datasets))
 
-    basis.meta = {
+    meta = {
         "k": k,
         "epochs": epochs,
         "lr": lr,
@@ -240,7 +301,7 @@ def train_basis(
         "ridge": ridge,
         "loss_history": loss_history,
     }
-    return basis
+    return BasisSet.from_nets(nets, norm_mean, norm_std, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +314,15 @@ class OnlineCoefficients:
     """Episode-scoped coefficient tracker.
 
     Starts from the zero vector (so predictions degenerate to "no motion"
-    until data arrives) and re-solves the least-squares problem over the
-    episode's buffered transitions every ``refresh_period`` observations.
-    A singular solve keeps the previous coefficients and is counted in
-    ``solve_failures``.
+    until data arrives) and re-solves ``(G + ridge I) b = y`` every
+    ``refresh_period`` observations.  ``G`` and ``y`` are kept as running
+    sums over the episode's transitions: a refresh adds only the
+    transitions observed since the last one, then solves.  A caller that
+    already evaluated the basis at a transition's ``(state, action)`` (the
+    shield's one-step prediction does) passes that row to ``observe``;
+    transitions observed without one are evaluated in one block at the
+    refresh.  A singular solve keeps the previous coefficients and is
+    counted in ``solve_failures``.
     """
 
     basis: BasisSet
@@ -264,43 +330,65 @@ class OnlineCoefficients:
     ridge: float = 1e-6
     b: np.ndarray = None  # type: ignore[assignment]
     solve_failures: int = 0
-    _inputs: list[np.ndarray] = field(default_factory=list)
-    _targets: list[np.ndarray] = field(default_factory=list)
-    # Basis outputs per buffered transition; every input is pushed through
-    # the networks exactly once, so repeated re-solves stay cheap.
-    _phi: np.ndarray | None = None
+    # n * G and n * y over the transitions summed so far; n counts every observed one.
+    _gram: np.ndarray = field(init=False, repr=False)
+    _proj: np.ndarray = field(init=False, repr=False)
+    _count: int = field(init=False, default=0)
+    # Transitions since the last refresh as (basis row, delta) or (input, delta).
+    _evaluated: list[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default_factory=list
+    )
+    _unevaluated: list[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default_factory=list
+    )
 
     def __post_init__(self) -> None:
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         if self.b is None:
             self.b = np.zeros(self.basis.k)
+        self._gram = np.zeros((self.basis.k, self.basis.k))
+        self._proj = np.zeros(self.basis.k)
 
     def observe(
-        self, state_vec: np.ndarray, action: np.ndarray, next_state_vec: np.ndarray
+        self,
+        state_vec: np.ndarray,
+        action: np.ndarray,
+        next_state_vec: np.ndarray,
+        basis_row: np.ndarray | None = None,
     ) -> np.ndarray:
-        x = np.concatenate(
-            [np.asarray(state_vec, dtype=np.float64), np.asarray(action, dtype=np.float64)]
-        )
-        self._inputs.append(x)
-        self._targets.append(
-            np.asarray(next_state_vec, dtype=np.float64) - np.asarray(state_vec, dtype=np.float64)
-        )
-        if len(self._inputs) % self.refresh_period == 0:
+        """Add one transition; ``basis_row`` is the ``(k, output_dim)`` basis
+        output at ``(state_vec, action)`` when the caller has already evaluated it."""
+        state_vec = np.asarray(state_vec, dtype=np.float64)
+        delta = np.asarray(next_state_vec, dtype=np.float64) - state_vec
+        if basis_row is None:
+            x = np.concatenate([state_vec, np.asarray(action, dtype=np.float64)])
+            self._unevaluated.append((x, delta))
+        else:
+            self._evaluated.append((basis_row, delta))
+        self._count += 1
+        if self._count % self.refresh_period == 0:
             self.refresh()
         return self.b
 
+    def _add(self, Phi: np.ndarray, F: np.ndarray) -> None:
+        P = Phi.transpose(1, 0, 2).reshape(self.basis.k, -1)  # (k, N * out)
+        self._gram += P @ P.T
+        self._proj += P @ F.reshape(-1)
+
     def refresh(self) -> np.ndarray:
-        n = len(self._inputs)
-        if n < 1:
+        if self._unevaluated:
+            X, F = (np.asarray(col) for col in zip(*self._unevaluated))
+            self._add(self.basis.evaluate(X), F)
+        if self._evaluated:
+            Phi, F = (np.asarray(col) for col in zip(*self._evaluated))
+            self._add(Phi, F)
+        self._unevaluated.clear()
+        self._evaluated.clear()
+        if self._count < 1:
             raise ValueError("need at least one transition to identify coefficients")
-        done = 0 if self._phi is None else self._phi.shape[0]
-        if done < n:
-            block = self.basis.evaluate(np.asarray(self._inputs[done:]))
-            self._phi = block if self._phi is None else np.concatenate([self._phi, block])
-        G, y = gram_and_targets(self._phi, np.asarray(self._targets))
         try:
-            self.b = solve_ridge(G, y, self.ridge)
+            self.b = solve_ridge(self._gram / self._count, self._proj / self._count, self.ridge)
         except SingularMatrixError:
             self.solve_failures += 1
         return self.b
@@ -312,20 +400,20 @@ class OnlineCoefficients:
 
 
 def basis_to_record(basis: BasisSet) -> dict:
-    """JSON-safe dict form of a basis set; floats round-trip exactly."""
+    """JSON-safe dict form of a basis set, one entry per net; floats round-trip exactly."""
     return {
         "format": BASIS_FORMAT,
         "version": BASIS_VERSION,
         "k": basis.k,
-        "layer_sizes": basis.nets[0].layer_sizes,
+        "layer_sizes": basis.layer_sizes,
         "norm_mean": basis.norm_mean.tolist(),
         "norm_std": basis.norm_std.tolist(),
         "nets": [
             {
-                "weights": [w.tolist() for w in net.weights],
-                "biases": [b.tolist() for b in net.biases],
+                "weights": [w[i].tolist() for w in basis.weights],
+                "biases": [b[i].tolist() for b in basis.biases],
             }
-            for net in basis.nets
+            for i in range(basis.k)
         ],
         "meta": basis.meta,
     }
@@ -338,17 +426,15 @@ def basis_from_record(data: dict) -> BasisSet:
             f"version={data.get('version')!r})"
         )
     layer_sizes = list(data["layer_sizes"])
-    nets = []
-    for entry in data["nets"]:
-        weights = [np.asarray(w, dtype=np.float64) for w in entry["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in entry["biases"]]
-        nets.append(Mlp(layer_sizes, weights, biases))
-    return BasisSet(
-        nets=nets,
-        norm_mean=np.asarray(data["norm_mean"], dtype=np.float64),
-        norm_std=np.asarray(data["norm_std"], dtype=np.float64),
-        meta=data.get("meta", {}),
-    )
+    nets = [
+        Mlp(
+            layer_sizes,
+            [np.asarray(w, dtype=np.float64) for w in entry["weights"]],
+            [np.asarray(b, dtype=np.float64) for b in entry["biases"]],
+        )
+        for entry in data["nets"]
+    ]
+    return BasisSet.from_nets(nets, data["norm_mean"], data["norm_std"], data.get("meta", {}))
 
 
 def save_basis(basis: BasisSet, path: str | Path) -> None:

@@ -363,8 +363,8 @@ def _linear_net(row: list[float]) -> Mlp:
 
 
 def _exact_span_case() -> dict:
-    basis = fe.BasisSet(
-        nets=[_linear_net([1.0, 0.0]), _linear_net([0.0, 1.0])],
+    basis = fe.BasisSet.from_nets(
+        [_linear_net([1.0, 0.0]), _linear_net([0.0, 1.0])],
         norm_mean=np.zeros(2),
         norm_std=np.ones(2),
     )

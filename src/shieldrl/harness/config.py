@@ -186,7 +186,10 @@ def apply_overrides(cfg: ExperimentConfig, pairs: dict[str, str]) -> ExperimentC
             if name not in names:
                 raise ConfigError(f"unknown config key {key!r}")
             value = _parse_value(key, getattr(obj, name), text)
-            setattr(cfg, section, replace(obj, **{name: value}))
+            try:
+                setattr(cfg, section, replace(obj, **{name: value}))
+            except ValueError as exc:  # the section's own range checks
+                raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
         else:
             if key not in top_names:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -220,10 +220,10 @@ def run_episode(
             if np.isfinite(gamma):
                 res.gamma_sum += gamma
                 res.gamma_count += 1
-            predicted = predictor.predict(sview, action)
+            predicted, basis_row = predictor.predict(sview, action)
         else:
             action = policy.sample_n(sview, context, 1, rngs["rollout"])[0]
-            predicted = None
+            predicted = basis_row = None
 
         tr = envmod.step(state, action, phi, env_cfg)
         next_view = _state_view(tr.next_state.as_vector(), view_dim)
@@ -233,7 +233,7 @@ def run_episode(
         if shield_on:
             conformal.observe(acp, conformal.score(predicted, next_view))
         if online is not None:
-            online.observe(sview, tr.action, next_view)
+            online.observe(sview, tr.action, next_view, basis_row)
 
         res.ep_return += tr.reward
         res.ep_cost += tr.cost

@@ -80,11 +80,16 @@ class FePredictor:
     def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return fe.predict_next_batch(self.basis, self.b, states, np.clip(actions, -1.0, 1.0))
 
-    def predict(self, state_vec: np.ndarray, action: np.ndarray) -> np.ndarray:
-        """One-row prediction; bypasses ``predict_batch``, whose trace counts scoring only."""
-        return fe.predict_next_batch(
-            self.basis, self.b, state_vec[None, :], np.clip(action, -1.0, 1.0)[None, :]
-        )[0]
+    def predict(self, state_vec: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Next state of one executed step, and the basis row it was built from.
+
+        The ``(k, state_dim)`` row is the basis at ``(s, clip(a))``, the
+        input the online identification needs for the same transition.
+        Bypasses ``predict_batch``, whose trace counts scoring only.
+        """
+        x = np.concatenate([state_vec, np.clip(action, -1.0, 1.0)])
+        Phi = self.basis.evaluate(x[None, :])
+        return state_vec + fe.combine(self.b, Phi)[0], Phi[0]
 
 
 @dataclass

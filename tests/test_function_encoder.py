@@ -1,5 +1,7 @@
 """Basis-function dynamics model: identification, training, online use."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shieldrl import function_encoder as fe
-from shieldrl.numerics import Mlp
+from shieldrl.numerics import Mlp, ShapeMismatchError
 
 
 def linear_net(rows) -> Mlp:
@@ -18,7 +20,7 @@ def linear_net(rows) -> Mlp:
 
 def plain_basis(nets) -> fe.BasisSet:
     dim = nets[0].input_dim
-    return fe.BasisSet(nets=nets, norm_mean=np.zeros(dim), norm_std=np.ones(dim))
+    return fe.BasisSet.from_nets(nets, norm_mean=np.zeros(dim), norm_std=np.ones(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,50 @@ def test_predict_next_batch_matches_scalar():
         np.testing.assert_allclose(batch[i], S[i] + 1.5 * S[i] + 0.25 * A[i])
 
 
+def random_basis(layer_sizes, k=3, seed=20) -> fe.BasisSet:
+    """``k`` random nets with nonzero biases and a non-trivial normalization."""
+    rng = np.random.default_rng(seed)
+    nets = [Mlp.create(layer_sizes, rng) for _ in range(k)]
+    for net in nets:
+        for b in net.biases:
+            b += rng.uniform(-0.5, 0.5, size=b.shape)
+    dim = layer_sizes[0]
+    return fe.BasisSet.from_nets(
+        nets, norm_mean=rng.standard_normal(dim), norm_std=rng.uniform(0.5, 2.0, size=dim)
+    )
+
+
+def net_by_net(basis: fe.BasisSet, X: np.ndarray) -> np.ndarray:
+    """Each net's own forward pass, stacked: the per-net reference."""
+    Xn = basis.normalize(X)
+    return np.stack(
+        [
+            Mlp(basis.layer_sizes, [w[i] for w in basis.weights], [b[i] for b in basis.biases])
+            .forward_batch(Xn)
+            for i in range(basis.k)
+        ],
+        axis=1,
+    )
+
+
+@pytest.mark.parametrize("layer_sizes", [[5, 16, 16, 4], [5, 4]], ids=["hidden", "linear"])
+@pytest.mark.parametrize("rows", [1, 10, 512])
+def test_stacked_evaluate_matches_each_net(layer_sizes, rows):
+    basis = random_basis(layer_sizes)
+    X = np.random.default_rng(rows).standard_normal((rows, layer_sizes[0]))
+    Phi = basis.evaluate(X)
+    assert Phi.shape == (rows, 3, layer_sizes[-1])
+    np.testing.assert_allclose(Phi, net_by_net(basis, X), rtol=1e-12, atol=1e-14)
+
+
+def test_evaluate_rejects_a_wrong_input_width():
+    basis = random_basis([5, 8, 4])
+    with pytest.raises(ShapeMismatchError):
+        basis.evaluate(np.zeros((3, 6)))
+    with pytest.raises(ShapeMismatchError):
+        basis.evaluate(np.zeros(5))
+
+
 def test_dataset_from_arrays_builds_deltas():
     S = np.array([[0.0, 1.0], [2.0, 3.0]])
     A = np.array([[0.5], [0.5]])
@@ -182,9 +228,8 @@ def test_train_basis_is_deterministic():
         return fe.train_basis(datasets, k=2, epochs=5, lr=1e-3, rng=rng, hidden=(8,))
 
     a, b = run(), run()
-    for na, nb in zip(a.nets, b.nets):
-        for wa, wb in zip(na.weights, nb.weights):
-            np.testing.assert_array_equal(wa, wb)
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        np.testing.assert_array_equal(wa, wb)
     assert a.meta["loss_history"] == b.meta["loss_history"]
 
 
@@ -244,6 +289,50 @@ def test_online_singular_solve_keeps_the_previous_coefficients():
     assert online.b is prior
 
 
+def online_transitions(n=35, seed=30):
+    """Random ``(state, action, next_state)`` rows for a 3-state, 2-action basis."""
+    rng = np.random.default_rng(seed)
+    S, A = rng.standard_normal((n, 3)), rng.uniform(-1.0, 1.0, size=(n, 2))
+    Ws, Wa = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+    return S, A, S + 0.1 * np.tanh(S @ Ws + A @ Wa)
+
+
+def buffered_rows(online: fe.OnlineCoefficients) -> int:
+    """Per-transition entries the tracker holds: list items plus arrays larger than k x k."""
+    k = online.basis.k
+    held = 0
+    for name, value in vars(online).items():
+        if isinstance(value, list):
+            held += len(value)
+        elif isinstance(value, np.ndarray) and value.size > k * k:
+            held += value.shape[0]
+    return held
+
+
+@pytest.mark.parametrize("passed", ["all", "none", "mixed"])
+def test_online_running_sums_match_batch_identification(passed):
+    basis = random_basis([5, 8, 8, 3])
+    S, A, S2 = online_transitions()
+    online = fe.OnlineCoefficients(basis, refresh_period=10, ridge=1e-6)
+    refreshes = 0
+    for i in range(len(S)):
+        before = online.b
+        row = None
+        if passed == "all" or (passed == "mixed" and i % 3 == 0):
+            row = basis.evaluate(np.concatenate([S[i], A[i]])[None, :])[0]
+        online.observe(S[i], A[i], S2[i], row)
+        if (i + 1) % 10 == 0:
+            refreshes += 1
+            seen = fe.TransitionDataset.from_arrays(S[: i + 1], A[: i + 1], S2[: i + 1])
+            np.testing.assert_allclose(
+                online.b, fe.compute_coefficients(basis, seen, ridge=1e-6), rtol=1e-10
+            )
+            assert buffered_rows(online) == 0
+        else:
+            assert online.b is before
+    assert refreshes == 3
+
+
 def test_online_rejects_bad_refresh_period():
     basis = plain_basis([linear_net([[1.0, 0.0]])])
     with pytest.raises(ValueError):
@@ -275,6 +364,41 @@ def test_record_round_trip_matches_file_round_trip():
     rebuilt = fe.basis_from_record(fe.basis_to_record(basis))
     X = np.random.default_rng(13).standard_normal((8, 2))
     np.testing.assert_array_equal(rebuilt.evaluate(X), basis.evaluate(X))
+
+
+def test_per_net_artifact_loads_and_resaves_byte_identical(tmp_path):
+    # an artifact written net by net, the way basis files are laid out
+    rng = np.random.default_rng(40)
+    nets = [Mlp.create([5, 8, 3], rng) for _ in range(2)]
+    record = {
+        "format": fe.BASIS_FORMAT,
+        "version": fe.BASIS_VERSION,
+        "k": 2,
+        "layer_sizes": [5, 8, 3],
+        "norm_mean": rng.standard_normal(5).tolist(),
+        "norm_std": rng.uniform(0.5, 2.0, size=5).tolist(),
+        "nets": [
+            {
+                "weights": [w.tolist() for w in net.weights],
+                "biases": [b.tolist() for b in net.biases],
+            }
+            for net in nets
+        ],
+        "meta": {"note": "per-net"},
+    }
+    path, again = tmp_path / "per_net.json", tmp_path / "again.json"
+    path.write_text(json.dumps(record, sort_keys=True))
+    basis = fe.load_basis(path)
+    fe.save_basis(basis, again)
+    assert again.read_bytes() == path.read_bytes()
+    X = rng.standard_normal((4, 5))
+    Xn = basis.normalize(X)
+    np.testing.assert_allclose(
+        basis.evaluate(X),
+        np.stack([net.forward_batch(Xn) for net in nets], axis=1),
+        rtol=1e-12,
+        atol=1e-14,
+    )
 
 
 def test_load_rejects_foreign_records(tmp_path):

@@ -1,6 +1,7 @@
 """Harness tests: config files, training loop, evaluation, CLI."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -106,7 +107,7 @@ def test_removed_keys_are_neither_written_nor_accepted():
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
         parse_config(f"{key} = {value}\n")
 
 
@@ -246,6 +247,44 @@ def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
     assert counts == [{"log_prob_batch": 2, "v_r_values": 1, "v_c_values": 2}] * 2
 
 
+def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
+    calls, rows, scored = [], [], []
+
+    def counted(self, X, _fn=fe.BasisSet.evaluate):
+        calls.append(1)
+        rows.append(np.shape(X)[0])
+        return _fn(self, X)
+
+    def recorded(*args, _fn=run.shieldmod.select_action):
+        decision = _fn(*args)
+        scored.append(decision.scores is not None)
+        return decision
+
+    monkeypatch.setattr(fe.BasisSet, "evaluate", counted)
+    monkeypatch.setattr(run.shieldmod, "select_action", recorded)
+    cfg = tiny_config(seed=4, shield_enabled=True, fe_context=True)
+    # a wide pre-check margin sends part of the steps to candidate scoring
+    cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
+    basis = run.pretrain_fe(cfg).basis
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
+    )
+    rngs = {name: np.random.default_rng(i) for i, name in enumerate(("env", "rollout", "shield"))}
+
+    calls.clear()
+    rows.clear()
+    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis)
+    # the prediction's basis row is the online identification's row
+    assert 0 < sum(scored) < res.steps
+    assert sum(rows) == res.steps + cfg.shield.n_candidates * sum(scored)
+
+    calls.clear()
+    rows.clear()
+    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis, shield_on=False)
+    assert sum(rows) == res.steps
+    assert len(calls) == res.steps // cfg.fe.refresh_period
+
+
 def test_resume_continues_bit_for_bit(tmp_path):
     cfg_full = tiny_config(seed=12, total_steps=200)
     full = run.train(cfg_full, out_path=tmp_path / "full.json")
@@ -305,7 +344,7 @@ def test_singular_online_solves_are_counted_not_fatal():
     sdim, dim = cfg.env.state_dim, cfg.env.state_dim + cfg.env.action_dim
     # two identical basis functions: every Gram matrix is singular at ridge 0
     net = Mlp([dim, sdim], [np.full((sdim, dim), 0.1)], [np.zeros(sdim)])
-    basis = fe.BasisSet([net, net.copy()], np.zeros(dim), np.ones(dim))
+    basis = fe.BasisSet.from_nets([net, net.copy()], np.zeros(dim), np.ones(dim))
     rng = np.random.default_rng(0)
     policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
     rngs = {name: np.random.default_rng(i) for i, name in enumerate(("env", "rollout"))}
@@ -457,7 +496,9 @@ def test_cli_reports_config_errors(tmp_path, capsys):
                    "--set", "fe.refresh_period=0"])
     assert rc == 2
     assert not basis.exists()
-    assert capsys.readouterr().err.endswith("error: refresh_period must be >= 1\n")
+    assert capsys.readouterr().err.endswith(
+        "error: bad value for 'fe.refresh_period': '0' (refresh_period must be >= 1)\n"
+    )
 
 
 def test_cli_reports_placement_errors(tmp_path, capsys):
