@@ -29,6 +29,7 @@ runtime shield verifies against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,7 +256,13 @@ def world_goal(state: EnvState) -> np.ndarray:
 def step(
     state: EnvState, action: np.ndarray, phi: HiddenParams, config: EnvConfig
 ) -> Transition:
-    """Advance one control step.  Deterministic given (state, action, phi)."""
+    """Advance one control step.  Deterministic given (state, action, phi).
+
+    The 2-vector dynamics run in float arithmetic, in the operation order
+    of the equations above, so the result matches an elementwise numpy
+    evaluation bit for bit.  Obstacle distances are computed once, for the
+    sensor sort, and the cost is read off the nearest one.
+    """
     if state.step_index >= config.horizon:
         raise EpisodeOverrunError(
             f"episode is over (step_index={state.step_index}, horizon={config.horizon})"
@@ -263,34 +270,45 @@ def step(
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (2,):
         raise ValueError(f"action must have shape (2,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    ax, ay = a.tolist()
+    if not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"action must be finite, got {a}")
-    a_clipped = np.clip(a, -1.0, 1.0)
+    ax, ay = min(max(ax, -1.0), 1.0), min(max(ay, -1.0), 1.0)
 
-    v = state.velocity
-    accel = (
-        a_clipped / (config.mass * phi.mass_scale)
-        - config.damping * phi.damping_scale * v
-        - config.friction
-        * phi.friction_scale
-        * config.gravity
-        * phi.gravity_scale
-        * np.tanh(v / config.v_eps)
+    vx, vy = state.velocity.tolist()
+    tx, ty = np.tanh(state.velocity / config.v_eps).tolist()
+    mass = config.mass * phi.mass_scale
+    damping = config.damping * phi.damping_scale
+    friction = config.friction * phi.friction_scale * config.gravity * phi.gravity_scale
+    dt = config.dt
+    v_next = np.array(
+        [
+            vx + dt * (ax / mass - damping * vx - friction * tx),
+            vy + dt * (ay / mass - damping * vy - friction * ty),
+        ]
     )
-    v_next = v + config.dt * accel
-    speed = float(np.linalg.norm(v_next))
+    speed = math.sqrt(v_next.dot(v_next))
     if speed > config.v_max:
         v_next = v_next * (config.v_max / speed)
-    p_next = state.position + config.dt * v_next
+    px, py = state.position.tolist()
+    vnx, vny = v_next.tolist()
+    p_next = np.array([px + dt * vnx, py + dt * vny])
 
-    obstacles = world_obstacles(state)
-    sensor_next = _sorted_sensor(obstacles, p_next)
+    cost = 0
+    if state.sensor.size:
+        rel = world_obstacles(state) - p_next
+        dists = np.sqrt((rel * rel).sum(axis=1))  # np.linalg.norm(rel, axis=1), bit for bit
+        order = dists.argsort(kind="stable")
+        sensor_next = rel[order].reshape(-1)
+        if config.task == "navigation":
+            cost = int(dists[order[0]] <= config.safe_distance)
+    else:
+        sensor_next = np.zeros(0)
 
     if config.task == "navigation":
-        goal = world_goal(state)
-        goal_rel_next = goal - p_next
-        dist_prev = float(np.linalg.norm(state.goal_rel))
-        dist_next = float(np.linalg.norm(goal_rel_next))
+        goal_rel_next = world_goal(state) - p_next
+        dist_prev = math.sqrt(state.goal_rel.dot(state.goal_rel))
+        dist_next = math.sqrt(goal_rel_next.dot(goal_rel_next))
         reward = dist_prev - dist_next
         if dist_next < config.goal_radius:
             reward += 1.0
@@ -311,9 +329,9 @@ def step(
         sensor=sensor_next,
         step_index=state.step_index + 1,
     )
-    return Transition(
-        state, a_clipped, next_state, float(reward), cost_fn(next_state, config)
-    )
+    if config.task != "navigation":
+        cost = cost_fn(next_state, config)
+    return Transition(state, np.array([ax, ay]), next_state, float(reward), cost)
 
 
 def cost_fn(state: EnvState, config: EnvConfig) -> int:

@@ -18,11 +18,11 @@ so the Gram matrix is ``G_ij = <g_i, g_j>`` and the projection targets are
 
 The ``k`` networks share one architecture and are stored stacked layer by
 layer, so ``BasisSet.evaluate`` runs all of them in one batched forward
-pass.  Online, ``OnlineCoefficients`` keeps ``G`` and ``y`` as running sums
-over the episode's transitions; the shield's one-step prediction already
-evaluates the basis at each executed ``(s, a)``, and that same basis row
-goes into the sums, so every executed transition passes through the
-networks once.
+pass.  Online, ``OnlineCoefficients`` tracks a batch of episodes rolled out
+in lockstep: it keeps each episode's ``G`` and ``y`` as running sums and
+re-solves all of them at once.  It takes the basis rows that the executed
+step's one-step prediction evaluated at ``(s, clip(a))``, so every executed
+transition passes through the networks once.
 
 Training alternates exact coefficient solves (per parameter draw) with
 gradient steps on the reconstruction error, plus a regularizer pulling
@@ -42,9 +42,9 @@ from .numerics import (
     Gradients,
     Mlp,
     ShapeMismatchError,
-    SingularMatrixError,
     adam_step,
     solve_ridge,
+    solve_ridge_batch,
 )
 
 BASIS_FORMAT = "basis-set"
@@ -184,7 +184,13 @@ def compute_coefficients(
 
 
 def combine(b: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """Predicted deltas ``sum_i b_i g_i(x_n)`` from basis outputs ``(N, k, out)``."""
+    """Predicted deltas ``sum_i b_i g_i(x_n)`` from basis outputs ``(N, k, out)``.
+
+    ``b`` is one ``(k,)`` coefficient vector for every row, or ``(N, k)``
+    with one vector per row.
+    """
+    if b.ndim == 2:
+        return np.einsum("nk,nko->no", b, Phi)
     return np.einsum("k,nko->no", b, Phi)
 
 
@@ -286,8 +292,7 @@ def train_basis(
                 for i, net in enumerate(nets):
                     upstream = (2.0 / take) * b[i] * err
                     upstream += reg_weight * (4.0 / take) * (norms[i] - 1.0) * Phi[:, i, :]
-                    g, _ = net.backward_cached(caches[i], upstream)
-                    grads[i].add_(g)
+                    grads[i].add_(net.backward_cached(caches[i], upstream))
             scale = 1.0 / group.shape[0]
             for net, opt, g in zip(nets, opts, grads):
                 adam_step(net, opt, g.scale(scale))
@@ -311,86 +316,69 @@ def train_basis(
 
 @dataclass
 class OnlineCoefficients:
-    """Episode-scoped coefficient tracker.
+    """Coefficient trackers for a batch of episodes that step together.
 
-    Starts from the zero vector (so predictions degenerate to "no motion"
-    until data arrives) and re-solves ``(G + ridge I) b = y`` every
-    ``refresh_period`` observations.  ``G`` and ``y`` are kept as running
-    sums over the episode's transitions: a refresh adds only the
-    transitions observed since the last one, then solves.  A caller that
-    already evaluated the basis at a transition's ``(state, action)`` (the
-    shield's one-step prediction does) passes that row to ``observe``;
-    transitions observed without one are evaluated in one block at the
-    refresh.  A singular solve keeps the previous coefficients and is
-    counted in ``solve_failures``.
+    Each of the ``episodes`` trackers starts from the zero vector (so its
+    predictions degenerate to "no motion" until data arrives), and all of
+    them re-solve ``(G + ridge I) b = y`` every ``refresh_period``
+    observations, in one batched solve.  ``G`` and ``y`` are kept per
+    episode as running sums, ``(episodes, k, k)`` and ``(episodes, k)``: a
+    refresh adds only the transitions observed since the last one, then
+    solves.  An episode whose system is singular keeps its previous
+    coefficients, and the failure is counted in its entry of
+    ``solve_failures``.
     """
 
     basis: BasisSet
+    episodes: int = 1
     refresh_period: int = 10
     ridge: float = 1e-6
-    b: np.ndarray = None  # type: ignore[assignment]
-    solve_failures: int = 0
-    # n * G and n * y over the transitions summed so far; n counts every observed one.
+    b: np.ndarray = None  # type: ignore[assignment]  # (episodes, k)
+    solve_failures: np.ndarray = field(init=False)  # (episodes,)
+    # n * G and n * y over the transitions summed so far; n counts every observed step.
     _gram: np.ndarray = field(init=False, repr=False)
     _proj: np.ndarray = field(init=False, repr=False)
     _count: int = field(init=False, default=0)
-    # Transitions since the last refresh as (basis row, delta) or (input, delta).
-    _evaluated: list[tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, default_factory=list
-    )
-    _unevaluated: list[tuple[np.ndarray, np.ndarray]] = field(
+    # Steps since the last refresh, as (basis rows, deltas).
+    _pending: list[tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, default_factory=list
     )
 
     def __post_init__(self) -> None:
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
+        k = self.basis.k
         if self.b is None:
-            self.b = np.zeros(self.basis.k)
-        self._gram = np.zeros((self.basis.k, self.basis.k))
-        self._proj = np.zeros(self.basis.k)
+            self.b = np.zeros((self.episodes, k))
+        self.solve_failures = np.zeros(self.episodes, dtype=np.int64)
+        self._gram = np.zeros((self.episodes, k, k))
+        self._proj = np.zeros((self.episodes, k))
 
-    def observe(
-        self,
-        state_vec: np.ndarray,
-        action: np.ndarray,
-        next_state_vec: np.ndarray,
-        basis_row: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Add one transition; ``basis_row`` is the ``(k, output_dim)`` basis
-        output at ``(state_vec, action)`` when the caller has already evaluated it."""
-        state_vec = np.asarray(state_vec, dtype=np.float64)
-        delta = np.asarray(next_state_vec, dtype=np.float64) - state_vec
-        if basis_row is None:
-            x = np.concatenate([state_vec, np.asarray(action, dtype=np.float64)])
-            self._unevaluated.append((x, delta))
-        else:
-            self._evaluated.append((basis_row, delta))
+    def observe(self, basis_rows: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Add one step of every episode: ``basis_rows`` ``(episodes, k, out)``
+        is the basis at each executed ``(s, clip(a))``, ``deltas``
+        ``(episodes, out)`` the observed ``s_next - s``."""
+        self._pending.append((basis_rows, deltas))
         self._count += 1
         if self._count % self.refresh_period == 0:
             self.refresh()
         return self.b
 
-    def _add(self, Phi: np.ndarray, F: np.ndarray) -> None:
-        P = Phi.transpose(1, 0, 2).reshape(self.basis.k, -1)  # (k, N * out)
-        self._gram += P @ P.T
-        self._proj += P @ F.reshape(-1)
-
     def refresh(self) -> np.ndarray:
-        if self._unevaluated:
-            X, F = (np.asarray(col) for col in zip(*self._unevaluated))
-            self._add(self.basis.evaluate(X), F)
-        if self._evaluated:
-            Phi, F = (np.asarray(col) for col in zip(*self._evaluated))
-            self._add(Phi, F)
-        self._unevaluated.clear()
-        self._evaluated.clear()
+        if self._pending:
+            Phi = np.stack([rows for rows, _ in self._pending], axis=1)  # (E, T, k, out)
+            F = np.stack([deltas for _, deltas in self._pending], axis=1)  # (E, T, out)
+            P = Phi.transpose(0, 2, 1, 3).reshape(self.episodes, self.basis.k, -1)
+            self._gram += P @ P.transpose(0, 2, 1)
+            self._proj += (P @ F.reshape(self.episodes, -1, 1))[..., 0]
+            self._pending.clear()
         if self._count < 1:
             raise ValueError("need at least one transition to identify coefficients")
-        try:
-            self.b = solve_ridge(self._gram / self._count, self._proj / self._count, self.ridge)
-        except SingularMatrixError:
-            self.solve_failures += 1
+        x, solved = solve_ridge_batch(
+            self._gram / self._count, self._proj / self._count, self.ridge
+        )
+        self.b = np.where(solved[:, None], x, self.b)
+        self.solve_failures += ~solved
         return self.b
 
 

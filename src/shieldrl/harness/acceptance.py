@@ -258,9 +258,9 @@ def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
     stats = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
              "certified_collisions": 0}
     for _ in range(env_cfg.horizon):
-        svec = state.as_vector()
+        mu = policy.mean(state.as_vector(), context)
         decision = shieldmod.select_action(
-            lambda n: policy.sample_n(svec, context, n, rngs["rollout"]),
+            lambda n: policy.sample_n(mu, n, rngs["rollout"]),
             state,
             sctx,
             shield_cfg,
@@ -458,7 +458,7 @@ def check_function_encoder(ws: Workspace) -> CriterionResult:
 def _fd_relative_error(net: Mlp, X: np.ndarray, R: np.ndarray, step: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients of sum(out*R)."""
     _, cache = net.forward_cached(X)
-    grads, _ = net.backward_cached(cache, R)
+    grads = net.backward_cached(cache, R)
 
     def loss() -> float:
         return float(np.sum(net.forward_batch(X) * R))
@@ -619,11 +619,13 @@ def check_directional(ws: Workspace) -> CriterionResult:
 
 
 def check_overhead(ws: Workspace) -> CriterionResult:
-    """Wall-clock cost of the shield on top of the otherwise identical agent.
+    """CPU-time cost of the shield on top of the otherwise identical agent.
 
     Both runs keep the online coefficient estimate (the policy consumes it
-    either way); only the candidate scoring, conformal radius, and per-step
-    prediction are unique to the shielded run.
+    either way); only the candidate scoring and the conformal radius are
+    unique to the shielded run.  The ratio compares the process CPU time of
+    the two whole ``evaluate`` calls, which other processes on the host do
+    not inflate the way they inflate wall-clock time.
     """
     basis, _ = ws.ensure_basis()
     shielded_cfg = ExperimentConfig(seed=909).validate()
@@ -636,20 +638,24 @@ def check_overhead(ws: Workspace) -> CriterionResult:
         rng_for(909, "init"),
     )
     episodes = 25
-    shielded = evaluate(
-        build_checkpoint(shielded_cfg, policy, basis=basis), episodes=episodes, seed=909
-    )
-    plain = evaluate(build_checkpoint(plain_cfg, policy, basis=basis), episodes=episodes, seed=909)
-    ratio = shielded["wall_clock_per_episode"] / plain["wall_clock_per_episode"]
+
+    def cpu_timed(cfg: ExperimentConfig) -> tuple[float, dict]:
+        t0 = time.process_time()
+        summary = evaluate(build_checkpoint(cfg, policy, basis=basis), episodes=episodes, seed=909)
+        return time.process_time() - t0, summary
+
+    shielded_s, shielded = cpu_timed(shielded_cfg)
+    plain_s, _ = cpu_timed(plain_cfg)
+    ratio = shielded_s / plain_s
     return CriterionResult(
         criterion=9,
         suite="overhead",
         passed=ratio <= 2.5,
-        threshold="shielded wall-clock per episode <= 2.5x unshielded",
+        threshold="shielded evaluate CPU time <= 2.5x unshielded",
         measured={
             "ratio": float(ratio),
-            "shielded_seconds_per_episode": shielded["wall_clock_per_episode"],
-            "plain_seconds_per_episode": plain["wall_clock_per_episode"],
+            "shielded_cpu_seconds": shielded_s,
+            "plain_cpu_seconds": plain_s,
             "trigger_rate": shielded["shield_trigger_rate_mean"],
             "episodes": episodes,
         },

@@ -174,26 +174,39 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: dict[str, str]) -> ExperimentConfig:
-    """Apply ``key -> value-text`` overrides (CLI ``--set``) onto a config."""
+    """Apply ``key -> value-text`` overrides (CLI ``--set``) onto a config.
+
+    A section's range checks run once, after all of its keys are applied,
+    so dependent values (``shield.top_k`` and ``shield.n_candidates``) may
+    come in either order.
+    """
     top_names = {f.name for f in _section_fields(cfg) if f.name not in _SECTIONS}
+    sections: dict[str, dict[str, object]] = {}
     for key, text in pairs.items():
         if "." in key:
             section, _, name = key.partition(".")
             if section not in _SECTIONS or (section, name) in _HIDDEN_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             obj = getattr(cfg, section)
-            names = {f.name for f in _section_fields(obj)}
-            if name not in names:
+            if name not in {f.name for f in _section_fields(obj)}:
                 raise ConfigError(f"unknown config key {key!r}")
-            value = _parse_value(key, getattr(obj, name), text)
-            try:
-                setattr(cfg, section, replace(obj, **{name: value}))
-            except ValueError as exc:  # the section's own range checks
-                raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+            sections.setdefault(section, {})[name] = _parse_value(key, getattr(obj, name), text)
         else:
             if key not in top_names:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, _parse_value(key, getattr(cfg, key), text))
+    for section, values in sections.items():
+        try:
+            setattr(cfg, section, replace(getattr(cfg, section), **values))
+        except ValueError as exc:  # the section's own range checks
+            keys = [f"{section}.{name}" for name in values]
+            if len(keys) == 1:
+                raise ConfigError(
+                    f"bad value for {keys[0]!r}: {pairs[keys[0]]!r} ({exc})"
+                ) from exc
+            raise ConfigError(
+                f"bad values for {', '.join(map(repr, keys))} ({exc})"
+            ) from exc
     return cfg
 
 

@@ -10,6 +10,7 @@ and are stripped by :func:`canonical_records` before stream comparison.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,9 @@ CHECKPOINT_VERSION = 1
 # Fields excluded when comparing metric streams for determinism.
 NONDETERMINISTIC_FIELDS = ("wall_clock_seconds",)
 
-_TRAIN_STREAMS = ("env", "rollout", "shield", "update", "qsafe")
+# Shared training streams; rollout and shield draws come from per-episode
+# streams (see ``_episode_streams``), which the episode index determines.
+_TRAIN_STREAMS = ("env", "update", "qsafe")
 
 
 def _jsonify(value):
@@ -135,35 +138,72 @@ def episode_record(index: int, epoch: int, res: EpisodeResult) -> dict:
 
 
 def _state_view(vec: np.ndarray, view_dim: int) -> np.ndarray:
-    """Restrict a state vector to the nearest obstacles the policy was built for.
+    """Restrict state vectors (last axis) to the nearest obstacles the policy was built for.
 
     The sensor block is sorted by distance, so truncation keeps the closest
     obstacles and preserves the minimum-distance margin at the current
     position.  A shorter vector cannot be widened.
     """
-    if vec.shape[0] == view_dim:
+    if vec.shape[-1] == view_dim:
         return vec
-    if vec.shape[0] < view_dim:
-        raise ValueError(f"state dim {vec.shape[0]} smaller than policy view {view_dim}")
-    return vec[:view_dim]
+    if vec.shape[-1] < view_dim:
+        raise ValueError(f"state dim {vec.shape[-1]} smaller than policy view {view_dim}")
+    return vec[..., :view_dim]
+
+
+def _view_state(state: envmod.EnvState, extra: int) -> envmod.EnvState:
+    """``state`` without its last ``extra`` sensor entries (the farthest obstacles)."""
+    if extra == 0:
+        return state
+    return envmod.EnvState(
+        state.position, state.velocity, state.goal_rel, state.sensor[:-extra], state.step_index
+    )
+
+
+def _episode_streams(
+    seed: int, rollout: tuple[str, int], shield: tuple[str, int], first: int, count: int
+) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """Own ``(rollout, shield)`` generators for episodes ``first .. first + count - 1``."""
+    return [
+        (rng_for(seed, *rollout, episode=i), rng_for(seed, *shield, episode=i))
+        for i in range(first, first + count)
+    ]
 
 
 def run_episode(
     policy: sro.GaussianPolicy,
     cfg: ExperimentConfig,
     env_cfg: envmod.EnvConfig,
-    rngs: dict[str, np.random.Generator],
+    env_rng: np.random.Generator,
+    streams: list[tuple[np.random.Generator, np.random.Generator]],
     *,
     basis: fe.BasisSet | None = None,
     buffer: sro.RolloutBuffer | None = None,
     shield_on: bool | None = None,
-) -> EpisodeResult:
-    """Roll one full episode; records its transitions in ``buffer`` when given.
+) -> list[EpisodeResult | None]:
+    """Roll a batch of full episodes in lockstep, one per entry of ``streams``.
+
+    Every episode runs the fixed horizon, so the batch advances one step at
+    a time together.  Per lockstep step the policy mean is evaluated once
+    over all episodes' ``(state ++ context)`` rows, the basis once over the
+    executed ``(s, clip(a))`` rows (their prediction feeds the conformal
+    score, their basis rows the online identification), the identification
+    refreshes every episode in one batched solve, and the conformal radii
+    update together.  ``env.step`` and the shield's decision run per
+    episode.
+
+    Resets draw each episode's hidden parameters and layout from
+    ``env_rng`` in batch order; ``streams[i]`` holds episode ``i``'s own
+    ``(rollout, shield)`` generators, so its draws do not depend on the
+    batch size.  An episode whose layout cannot be placed is dropped: its
+    entry in the returned list is ``None``.  If no episode of a non-empty
+    batch can be placed, the last ``env.PlacementError`` propagates.
 
     A fresh hidden-parameter draw, layout, online coefficient estimate, and
-    conformal state are used each call.  ``env_cfg`` may carry more obstacles
-    than the policy was trained with; all learned components then operate on
-    the truncated nearest-obstacle view of the state.
+    conformal radius are used for every episode.  ``env_cfg`` may carry more
+    obstacles than the policy was trained with; all learned components then
+    operate on the truncated nearest-obstacle view of the state.  Episode
+    transitions go to ``buffer``, episode by episode, when it is given.
     """
     t0 = time.perf_counter()
     view_dim = cfg.env.state_dim
@@ -172,10 +212,27 @@ def run_episode(
     shield_on = shield_on and basis is not None
     track_context = basis is not None and (shield_on or cfg.fe_context)
 
-    phi = envmod.sample_phi(rngs["env"], env_cfg.param_intervals)
-    state = envmod.reset(env_cfg, phi, rngs["env"])
+    results: list[EpisodeResult | None] = [None] * len(streams)
+    live, phis, states = [], [], []
+    for i in range(len(streams)):
+        phi = envmod.sample_phi(env_rng, env_cfg.param_intervals)
+        try:
+            states.append(envmod.reset(env_cfg, phi, env_rng))
+        except envmod.PlacementError as exc:
+            failure = exc
+            continue
+        live.append(i)
+        phis.append(phi)
+    if not live:
+        if streams:
+            raise failure
+        return results
+    n = len(live)
+    rollout_rngs = [streams[i][0] for i in live]
+    shield_rngs = [streams[i][1] for i in live]
+
     online = (
-        fe.OnlineCoefficients(basis, cfg.fe.refresh_period, cfg.fe.ridge)
+        fe.OnlineCoefficients(basis, n, cfg.fe.refresh_period, cfg.fe.ridge)
         if track_context
         else None
     )
@@ -190,65 +247,93 @@ def run_episode(
         else None
     )
 
-    def context_vec() -> np.ndarray:
-        if cfg.oracle_phi:
-            return phi.as_array()
+    oracle = np.array([phi.as_array() for phi in phis]) if cfg.oracle_phi else None
+
+    def contexts() -> np.ndarray:
+        if oracle is not None:
+            return oracle
         if cfg.fe_context and online is not None:
             return online.b
-        return np.zeros(cfg.fe.k)
+        return np.zeros((n, cfg.fe.k))
 
-    res = EpisodeResult()
+    extra = env_cfg.state_dim - view_dim
+    S = _state_view(np.array([st.as_vector() for st in states]), view_dim)
+    S_next = np.empty_like(S)
+    actions = np.empty((n, env_cfg.action_dim))
+    returns, ep_costs = np.zeros(n), np.zeros(n)
+    rewards, costs = np.empty(n), np.empty(n)
+    triggers, empties = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
+    history = []  # (inputs, actions, rewards, costs) per step, for the buffer
     for _ in range(env_cfg.horizon):
-        svec = state.as_vector()
-        sview = _state_view(svec, view_dim)
-        context = context_vec()
+        X = np.hstack([S, contexts()])
+        mu = policy.mean_batch(X)
 
         if shield_on:
-            predictor = shieldmod.FePredictor(basis, online.b)
-            gamma = conformal.current_gamma(acp)
-            view_state = envmod.EnvState.from_vector(sview, state.step_index)
-            sctx = shieldmod.ShieldContext(predictor, env_cfg, gamma, rngs["shield"])
-            decision = shieldmod.select_action(
-                lambda n: policy.sample_n(sview, context, n, rngs["rollout"]),
-                view_state,
-                sctx,
-                cfg.shield,
-            )
-            action = decision.action
-            res.triggers += int(decision.intervened)
-            res.safe_set_empty += int(decision.safe_set_empty)
-            if np.isfinite(gamma):
-                res.gamma_sum += gamma
-                res.gamma_count += 1
-            predicted, basis_row = predictor.predict(sview, action)
+            gammas = np.broadcast_to(conformal.current_gamma(acp), (n,))
+            finite = np.isfinite(gammas)
+            gamma_sum[finite] += gammas[finite]
+            gamma_count += finite
+            for j in range(n):
+                sctx = shieldmod.ShieldContext(
+                    shieldmod.FePredictor(basis, online.b[j]), env_cfg, gammas[j], shield_rngs[j]
+                )
+                decision = shieldmod.select_action(
+                    lambda m, j=j: policy.sample_n(mu[j], m, rollout_rngs[j]),
+                    _view_state(states[j], extra),
+                    sctx,
+                    cfg.shield,
+                )
+                actions[j] = decision.action
+                triggers[j] += decision.intervened
+                empties[j] += decision.safe_set_empty
         else:
-            action = policy.sample_n(sview, context, 1, rngs["rollout"])[0]
-            predicted = basis_row = None
+            for j in range(n):
+                actions[j] = policy.sample_n(mu[j], 1, rollout_rngs[j])[0]
+        if online is not None:
+            predicted, basis_rows = shieldmod.FePredictor(basis, online.b).predict(S, actions)
 
-        tr = envmod.step(state, action, phi, env_cfg)
-        next_view = _state_view(tr.next_state.as_vector(), view_dim)
+        for j in range(n):
+            tr = envmod.step(states[j], actions[j], phis[j], env_cfg)
+            states[j] = tr.next_state
+            S_next[j] = _state_view(tr.next_state.as_vector(), view_dim)
+            rewards[j] = tr.reward
+            costs[j] = tr.cost
+        returns += rewards
+        ep_costs += costs
 
         if buffer is not None:
-            buffer.add(sview, context, action, tr.reward, tr.cost)
+            history.append((X, actions.copy(), rewards.copy(), costs.copy()))
         if shield_on:
-            conformal.observe(acp, conformal.score(predicted, next_view))
+            conformal.observe(acp, conformal.score(predicted, S_next))
         if online is not None:
-            online.observe(sview, tr.action, next_view, basis_row)
-
-        res.ep_return += tr.reward
-        res.ep_cost += tr.cost
-        res.steps += 1
-        state = tr.next_state
+            online.observe(basis_rows, S_next - S)
+        S, S_next = S_next, S
 
     if buffer is not None:
-        buffer.end_episode(_state_view(state.as_vector(), view_dim), context_vec())
-    if shield_on:
-        res.acp_misses = acp.miss_count
-        res.acp_updates = acp.update_count
-    if online is not None:
-        res.fe_solve_failures = online.solve_failures
-    res.wall_clock = time.perf_counter() - t0
-    return res
+        last = np.hstack([S, contexts()])
+        for j in range(n):
+            for X, A, r, c in history:
+                buffer.add(X[j, :view_dim], X[j, view_dim:], A[j], r[j], c[j])
+            buffer.end_episode(last[j, :view_dim], last[j, view_dim:])
+
+    wall = (time.perf_counter() - t0) / n
+    misses = np.broadcast_to(acp.miss_count, (n,)) if shield_on else np.zeros(n, dtype=np.int64)
+    for j, i in enumerate(live):
+        results[i] = EpisodeResult(
+            steps=env_cfg.horizon,
+            ep_return=float(returns[j]),
+            ep_cost=float(ep_costs[j]),
+            triggers=int(triggers[j]),
+            safe_set_empty=int(empties[j]),
+            acp_misses=int(misses[j]),
+            acp_updates=acp.update_count if shield_on else 0,
+            gamma_sum=float(gamma_sum[j]),
+            gamma_count=int(gamma_count[j]),
+            fe_solve_failures=int(online.solve_failures[j]) if online is not None else 0,
+            wall_clock=wall,
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +453,12 @@ def train(
     ``out_path`` is given a resumable checkpoint is rewritten after every
     epoch; ``resume`` restores parameters, optimizers, the dual variable,
     and all random streams, so a resumed run continues the original one
-    bit-for-bit.  A ``ValueError`` or ``env.PlacementError`` inside an epoch
-    writes an abort record and the checkpoint of the finished epochs, then
-    propagates.
+    bit-for-bit.  Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
+    episodes as one lockstep batch.  An episode whose layout cannot be
+    placed is dropped and counted in the epoch's ``placement_failures``.  A
+    ``ValueError`` inside an epoch, or an epoch in which no episode can be
+    placed, writes an abort record and the checkpoint of the finished
+    epochs, then propagates.
     """
     cfg.validate()
     if (cfg.shield_enabled or cfg.fe_context) and basis is None:
@@ -378,6 +466,7 @@ def train(
 
     env_cfg = cfg.env
     steps_per_epoch = cfg.train.steps_per_epoch
+    batch = math.ceil(steps_per_epoch / env_cfg.horizon)
     epochs = cfg.total_steps // steps_per_epoch
     if cfg.total_steps > 0 and epochs == 0:
         epochs = 1
@@ -445,14 +534,16 @@ def train(
         for epoch in range(start_epoch, epochs):
             t0 = time.perf_counter()
             buffer = sro.RolloutBuffer()
-            ep_returns: list[float] = []
-            ep_cost_rates: list[float] = []
-            while len(buffer) < steps_per_epoch:
-                res = run_episode(policy, cfg, env_cfg, rngs, basis=basis, buffer=buffer)
-                writer.write(episode_record(episode_index, epoch, res))
-                episode_index += 1
-                ep_returns.append(res.ep_return)
-                ep_cost_rates.append(res.cost_rate)
+            streams = _episode_streams(
+                cfg.seed, ("rollout", 0), ("shield", 0), episode_index, batch
+            )
+            results = run_episode(
+                policy, cfg, env_cfg, rngs["env"], streams, basis=basis, buffer=buffer
+            )
+            ran = [(episode_index + i, res) for i, res in enumerate(results) if res is not None]
+            for index, res in ran:
+                writer.write(episode_record(index, epoch, res))
+            episode_index += batch
             buffer.finalize(policy, critics, cfg.train.gamma, cfg.train.gae_lambda)
 
             closs = {}
@@ -483,8 +574,8 @@ def train(
                     "steps": len(buffer),
                     "steps_total": steps_done,
                     "lambda": lam,
-                    "mean_return": float(np.mean(ep_returns)),
-                    "mean_cost_rate": float(np.mean(ep_cost_rates)),
+                    "mean_return": float(np.mean([res.ep_return for _, res in ran])),
+                    "mean_cost_rate": float(np.mean([res.cost_rate for _, res in ran])),
                     "mean_episode_cost": float(np.mean(buffer.episode_cost_totals())),
                     "loss_v_r": closs.get("v_r", 0.0),
                     "loss_v_c": closs.get("v_c", 0.0),
@@ -495,6 +586,7 @@ def train(
                     "mean_q_safe": pdiag["mean_q_safe"],
                     "early_stop": pdiag["early_stop"],
                     "aborted": pdiag["aborted"],
+                    "placement_failures": len(results) - len(ran),
                     "wall_clock_seconds": time.perf_counter() - t0,
                 }
             )
@@ -537,7 +629,11 @@ def evaluate(
     ``ood`` switches the parameter draws to the out-of-distribution
     intervals and adds extra obstacles; learned components then see the
     nearest-obstacle truncation of the wider state.  ``shield`` overrides
-    the config's shield toggle (useful for overhead comparisons).
+    the config's shield toggle (useful for overhead comparisons).  All
+    episodes run as one lockstep batch; episode ``i`` draws its actions and
+    shield choices from its own streams, so its record does not depend on
+    ``episodes``.  An episode whose layout cannot be placed is left out of
+    the records and counted in the summary's ``placement_failures``.
     """
     ck = ckpt if isinstance(ckpt, dict) else load_checkpoint(ckpt)
     cfg = parse_config(ck["config"])
@@ -561,17 +657,20 @@ def evaluate(
     else:
         env_cfg = cfg.env
 
-    rngs = {
-        "env": rng_for(seed, "eval", 0),
-        "rollout": rng_for(seed, "eval", 1),
-        "shield": rng_for(seed, "eval", 2),
-    }
     writer = MetricsWriter(metrics_path)
-    results: list[EpisodeResult] = []
-    for i in range(episodes):
-        res = run_episode(policy, cfg, env_cfg, rngs, basis=basis, shield_on=shield_on)
-        writer.write(episode_record(i, 0, res))
-        results.append(res)
+    outcomes = run_episode(
+        policy,
+        cfg,
+        env_cfg,
+        rng_for(seed, "eval", 0),
+        _episode_streams(seed, ("eval", 1), ("eval", 2), 0, episodes),
+        basis=basis,
+        shield_on=shield_on,
+    )
+    results = [res for res in outcomes if res is not None]
+    for i, res in enumerate(outcomes):
+        if res is not None:
+            writer.write(episode_record(i, 0, res))
 
     def agg(values: list[float]) -> tuple[float | None, float | None]:
         if not values:
@@ -600,6 +699,7 @@ def evaluate(
         "shield_trigger_rate_mean": trig_mean,
         "safe_set_empty_rate_mean": empty_mean,
         "acp_miss_rate_mean": miss_mean,
+        "placement_failures": len(outcomes) - len(results),
         "wall_clock_per_episode": wall_mean,
     }
     writer.write(summary)
@@ -652,8 +752,7 @@ def train_pooled(
             sel = idx[lo : lo + batch]
             out, cache = net.forward_cached(Xn[sel])
             err = out - targets[sel]
-            grads, _ = net.backward_cached(cache, (2.0 / sel.shape[0]) * err)
-            adam_step(net, opt, grads)
+            adam_step(net, opt, net.backward_cached(cache, (2.0 / sel.shape[0]) * err))
     return PooledRegressor(net, norm_mean, norm_std)
 
 

@@ -127,12 +127,11 @@ class Mlp:
 
     # -- backward ------------------------------------------------------
 
-    def backward_cached(
-        self, cache: list[np.ndarray], upstream: np.ndarray
-    ) -> tuple[Gradients, np.ndarray]:
+    def backward_cached(self, cache: list[np.ndarray], upstream: np.ndarray) -> Gradients:
         """Backprop ``upstream = dL/dY`` through cached activations.
 
-        Returns gradients summed over the batch plus ``dL/dX``.
+        Returns the gradients summed over the batch.  The gradient with
+        respect to the input is not formed.
         """
         G = np.asarray(upstream, dtype=np.float64)
         if G.shape != cache[-1].shape:
@@ -148,8 +147,9 @@ class Mlp:
                 delta = delta * (1.0 - cache[i + 1] ** 2)
             dws[i] = delta.T @ cache[i]
             dbs[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i]
-        return Gradients(dws, dbs), delta
+            if i > 0:
+                delta = delta @ self.weights[i]
+        return Gradients(dws, dbs)
 
     def zero_gradients(self) -> Gradients:
         return Gradients([np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
@@ -247,18 +247,44 @@ def solve_ridge(G: np.ndarray, y: np.ndarray, ridge: float = 1e-6) -> np.ndarray
     y = np.asarray(y, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeMismatchError(f"G must be square, got shape {G.shape}")
-    if y.shape[0] != G.shape[0]:
-        raise ShapeMismatchError(f"y length {y.shape[0]} does not match G size {G.shape[0]}")
+    if y.shape != G.shape[:1]:
+        raise ShapeMismatchError(f"y shape {y.shape} does not match G size {G.shape[0]}")
+    x, solved = solve_ridge_batch(G[None], y[None], ridge)
+    if not solved[0]:
+        raise SingularMatrixError(f"system is singular or too ill-conditioned (ridge={ridge})")
+    return x[0]
+
+
+def solve_ridge_batch(
+    G: np.ndarray, y: np.ndarray, ridge: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stacked systems ``(G[i] + ridge * I) x[i] = y[i]``.
+
+    ``G`` is ``(N, k, k)`` and ``y`` is ``(N, k)``.  Returns the ``(N, k)``
+    solutions and an ``(N,)`` mask of the systems that solved: a system
+    that is singular, or whose solution fails the residual check, is
+    ``False`` there and its row of ``x`` is meaningless.  One bad system
+    does not spoil the others.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if G.ndim != 3 or G.shape[1] != G.shape[2]:
+        raise ShapeMismatchError(f"G must be a stack of square matrices, got shape {G.shape}")
+    if y.shape != G.shape[:2]:
+        raise ShapeMismatchError(f"y shape {y.shape} does not match G shape {G.shape}")
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    A = G + ridge * np.eye(G.shape[0])
+    A = G + ridge * np.eye(G.shape[1])
     try:
-        x = np.linalg.solve(A, y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"system is singular (ridge={ridge})") from exc
-    residual = np.linalg.norm(A @ x - y)
-    if not np.isfinite(residual) or residual > 1e-8 * (np.linalg.norm(y) + 1.0):
-        raise SingularMatrixError(
-            f"solve residual {residual:.3e} exceeds tolerance; system too ill-conditioned"
-        )
-    return x
+        x = np.linalg.solve(A, y[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # numpy fails the whole stack on one singular matrix; solve each alone.
+        x = np.full(y.shape, np.nan)
+        for i in range(A.shape[0]):
+            try:
+                x[i] = np.linalg.solve(A[i], y[i])
+            except np.linalg.LinAlgError:
+                pass
+    residual = np.linalg.norm((A @ x[..., None])[..., 0] - y, axis=1)
+    solved = np.isfinite(residual) & (residual <= 1e-8 * (np.linalg.norm(y, axis=1) + 1.0))
+    return x, solved

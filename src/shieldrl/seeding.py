@@ -23,9 +23,17 @@ _DOMAINS = {
 }
 
 
-def rng_for(master_seed: int, domain: str, index: int = 0) -> np.random.Generator:
-    """Child generator for ``domain`` (optionally sub-indexed), from the master seed."""
+def rng_for(
+    master_seed: int, domain: str, index: int = 0, episode: int | None = None
+) -> np.random.Generator:
+    """Child generator for ``domain`` (optionally sub-indexed), from the master seed.
+
+    ``episode`` adds a per-episode sub-key: episodes rolled out together
+    each draw from their own stream, so what one episode draws does not
+    depend on how many others share its batch.
+    """
     if domain not in _DOMAINS:
         raise KeyError(f"unknown RNG domain {domain!r}; known: {sorted(_DOMAINS)}")
-    seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAINS[domain], index))
+    key = (_DOMAINS[domain], index) if episode is None else (_DOMAINS[domain], index, episode)
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
     return np.random.default_rng(seq)

@@ -23,6 +23,7 @@ conformal radius, RNG) arrives through a ``ShieldContext``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -69,6 +70,8 @@ class Predictor(Protocol):
 class FePredictor:
     """Basis-function dynamics model bound to the current coefficients.
 
+    ``b`` is one ``(k,)`` coefficient vector for every state, or ``(N, k)``
+    with one vector per state (one per episode of a lockstep batch).
     Actions are commanded forces; like the environment itself the model
     responds to the per-axis clipped command, so the basis networks only
     ever see actions inside the actuation box they were trained on.
@@ -80,16 +83,16 @@ class FePredictor:
     def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return fe.predict_next_batch(self.basis, self.b, states, np.clip(actions, -1.0, 1.0))
 
-    def predict(self, state_vec: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Next state of one executed step, and the basis row it was built from.
+    def predict(self, states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Next states of executed steps, and the basis rows they were built from.
 
-        The ``(k, state_dim)`` row is the basis at ``(s, clip(a))``, the
-        input the online identification needs for the same transition.
+        The ``(N, k, state_dim)`` rows are the basis at each ``(s, clip(a))``,
+        the input the online identification needs for the same transitions.
         Bypasses ``predict_batch``, whose trace counts scoring only.
         """
-        x = np.concatenate([state_vec, np.clip(action, -1.0, 1.0)])
-        Phi = self.basis.evaluate(x[None, :])
-        return state_vec + fe.combine(self.b, Phi)[0], Phi[0]
+        X = np.hstack([states, np.clip(actions, -1.0, 1.0)])
+        Phi = self.basis.evaluate(X)
+        return states + fe.combine(self.b, Phi), Phi
 
 
 @dataclass
@@ -121,7 +124,15 @@ def pre_safety_check(
     state: envmod.EnvState, config: ShieldConfig, env_config: envmod.EnvConfig
 ) -> bool:
     """True when the current margin certifies one-step safety for any action."""
-    margin = envmod.nu(state.position, envmod.world_obstacles(state), env_config)
+    if env_config.task == "navigation":
+        # The sensor is sorted by distance: its first offset is the nearest obstacle.
+        if state.sensor.size == 0:
+            margin = math.inf
+        else:
+            x, y = state.sensor[:2].tolist()
+            margin = math.sqrt(x * x + y * y) - env_config.safe_distance
+    else:
+        margin = envmod.nu(state.position, envmod.world_obstacles(state), env_config)
     return margin > config.l_nu * config.pre_safety_margin
 
 

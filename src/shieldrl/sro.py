@@ -115,12 +115,13 @@ class GaussianPolicy:
     def mean(self, state_vec: np.ndarray, context: np.ndarray) -> np.ndarray:
         return self.mean_net.forward(np.concatenate([state_vec, context]))
 
-    def sample_n(
-        self, state_vec: np.ndarray, context: np.ndarray, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """``n`` i.i.d. samples at one state (one mean evaluation)."""
-        mu = self.mean(state_vec, context)
-        if not np.all(np.isfinite(mu)):
+    def sample_n(self, mu: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` i.i.d. samples around the policy mean ``mu`` at one state.
+
+        The mean comes from :meth:`mean` or, for a batch of states, a row of
+        :meth:`mean_batch`, so sampling never re-evaluates the network.
+        """
+        if not np.isfinite(mu).all():
             raise ValueError(f"policy mean is not finite: {mu}")
         return mu + self.std() * rng.standard_normal((n, self.action_dim))
 
@@ -395,7 +396,7 @@ def surrogate_loss_and_grads(
     active = unclipped <= clipped
     dloss_dlogp = -(ratio * adv * active) / n
     upstream_mu = dloss_dlogp[:, None] * (z / std)
-    grads, _ = policy.mean_net.backward_cached(cache, upstream_mu)
+    grads = policy.mean_net.backward_cached(cache, upstream_mu)
     grad_log_std = np.sum(dloss_dlogp[:, None] * (z**2 - 1.0), axis=0)
     kl = float(np.mean(logp_old - logp))
     clip_frac = float(np.mean(np.abs(ratio - 1.0) > clip_ratio))
@@ -507,7 +508,7 @@ def _value_step(net: Mlp, opt: AdamState, X: np.ndarray, targets: np.ndarray, m:
     pred, cache = net.forward_cached(X)
     err = pred[:, 0] - targets
     loss = float(np.mean(err**2))
-    grads, _ = net.backward_cached(cache, (2.0 / m) * err[:, None])
+    grads = net.backward_cached(cache, (2.0 / m) * err[:, None])
     adam_step(net, opt, grads)
     return loss
 

@@ -255,38 +255,47 @@ def test_train_basis_preconditions():
 
 def test_online_prior_predicts_no_motion():
     basis = plain_basis([linear_net([[1.0, 0.0]])])
-    online = fe.OnlineCoefficients(basis)
-    np.testing.assert_array_equal(online.b, np.zeros(1))
-    state = np.array([0.7])
+    online = fe.OnlineCoefficients(basis, episodes=2)
+    np.testing.assert_array_equal(online.b, np.zeros((2, 1)))
+    np.testing.assert_array_equal(online.solve_failures, [0, 0])
+    states = np.array([[0.7], [-0.2]])
     np.testing.assert_array_equal(
-        fe.predict_next_batch(basis, online.b, state[None, :], np.array([[0.3]]))[0],
-        state,
+        fe.predict_next_batch(basis, online.b, states, np.array([[0.3], [0.1]])), states
     )
+
+
+def observe_linear(online, basis, states, actions, deltas):
+    """Feed one lockstep step, with the basis rows evaluated at ``(s, a)``."""
+    return online.observe(basis.evaluate(np.hstack([states, actions])), deltas)
 
 
 def test_online_refresh_cadence():
     basis = plain_basis([linear_net([[1.0, 0.0]])])
-    online = fe.OnlineCoefficients(basis, refresh_period=10)
+    online = fe.OnlineCoefficients(basis, episodes=2, refresh_period=10)
+    gains = np.array([2.0, -1.0])  # one dynamics per episode: delta = gain * s
     rng = np.random.default_rng(9)
     for i in range(1, 26):
         before = online.b
-        s = rng.standard_normal(1)
-        online.observe(s, rng.standard_normal(1), s + 2.0 * s)
+        s = rng.standard_normal((2, 1))
+        observe_linear(online, basis, s, rng.standard_normal((2, 1)), gains[:, None] * s)
         assert (online.b is not before) == (i % 10 == 0)  # solved only on refresh
-    assert online.b[0] == pytest.approx(2.0, abs=1e-4)
+    np.testing.assert_allclose(online.b[:, 0], gains, atol=1e-4)
 
 
 def test_online_singular_solve_keeps_the_previous_coefficients():
-    # two identical basis functions make the Gram matrix singular at ridge 0
-    basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[1.0, 0.0]])])
-    prior = np.array([0.5, 0.5])
-    online = fe.OnlineCoefficients(basis, refresh_period=1, ridge=0.0, b=prior)
+    # g1 = s, g2 = a: an episode whose actions are all zero has a singular
+    # Gram matrix at ridge 0, while its batch neighbour's system is regular
+    basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
+    prior = np.array([[0.5, 0.5], [0.5, 0.5]])
+    online = fe.OnlineCoefficients(basis, episodes=2, refresh_period=2, ridge=0.0, b=prior)
     rng = np.random.default_rng(11)
-    for _ in range(3):
-        s = rng.standard_normal(1)
-        online.observe(s, rng.standard_normal(1), s + 2.0 * s)
-    assert online.solve_failures == 3
-    assert online.b is prior
+    for _ in range(6):
+        s = rng.standard_normal((2, 1))
+        a = np.array([[0.0], [rng.standard_normal()]])
+        observe_linear(online, basis, s, a, 2.0 * s)
+    np.testing.assert_array_equal(online.solve_failures, [3, 0])
+    np.testing.assert_array_equal(online.b[0], prior[0])
+    np.testing.assert_allclose(online.b[1], [2.0, 0.0], atol=1e-9)
 
 
 def online_transitions(n=35, seed=30):
@@ -298,35 +307,34 @@ def online_transitions(n=35, seed=30):
 
 
 def buffered_rows(online: fe.OnlineCoefficients) -> int:
-    """Per-transition entries the tracker holds: list items plus arrays larger than k x k."""
+    """Per-transition entries the tracker holds: list items plus arrays larger
+    than the per-episode sums."""
     k = online.basis.k
     held = 0
     for name, value in vars(online).items():
         if isinstance(value, list):
             held += len(value)
-        elif isinstance(value, np.ndarray) and value.size > k * k:
+        elif isinstance(value, np.ndarray) and value.size > online.episodes * k * k:
             held += value.shape[0]
     return held
 
 
-@pytest.mark.parametrize("passed", ["all", "none", "mixed"])
-def test_online_running_sums_match_batch_identification(passed):
+def test_online_running_sums_match_batch_identification():
     basis = random_basis([5, 8, 8, 3])
-    S, A, S2 = online_transitions()
-    online = fe.OnlineCoefficients(basis, refresh_period=10, ridge=1e-6)
+    episodes = [online_transitions(seed=30 + e) for e in range(3)]
+    online = fe.OnlineCoefficients(basis, episodes=3, refresh_period=10, ridge=1e-6)
     refreshes = 0
-    for i in range(len(S)):
+    for i in range(35):
         before = online.b
-        row = None
-        if passed == "all" or (passed == "mixed" and i % 3 == 0):
-            row = basis.evaluate(np.concatenate([S[i], A[i]])[None, :])[0]
-        online.observe(S[i], A[i], S2[i], row)
+        S, A, S2 = (np.array([ep[part][i] for ep in episodes]) for part in range(3))
+        observe_linear(online, basis, S, A, S2 - S)
         if (i + 1) % 10 == 0:
             refreshes += 1
-            seen = fe.TransitionDataset.from_arrays(S[: i + 1], A[: i + 1], S2[: i + 1])
-            np.testing.assert_allclose(
-                online.b, fe.compute_coefficients(basis, seen, ridge=1e-6), rtol=1e-10
-            )
+            for e, (Se, Ae, S2e) in enumerate(episodes):
+                seen = fe.TransitionDataset.from_arrays(Se[: i + 1], Ae[: i + 1], S2e[: i + 1])
+                np.testing.assert_allclose(
+                    online.b[e], fe.compute_coefficients(basis, seen, ridge=1e-6), rtol=1e-10
+                )
             assert buffered_rows(online) == 0
         else:
             assert online.b is before

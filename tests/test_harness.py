@@ -111,6 +111,17 @@ def test_values_a_run_would_reject_do_not_parse(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+def test_dependent_section_values_parse_in_either_order():
+    for text in (
+        "shield.top_k = 15\nshield.n_candidates = 20\n",
+        "shield.n_candidates = 20\nshield.top_k = 15\n",
+    ):
+        cfg = parse_config(text)
+        assert (cfg.shield.n_candidates, cfg.shield.top_k) == (20, 15)
+    with pytest.raises(ConfigError, match=re.escape("'shield.top_k'")):
+        parse_config("shield.top_k = 25\nshield.n_candidates = 20\n")
+
+
 def test_value_parsing_errors_are_config_errors():
     base = ExperimentConfig()
     with pytest.raises(ConfigError):
@@ -247,11 +258,15 @@ def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
     assert counts == [{"log_prob_batch": 2, "v_r_values": 1, "v_c_values": 2}] * 2
 
 
+def episode_streams(count):
+    """Own ``(rollout, shield)`` generators for ``count`` episodes."""
+    return [(np.random.default_rng(10 + i), np.random.default_rng(50 + i)) for i in range(count)]
+
+
 def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
-    calls, rows, scored = [], [], []
+    rows, scored, forwards = [], [], []
 
     def counted(self, X, _fn=fe.BasisSet.evaluate):
-        calls.append(1)
         rows.append(np.shape(X)[0])
         return _fn(self, X)
 
@@ -259,6 +274,10 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
         decision = _fn(*args)
         scored.append(decision.scores is not None)
         return decision
+
+    def forward(self, X, _fn=Mlp.forward_batch):
+        forwards.append(np.shape(X)[0])
+        return _fn(self, X)
 
     monkeypatch.setattr(fe.BasisSet, "evaluate", counted)
     monkeypatch.setattr(run.shieldmod, "select_action", recorded)
@@ -269,20 +288,48 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
     )
-    rngs = {name: np.random.default_rng(i) for i, name in enumerate(("env", "rollout", "shield"))}
+    monkeypatch.setattr(Mlp, "forward_batch", forward)
+    episodes, horizon = 3, cfg.env.horizon
 
-    calls.clear()
-    rows.clear()
-    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis)
-    # the prediction's basis row is the online identification's row
-    assert 0 < sum(scored) < res.steps
-    assert sum(rows) == res.steps + cfg.shield.n_candidates * sum(scored)
+    for shield_on in (True, False):
+        rows.clear()
+        scored.clear()
+        forwards.clear()
+        results = run.run_episode(
+            policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(episodes),
+            basis=basis, shield_on=shield_on,
+        )
+        assert [res.steps for res in results] == [horizon] * episodes
+        # one policy forward over the whole batch per lockstep step
+        assert forwards == [episodes] * horizon
+        # the prediction's basis rows are the online identification's rows
+        assert sum(rows) == episodes * horizon + cfg.shield.n_candidates * sum(scored)
+        if shield_on:
+            assert len(scored) == episodes * horizon
+            assert 0 < sum(scored) < len(scored)
+        else:
+            assert rows == [episodes] * horizon and scored == []
 
-    calls.clear()
-    rows.clear()
-    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis, shield_on=False)
-    assert sum(rows) == res.steps
-    assert len(calls) == res.steps // cfg.fe.refresh_period
+
+def test_episode_records_do_not_depend_on_the_batch_size():
+    cfg = tiny_config(seed=6, shield_enabled=True, fe_context=True)
+    cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
+    cfg.acp = replace(cfg.acp, warmup_len=20)
+    basis = run.pretrain_fe(cfg).basis
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
+    )
+    ck = run.build_checkpoint(cfg, policy, basis=basis)
+    small = run.evaluate(ck, episodes=2, ood=True, seed=5)["records"]
+    large = run.evaluate(ck, episodes=5, ood=True, seed=5)["records"]
+    assert sum(r["shield_trigger_rate"] for r in large) > 0
+    assert all(r["acp_miss_rate"] >= 0 and r["mean_gamma"] > 0 for r in large)
+    exact = ("episode", "steps", "cost_rate", "shield_trigger_rate", "safe_set_empty_rate",
+             "acp_miss_rate", "fe_solve_failures")
+    for a, b in zip(small, large[:2], strict=True):
+        assert {key: a[key] for key in exact} == {key: b[key] for key in exact}
+        assert a["return"] == pytest.approx(b["return"], rel=1e-9)
+        assert a["mean_gamma"] == pytest.approx(b["mean_gamma"], rel=1e-9)
 
 
 def test_resume_continues_bit_for_bit(tmp_path):
@@ -318,24 +365,54 @@ def test_final_checkpoint_is_written_once(tmp_path, monkeypatch):
     assert (tmp_path / "zero.json").exists()
 
 
-def crowded_config():
+def crowded_config(steps_per_epoch=4000):
     """36 obstacles: placement succeeds for the first episode at seed 1, not the second."""
     cfg = ExperimentConfig(
         seed=1, total_steps=4000, sro_enabled=False, shield_enabled=False, fe_context=False
     )
     cfg.env = replace(cfg.env, obstacle_count=36)
+    cfg.train = replace(cfg.train, steps_per_epoch=steps_per_epoch)
     return cfg.validate()
 
 
+def test_placement_failures_drop_episodes_and_the_run_continues():
+    cfg = crowded_config()
+    cfg.train = replace(cfg.train, critic_iters=1, policy_iters=1)
+    records = run.train(cfg).records
+    episodes = [r for r in records if r["kind"] == "episode"]
+    (epoch,) = [r for r in records if r["kind"] == "epoch"]
+    assert not any(r["kind"] == "abort" for r in records)
+    batch = cfg.train.steps_per_epoch // cfg.env.horizon
+    assert 0 < epoch["placement_failures"] < batch
+    assert len(episodes) == batch - epoch["placement_failures"]
+    assert episodes[0]["episode"] == 0
+    assert epoch["steps"] == len(episodes) * cfg.env.horizon
+
+
 def test_placement_failure_writes_abort_record_and_checkpoint(tmp_path):
+    # one episode per epoch: the second epoch has no episode left to run
     out, metrics = tmp_path / "ck.json", tmp_path / "m.jsonl"
     with pytest.raises(env.PlacementError):
-        run.train(crowded_config(), out_path=out, metrics_path=metrics)
+        run.train(crowded_config(steps_per_epoch=400), out_path=out, metrics_path=metrics)
     records = [json.loads(line) for line in metrics.read_text().splitlines()]
-    assert [r["kind"] for r in records] == ["header", "episode", "abort"]
-    assert records[-1]["epoch"] == 0
+    assert [r["kind"] for r in records] == ["header", "episode", "epoch", "abort"]
+    assert records[2]["placement_failures"] == 0
+    assert records[-1]["epoch"] == 1
     ck = run.load_checkpoint(out)
-    assert ck["epoch"] == 0 and ck["steps_done"] == 0
+    assert ck["epoch"] == 1 and ck["steps_done"] == 400
+
+
+def test_evaluate_counts_placement_failures():
+    cfg = crowded_config()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
+    )
+    ck = run.build_checkpoint(cfg, policy)
+    summary = run.evaluate(ck, episodes=4, seed=3)
+    assert summary["episodes"] == 4 and summary["placement_failures"] == 2
+    assert [r["episode"] for r in summary["records"]] == [0, 2]
+    with pytest.raises(env.PlacementError):  # no episode of the batch can be placed
+        run.evaluate(ck, episodes=4, seed=1)
 
 
 def test_singular_online_solves_are_counted_not_fatal():
@@ -347,8 +424,9 @@ def test_singular_online_solves_are_counted_not_fatal():
     basis = fe.BasisSet.from_nets([net, net.copy()], np.zeros(dim), np.ones(dim))
     rng = np.random.default_rng(0)
     policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
-    rngs = {name: np.random.default_rng(i) for i, name in enumerate(("env", "rollout"))}
-    res = run.run_episode(policy, cfg, cfg.env, rngs, basis=basis)
+    (res,) = run.run_episode(
+        policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), basis=basis
+    )
     assert res.steps == cfg.env.horizon
     assert res.fe_solve_failures == cfg.env.horizon // cfg.fe.refresh_period
     assert run.episode_record(0, 0, res)["fe_solve_failures"] == res.fe_solve_failures
@@ -503,7 +581,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
 
 def test_cli_reports_placement_errors(tmp_path, capsys):
     cfg_path = tmp_path / "crowded.cfg"
-    save_config(crowded_config(), cfg_path)
+    save_config(crowded_config(steps_per_epoch=400), cfg_path)
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "ck.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: could not place layout")

@@ -313,12 +313,13 @@ def test_fe_predictor_clips_commands_like_the_environment():
     # identity normalization, one linear basis over (state, action)
     net = Mlp([3, 1], [np.array([[0.0, 0.5, 0.5]])], [np.zeros(1)])
     basis = fe.BasisSet.from_nets([net], norm_mean=np.zeros(3), norm_std=np.ones(3))
-    predictor = shield.FePredictor(basis, np.array([1.0]))
-    state = np.array([0.0])
-    saturated, saturated_row = predictor.predict(state, np.array([9.0, 9.0]))
-    clipped, clipped_row = predictor.predict(state, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(saturated, clipped)
-    np.testing.assert_array_equal(saturated_row, clipped_row)
+    predictor = shield.FePredictor(basis, np.array([[1.0], [1.0]]))
+    states = np.array([[0.0], [0.0]])
+    predicted, rows = predictor.predict(states, np.array([[9.0, 9.0], [1.0, 1.0]]))
+    np.testing.assert_array_equal(predicted[0], predicted[1])
+    np.testing.assert_array_equal(rows[0], rows[1])
+    scored = predictor.predict_batch(states, np.array([[9.0, 9.0], [1.0, 1.0]]))
+    np.testing.assert_array_equal(scored, predicted)
 
 
 def test_config_validation():

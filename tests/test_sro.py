@@ -90,21 +90,22 @@ def test_mean_depends_on_the_context():
 def test_sample_n_statistics_and_determinism():
     policy = small_policy(seed=3)
     policy.log_std = np.array([-0.5, -1.0])
-    s, c = np.ones(3), np.zeros(2)
-    draws = policy.sample_n(s, c, 20_000, np.random.default_rng(4))
+    mu = policy.mean(np.ones(3), np.zeros(2))
+    draws = policy.sample_n(mu, 20_000, np.random.default_rng(4))
     assert draws.shape == (20_000, 2)
-    mu = policy.mean(s, c)
     np.testing.assert_allclose(draws.mean(axis=0), mu, atol=0.02)
     np.testing.assert_allclose(draws.std(axis=0), np.exp(policy.log_std), rtol=0.05)
-    again = policy.sample_n(s, c, 20_000, np.random.default_rng(4))
+    again = policy.sample_n(mu, 20_000, np.random.default_rng(4))
     np.testing.assert_array_equal(draws, again)
+    with pytest.raises(ValueError):
+        policy.sample_n(np.array([np.nan, 0.0]), 1, np.random.default_rng(4))
 
 
 def test_act_returns_a_consistent_log_density():
     # the density of a sample is the standard-normal density of its own noise
     policy = small_policy(seed=5)
     s, c = np.ones(3), np.zeros(2)
-    action = policy.sample_n(s, c, 1, np.random.default_rng(6))[0]
+    action = policy.sample_n(policy.mean(s, c), 1, np.random.default_rng(6))[0]
     z = np.random.default_rng(6).standard_normal((1, 2))[0]
     logp = policy.log_prob_batch(np.concatenate([s, c])[None, :], action[None, :])[0]
     expected = -0.5 * np.sum(z**2) - np.sum(policy.log_std) - math.log(2 * math.pi)
