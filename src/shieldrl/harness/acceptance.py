@@ -258,7 +258,7 @@ def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
     stats = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
              "certified_collisions": 0}
     for _ in range(env_cfg.horizon):
-        mu = policy.mean(state.as_vector(), context)
+        mu = policy.mean_batch(np.concatenate([state.as_vector(), context])[None])[0]
         decision = shieldmod.select_action(
             lambda n: policy.sample_n(mu, n, rngs["rollout"]),
             state,
@@ -575,6 +575,17 @@ def _directional_config(seed: int, full: bool) -> ExperimentConfig:
     return cfg.validate()
 
 
+def _return_kept(full_ret: float, base_ret: float) -> bool:
+    """Whether the full method keeps the plain agents' return: ``full >= 0.6 * base``.
+
+    For a non-negative plain return this allows a loss of at most 40% of it.
+    For a negative one, ``0.6 * base`` is ``base + 0.4 * |base|``: the full
+    method must beat the plain return by 40% of its size, which is stricter
+    than allowing it to lose that much (``base - 0.4 * |base|``).
+    """
+    return full_ret >= 0.6 * base_ret
+
+
 def check_directional(ws: Workspace) -> CriterionResult:
     basis, _ = ws.ensure_basis()
     seeds = (101, 202, 303)
@@ -596,7 +607,7 @@ def check_directional(ws: Workspace) -> CriterionResult:
     full_cost = float(np.mean([r["cost_rate"] for r in results["full"]]))
     base_ret = float(np.mean([r["return"] for r in results["base"]]))
     full_ret = float(np.mean([r["return"] for r in results["full"]]))
-    ok = full_cost < base_cost and full_ret >= 0.6 * base_ret
+    ok = full_cost < base_cost and _return_kept(full_ret, base_ret)
     return CriterionResult(
         criterion=8,
         suite="directional",

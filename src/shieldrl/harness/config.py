@@ -38,8 +38,12 @@ class FeSettings:
     context_samples: int = 100  # per-episode samples used for held-out scoring
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
+        if self.pretrain_episodes < 3:  # at least one held-out and two fitted draws
+            raise ValueError("pretrain_episodes must be >= 3")
 
 
 @dataclass
@@ -54,6 +58,8 @@ class AcpSettings:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.warmup_len < 1:
             raise ValueError("warmup_len must be >= 1")
+        if self.min_scores < 1:
+            raise ValueError("min_scores must be >= 1")
 
 
 @dataclass
@@ -61,6 +67,10 @@ class EvalSettings:
     episodes: int = 100
     ood_intervals: tuple[tuple[float, float], ...] = ((0.15, 0.3), (1.7, 2.5))
     ood_extra_obstacles: int = 2
+
+    def __post_init__(self) -> None:
+        if self.episodes < 0 or self.ood_extra_obstacles < 0:
+            raise ValueError("episodes and ood_extra_obstacles must be >= 0")
 
 
 @dataclass

@@ -85,56 +85,9 @@ class MetricsWriter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EpisodeResult:
-    steps: int = 0
-    ep_return: float = 0.0
-    ep_cost: float = 0.0
-    triggers: int = 0
-    safe_set_empty: int = 0
-    acp_misses: int = 0
-    acp_updates: int = 0
-    gamma_sum: float = 0.0
-    gamma_count: int = 0
-    fe_solve_failures: int = 0
-    wall_clock: float = 0.0
-
-    @property
-    def cost_rate(self) -> float:
-        return self.ep_cost / self.steps if self.steps else 0.0
-
-    @property
-    def trigger_rate(self) -> float:
-        return self.triggers / self.steps if self.steps else 0.0
-
-    @property
-    def empty_rate(self) -> float:
-        return self.safe_set_empty / self.steps if self.steps else 0.0
-
-    @property
-    def acp_miss_rate(self) -> float:
-        return self.acp_misses / self.acp_updates if self.acp_updates else 0.0
-
-    @property
-    def mean_gamma(self) -> float:
-        return self.gamma_sum / self.gamma_count if self.gamma_count else 0.0
-
-
-def episode_record(index: int, epoch: int, res: EpisodeResult) -> dict:
-    return {
-        "kind": "episode",
-        "episode": index,
-        "epoch": epoch,
-        "steps": res.steps,
-        "return": res.ep_return,
-        "cost_rate": res.cost_rate,
-        "shield_trigger_rate": res.trigger_rate,
-        "safe_set_empty_rate": res.empty_rate,
-        "acp_miss_rate": res.acp_miss_rate,
-        "mean_gamma": res.mean_gamma,
-        "fe_solve_failures": res.fe_solve_failures,
-        "wall_clock_seconds": res.wall_clock,
-    }
+def episode_record(index: int, epoch: int, fields: dict) -> dict:
+    """The metrics record of episode ``index``: its ``run_episode`` fields."""
+    return {"kind": "episode", "episode": index, "epoch": epoch, **fields}
 
 
 def _state_view(vec: np.ndarray, view_dim: int) -> np.ndarray:
@@ -178,9 +131,9 @@ def run_episode(
     streams: list[tuple[np.random.Generator, np.random.Generator]],
     *,
     basis: fe.BasisSet | None = None,
-    buffer: sro.RolloutBuffer | None = None,
+    record: bool = False,
     shield_on: bool | None = None,
-) -> list[EpisodeResult | None]:
+) -> tuple[list[dict | None], sro.RolloutBuffer | None]:
     """Roll a batch of full episodes in lockstep, one per entry of ``streams``.
 
     Every episode runs the fixed horizon, so the batch advances one step at
@@ -195,15 +148,20 @@ def run_episode(
     Resets draw each episode's hidden parameters and layout from
     ``env_rng`` in batch order; ``streams[i]`` holds episode ``i``'s own
     ``(rollout, shield)`` generators, so its draws do not depend on the
-    batch size.  An episode whose layout cannot be placed is dropped: its
-    entry in the returned list is ``None``.  If no episode of a non-empty
-    batch can be placed, the last ``env.PlacementError`` propagates.
+    batch size.  An episode whose layout cannot be placed is dropped.  If no
+    episode of a non-empty batch can be placed, the last
+    ``env.PlacementError`` propagates.
 
     A fresh hidden-parameter draw, layout, online coefficient estimate, and
     conformal radius are used for every episode.  ``env_cfg`` may carry more
     obstacles than the policy was trained with; all learned components then
-    operate on the truncated nearest-obstacle view of the state.  Episode
-    transitions go to ``buffer``, episode by episode, when it is given.
+    operate on the truncated nearest-obstacle view of the state.
+
+    Returns ``(records, buffer)``.  ``records[i]`` holds episode ``i``'s
+    record fields (see :func:`episode_record`), or ``None`` for a dropped
+    episode.  With ``record`` the placed episodes' steps are kept as one
+    ``(episodes, horizon)`` :class:`sro.RolloutBuffer` block, in batch
+    order; otherwise ``buffer`` is ``None``.
     """
     t0 = time.perf_counter()
     view_dim = cfg.env.state_dim
@@ -212,7 +170,7 @@ def run_episode(
     shield_on = shield_on and basis is not None
     track_context = basis is not None and (shield_on or cfg.fe_context)
 
-    results: list[EpisodeResult | None] = [None] * len(streams)
+    records: list[dict | None] = [None] * len(streams)
     live, phis, states = [], [], []
     for i in range(len(streams)):
         phi = envmod.sample_phi(env_rng, env_cfg.param_intervals)
@@ -226,7 +184,7 @@ def run_episode(
     if not live:
         if streams:
             raise failure
-        return results
+        return records, None
     n = len(live)
     rollout_rngs = [streams[i][0] for i in live]
     shield_rngs = [streams[i][1] for i in live]
@@ -256,16 +214,20 @@ def run_episode(
             return online.b
         return np.zeros((n, cfg.fe.k))
 
+    horizon = env_cfg.horizon
     extra = env_cfg.state_dim - view_dim
     S = _state_view(np.array([st.as_vector() for st in states]), view_dim)
     S_next = np.empty_like(S)
     actions = np.empty((n, env_cfg.action_dim))
     returns, ep_costs = np.zeros(n), np.zeros(n)
     rewards, costs = np.empty(n), np.empty(n)
+    if record:
+        inputs = np.empty((n, horizon, policy.mean_net.input_dim))
+        taken = np.empty((n, horizon, env_cfg.action_dim))
+        step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
     triggers, empties = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
-    history = []  # (inputs, actions, rewards, costs) per step, for the buffer
-    for _ in range(env_cfg.horizon):
+    for t in range(horizon):
         X = np.hstack([S, contexts()])
         mu = policy.mean_batch(X)
 
@@ -302,38 +264,33 @@ def run_episode(
         returns += rewards
         ep_costs += costs
 
-        if buffer is not None:
-            history.append((X, actions.copy(), rewards.copy(), costs.copy()))
+        if record:
+            inputs[:, t], taken[:, t] = X, actions
+            step_rewards[:, t], step_costs[:, t] = rewards, costs
         if shield_on:
             conformal.observe(acp, conformal.score(predicted, S_next))
         if online is not None:
             online.observe(basis_rows, S_next - S)
         S, S_next = S_next, S
 
-    if buffer is not None:
-        last = np.hstack([S, contexts()])
-        for j in range(n):
-            for X, A, r, c in history:
-                buffer.add(X[j, :view_dim], X[j, view_dim:], A[j], r[j], c[j])
-            buffer.end_episode(last[j, :view_dim], last[j, view_dim:])
-
+    boot = np.hstack([S, contexts()])
+    buffer = sro.RolloutBuffer(inputs, taken, step_rewards, step_costs, boot) if record else None
     wall = (time.perf_counter() - t0) / n
+    updates = acp.update_count if shield_on else 0
     misses = np.broadcast_to(acp.miss_count, (n,)) if shield_on else np.zeros(n, dtype=np.int64)
     for j, i in enumerate(live):
-        results[i] = EpisodeResult(
-            steps=env_cfg.horizon,
-            ep_return=float(returns[j]),
-            ep_cost=float(ep_costs[j]),
-            triggers=int(triggers[j]),
-            safe_set_empty=int(empties[j]),
-            acp_misses=int(misses[j]),
-            acp_updates=acp.update_count if shield_on else 0,
-            gamma_sum=float(gamma_sum[j]),
-            gamma_count=int(gamma_count[j]),
-            fe_solve_failures=int(online.solve_failures[j]) if online is not None else 0,
-            wall_clock=wall,
-        )
-    return results
+        records[i] = {
+            "steps": horizon,
+            "return": float(returns[j]),
+            "cost_rate": float(ep_costs[j]) / horizon,
+            "shield_trigger_rate": int(triggers[j]) / horizon,
+            "safe_set_empty_rate": int(empties[j]) / horizon,
+            "acp_miss_rate": int(misses[j]) / updates if updates else 0.0,
+            "mean_gamma": float(gamma_sum[j]) / int(gamma_count[j]) if gamma_count[j] else 0.0,
+            "fe_solve_failures": int(online.solve_failures[j]) if online is not None else 0,
+            "wall_clock_seconds": wall,
+        }
+    return records, buffer
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +490,15 @@ def train(
     try:
         for epoch in range(start_epoch, epochs):
             t0 = time.perf_counter()
-            buffer = sro.RolloutBuffer()
             streams = _episode_streams(
                 cfg.seed, ("rollout", 0), ("shield", 0), episode_index, batch
             )
-            results = run_episode(
-                policy, cfg, env_cfg, rngs["env"], streams, basis=basis, buffer=buffer
+            results, buffer = run_episode(
+                policy, cfg, env_cfg, rngs["env"], streams, basis=basis, record=True
             )
-            ran = [(episode_index + i, res) for i, res in enumerate(results) if res is not None]
-            for index, res in ran:
-                writer.write(episode_record(index, epoch, res))
+            ran = [(episode_index + i, rec) for i, rec in enumerate(results) if rec is not None]
+            for index, rec in ran:
+                writer.write(episode_record(index, epoch, rec))
             episode_index += batch
             buffer.finalize(policy, critics, cfg.train.gamma, cfg.train.gae_lambda)
 
@@ -574,8 +530,8 @@ def train(
                     "steps": len(buffer),
                     "steps_total": steps_done,
                     "lambda": lam,
-                    "mean_return": float(np.mean([res.ep_return for _, res in ran])),
-                    "mean_cost_rate": float(np.mean([res.cost_rate for _, res in ran])),
+                    "mean_return": float(np.mean([rec["return"] for _, rec in ran])),
+                    "mean_cost_rate": float(np.mean([rec["cost_rate"] for _, rec in ran])),
                     "mean_episode_cost": float(np.mean(buffer.episode_cost_totals())),
                     "loss_v_r": closs.get("v_r", 0.0),
                     "loss_v_c": closs.get("v_c", 0.0),
@@ -642,6 +598,8 @@ def evaluate(
 
     if episodes is None:
         episodes = cfg.eval.episodes
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes}")
     if seed is None:
         seed = cfg.seed
     shield_on = cfg.shield_enabled if shield is None else shield
@@ -658,7 +616,7 @@ def evaluate(
         env_cfg = cfg.env
 
     writer = MetricsWriter(metrics_path)
-    outcomes = run_episode(
+    outcomes, _ = run_episode(
         policy,
         cfg,
         env_cfg,
@@ -667,10 +625,10 @@ def evaluate(
         basis=basis,
         shield_on=shield_on,
     )
-    results = [res for res in outcomes if res is not None]
-    for i, res in enumerate(outcomes):
-        if res is not None:
-            writer.write(episode_record(i, 0, res))
+    results = [rec for rec in outcomes if rec is not None]
+    for i, rec in enumerate(outcomes):
+        if rec is not None:
+            writer.write(episode_record(i, 0, rec))
 
     def agg(values: list[float]) -> tuple[float | None, float | None]:
         if not values:
@@ -678,12 +636,12 @@ def evaluate(
         arr = np.asarray(values)
         return float(arr.mean()), float(arr.std())
 
-    ret_mean, ret_std = agg([r.ep_return for r in results])
-    cost_mean, cost_std = agg([r.cost_rate for r in results])
-    trig_mean, _ = agg([r.trigger_rate for r in results])
-    empty_mean, _ = agg([r.empty_rate for r in results])
-    miss_mean, _ = agg([r.acp_miss_rate for r in results])
-    wall_mean, _ = agg([r.wall_clock for r in results])
+    ret_mean, ret_std = agg([r["return"] for r in results])
+    cost_mean, cost_std = agg([r["cost_rate"] for r in results])
+    trig_mean, _ = agg([r["shield_trigger_rate"] for r in results])
+    empty_mean, _ = agg([r["safe_set_empty_rate"] for r in results])
+    miss_mean, _ = agg([r["acp_miss_rate"] for r in results])
+    wall_mean, _ = agg([r["wall_clock_seconds"] for r in results])
     summary = {
         "kind": "summary",
         "episodes": episodes,

@@ -28,18 +28,14 @@ class SingularMatrixError(ValueError):
     """A linear system is singular (or too ill-conditioned to trust)."""
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    """Promote a vector to a single-row batch, validating the last axis."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ShapeMismatchError(f"{what}: expected length {dim}, got {arr.shape[0]}")
-        return arr[None, :], True
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ShapeMismatchError(f"{what}: expected width {dim}, got {arr.shape[1]}")
-        return arr, False
-    raise ShapeMismatchError(f"{what}: expected 1-D or 2-D array, got ndim={arr.ndim}")
+def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``X`` as a float ``(batch, dim)`` array, validating its shape."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeMismatchError(f"{what}: expected a 2-D batch, got ndim={arr.ndim}")
+    if arr.shape[1] != dim:
+        raise ShapeMismatchError(f"{what}: expected width {dim}, got {arr.shape[1]}")
+    return arr
 
 
 @dataclass
@@ -100,14 +96,8 @@ class Mlp:
 
     # -- forward -------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate one input vector; returns a vector of ``output_dim``."""
-        batch, single = _as_batch(x, self.input_dim, "Mlp.forward input")
-        out = self.forward_batch(batch)
-        return out[0] if single else out
-
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        A, _ = _as_batch(X, self.input_dim, "Mlp.forward input")
+        A = _as_batch(X, self.input_dim, "Mlp.forward input")
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             Z = A @ W.T + b
@@ -116,7 +106,7 @@ class Mlp:
 
     def forward_cached(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping per-layer activations for ``backward_cached``."""
-        A, _ = _as_batch(X, self.input_dim, "Mlp.forward input")
+        A = _as_batch(X, self.input_dim, "Mlp.forward input")
         cache = [A]
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):

@@ -20,15 +20,17 @@ Cost pressure enters twice: the multiplier ``lambda`` scales the raw
 observed episode costs against the cost limit.
 
 The policy and the critics stay frozen while an epoch's episodes are rolled
-out.  A rollout therefore only samples actions; ``RolloutBuffer.finalize``
-evaluates the behaviour log-probabilities and the value estimates in one
-batch per epoch, and the critic and policy updates read those arrays.
+out.  A rollout therefore only samples actions and hands the epoch over as
+one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
+``RolloutBuffer.finalize`` evaluates the behaviour log-probabilities and the
+value estimates in one batch per epoch, runs GAE along each episode's row,
+and the critic and policy updates read the flattened arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,14 +114,11 @@ class GaussianPolicy:
     def mean_batch(self, X: np.ndarray) -> np.ndarray:
         return self.mean_net.forward_batch(X)
 
-    def mean(self, state_vec: np.ndarray, context: np.ndarray) -> np.ndarray:
-        return self.mean_net.forward(np.concatenate([state_vec, context]))
-
     def sample_n(self, mu: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` i.i.d. samples around the policy mean ``mu`` at one state.
 
-        The mean comes from :meth:`mean` or, for a batch of states, a row of
-        :meth:`mean_batch`, so sampling never re-evaluates the network.
+        The mean is a row of :meth:`mean_batch`, so sampling never
+        re-evaluates the network.
         """
         if not np.isfinite(mu).all():
             raise ValueError(f"policy mean is not finite: {mu}")
@@ -209,48 +208,50 @@ def gae(
     values: np.ndarray,
     gamma: float,
     lam: float,
-    bootstrap_value: float = 0.0,
+    bootstrap_value: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation for one (possibly truncated) episode.
+    """Generalized advantage estimation along the last (time) axis.
 
+    ``rewards`` and ``values`` are one episode's ``(T,)`` arrays or a block
+    of equal-length episodes, ``(E, T)``; rows are independent, so each row
+    of a block gets exactly the values a 1-D call on it would.
     ``bootstrap_value`` is the value estimate of the state after the last
-    step (zero for true terminations).  Targets are ``advantages + values``.
+    step, one per episode (zero for true terminations).  Targets are
+    ``advantages + values``.
     """
     r = np.asarray(rewards, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
-    if r.shape != v.shape or r.ndim != 1:
-        raise ValueError(f"rewards {r.shape} and values {v.shape} must be equal-length 1-D")
+    if r.shape != v.shape or r.ndim not in (1, 2):
+        raise ValueError(f"rewards {r.shape} and values {v.shape} must match, 1-D or 2-D")
     adv = np.zeros_like(r)
-    next_value = float(bootstrap_value)
-    running = 0.0
-    for t in range(r.shape[0] - 1, -1, -1):
-        delta = r[t] + gamma * next_value - v[t]
+    next_value = np.broadcast_to(np.asarray(bootstrap_value, dtype=np.float64), r.shape[:-1])
+    running = np.zeros(r.shape[:-1])
+    for t in range(r.shape[-1] - 1, -1, -1):
+        delta = r[..., t] + gamma * next_value - v[..., t]
         running = delta + gamma * lam * running
-        adv[t] = running
-        next_value = v[t]
+        adv[..., t] = running
+        next_value = v[..., t]
     return adv, adv + v
 
 
 @dataclass
 class RolloutBuffer:
-    """One training epoch of experience, stored per step with episode spans.
+    """One training epoch of experience as an ``(episodes, horizon)`` block.
 
-    The rollout records only what happened: the policy input (state ++
-    context), the action, the reward and the cost, plus each episode's
-    bootstrap input, the state and context after its last step.  The policy
-    and critics stay frozen while an epoch is collected, so :meth:`finalize`
-    evaluates the behaviour log-probabilities and both value heads once over
-    the whole epoch instead of once per step.
+    The rollout records only what happened, one row per episode and one
+    column per step: the policy input (state ++ context), the action, the
+    reward and the cost, plus each episode's bootstrap input, the state and
+    context after its last step.  The policy and critics stay frozen while
+    an epoch is collected, so :meth:`finalize` evaluates the behaviour
+    log-probabilities and both value heads once over the whole block.
     """
 
-    inputs: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    costs: list = field(default_factory=list)
-    episodes: list = field(default_factory=list)  # (start, end)
-    boot_inputs: list = field(default_factory=list)  # one row per episode
-    _episode_start: int = 0
-    # populated by finalize()
+    inputs: np.ndarray  # (E, T, state ++ context)
+    actions: np.ndarray  # (E, T, action)
+    rewards: np.ndarray  # (E, T)
+    costs: np.ndarray  # (E, T)
+    boot_inputs: np.ndarray  # (E, state ++ context)
+    # populated by finalize(): one flat row per step, episode-major
     X: np.ndarray | None = None
     A: np.ndarray | None = None
     log_probs: np.ndarray | None = None
@@ -260,61 +261,40 @@ class RolloutBuffer:
     ret_r: np.ndarray | None = None
     ret_c: np.ndarray | None = None
 
-    def add(self, state_vec, context, action, reward, cost) -> None:
-        self.inputs.append(np.concatenate([state_vec, context]))
-        self.actions.append(np.asarray(action, dtype=np.float64))
-        self.rewards.append(float(reward))
-        self.costs.append(float(cost))
-
-    def end_episode(self, last_state, last_context) -> None:
-        end = len(self.rewards)
-        if end == self._episode_start:
-            return
-        self.episodes.append((self._episode_start, end))
-        self.boot_inputs.append(np.concatenate([last_state, last_context]))
-        self._episode_start = end
-
     def __len__(self) -> int:
-        return len(self.rewards)
+        return self.rewards.size
 
     def finalize(
         self, policy: GaussianPolicy, critics: CriticSet, gamma: float, lam: float
     ) -> None:
         """Evaluate log-probs and values, then advantages and targets.
 
-        The policy runs once over the epoch's rows and each value head once
-        over those rows plus the bootstrap rows.  Only the reward advantage
-        is normalized.
+        The block is flattened episode-major.  The policy runs once over the
+        epoch's rows and each value head once over those rows plus the
+        bootstrap rows; advantages run along each episode's row of the
+        block.  Only the reward advantage is normalized.
         """
-        if self._episode_start != len(self):
-            raise ValueError("open episode: call end_episode before finalize")
         n = len(self)
         if n == 0:
             raise ValueError("empty buffer")
-        self.X = np.asarray(self.inputs)
-        self.A = np.asarray(self.actions)
+        shape = self.rewards.shape
+        self.X = self.inputs.reshape(n, -1)
+        self.A = self.actions.reshape(n, -1)
         self.log_probs = policy.log_prob_batch(self.X, self.A)
-        X_all = np.vstack([self.X, np.asarray(self.boot_inputs)])
+        X_all = np.vstack([self.X, self.boot_inputs])
         v_r = critics.v_r_values(X_all)
         v_c = critics.v_c_values(X_all)
-        self.adv_r = np.zeros(n)
-        self.adv_c = np.zeros(n)
-        self.ret_r = np.zeros(n)
-        self.ret_c = np.zeros(n)
-        rewards = np.asarray(self.rewards)
-        costs = np.asarray(self.costs)
-        for i, (start, end) in enumerate(self.episodes):
-            sl = slice(start, end)
-            self.adv_r[sl], self.ret_r[sl] = gae(rewards[sl], v_r[sl], gamma, lam, v_r[n + i])
-            self.adv_c[sl], self.ret_c[sl] = gae(costs[sl], v_c[sl], gamma, lam, v_c[n + i])
+        adv_r, ret_r = gae(self.rewards, v_r[:n].reshape(shape), gamma, lam, v_r[n:])
+        adv_c, ret_c = gae(self.costs, v_c[:n].reshape(shape), gamma, lam, v_c[n:])
+        self.adv_r, self.ret_r = adv_r.reshape(n), ret_r.reshape(n)
+        self.adv_c, self.ret_c = adv_c.reshape(n), ret_c.reshape(n)
         # Cost advantages keep their scale: the Lagrange multiplier prices
         # real cost units, so only the reward advantage is standardized.
         std = float(self.adv_r.std())
         self.adv_r_norm = (self.adv_r - self.adv_r.mean()) / (std + 1e-8)
 
     def episode_cost_totals(self) -> np.ndarray:
-        costs = np.asarray(self.costs)
-        return np.array([costs[s:e].sum() for s, e in self.episodes])
+        return self.costs.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_c01_qsafe_bound(workspace):
 
 
 def test_c02_reward_consistency(workspace):
-    """Logged episode returns recompute exactly from the stored transitions."""
+    """On the zero-cost policies of an enumerated two-state task, the augmented
+    objective equals the reward objective exactly and keeps its argmax."""
     _check(acc.check_reward_consistency(workspace))
 
 
@@ -80,7 +81,7 @@ def test_c08_directional_improvement(workspace):
 
 
 def test_c09_shield_overhead(workspace):
-    """Shielded rollouts stay within the wall-clock budget over the unshielded agent."""
+    """Shielded evaluation takes at most 2.5x the CPU time of the unshielded agent."""
     _check(acc.check_overhead(workspace))
 
 

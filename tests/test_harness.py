@@ -10,7 +10,7 @@ import pytest
 
 from shieldrl import env, sro
 from shieldrl import function_encoder as fe
-from shieldrl.harness import cli, run
+from shieldrl.harness import acceptance, cli, run
 from shieldrl.harness.config import (
     ConfigError,
     ExperimentConfig,
@@ -104,6 +104,11 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("acp.warmup_len", "0"),
         ("acp.delta", "0.0"),
         ("acp.delta", "1.0"),
+        ("acp.min_scores", "0"),
+        ("eval.episodes", "-3"),
+        ("eval.ood_extra_obstacles", "-1"),
+        ("fe.k", "0"),
+        ("fe.pretrain_episodes", "2"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -295,11 +300,11 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
         rows.clear()
         scored.clear()
         forwards.clear()
-        results = run.run_episode(
+        results, _ = run.run_episode(
             policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(episodes),
             basis=basis, shield_on=shield_on,
         )
-        assert [res.steps for res in results] == [horizon] * episodes
+        assert [rec["steps"] for rec in results] == [horizon] * episodes
         # one policy forward over the whole batch per lockstep step
         assert forwards == [episodes] * horizon
         # the prediction's basis rows are the online identification's rows
@@ -402,6 +407,31 @@ def test_placement_failure_writes_abort_record_and_checkpoint(tmp_path):
     assert ck["epoch"] == 1 and ck["steps_done"] == 400
 
 
+def test_recorded_block_has_one_row_per_placed_episode():
+    cfg = crowded_config()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
+    )
+    records, buffer = run.run_episode(
+        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6), record=True
+    )
+    placed = [rec for rec in records if rec is not None]
+    assert 0 < len(placed) < len(records)
+    rows, horizon = len(placed), cfg.env.horizon
+    assert buffer.rewards.shape == buffer.costs.shape == (rows, horizon)
+    assert buffer.inputs.shape == (rows, horizon, policy.mean_net.input_dim)
+    assert buffer.actions.shape == (rows, horizon, 2)
+    assert buffer.boot_inputs.shape == (rows, policy.mean_net.input_dim)
+    for row, rec in enumerate(placed):
+        assert buffer.rewards[row].sum() == pytest.approx(rec["return"], rel=1e-12)
+        assert buffer.costs[row].mean() == rec["cost_rate"]
+    assert sum(rec["cost_rate"] for rec in placed) > 0
+    _, unrecorded = run.run_episode(
+        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6)
+    )
+    assert unrecorded is None
+
+
 def test_evaluate_counts_placement_failures():
     cfg = crowded_config()
     policy = sro.GaussianPolicy.create(
@@ -424,12 +454,12 @@ def test_singular_online_solves_are_counted_not_fatal():
     basis = fe.BasisSet.from_nets([net, net.copy()], np.zeros(dim), np.ones(dim))
     rng = np.random.default_rng(0)
     policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
-    (res,) = run.run_episode(
+    (rec,), _ = run.run_episode(
         policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), basis=basis
     )
-    assert res.steps == cfg.env.horizon
-    assert res.fe_solve_failures == cfg.env.horizon // cfg.fe.refresh_period
-    assert run.episode_record(0, 0, res)["fe_solve_failures"] == res.fe_solve_failures
+    assert rec["steps"] == cfg.env.horizon
+    assert rec["fe_solve_failures"] == cfg.env.horizon // cfg.fe.refresh_period
+    assert run.episode_record(0, 0, rec)["fe_solve_failures"] == rec["fe_solve_failures"]
 
 
 def test_resume_requires_a_training_checkpoint():
@@ -484,6 +514,11 @@ def test_evaluate_zero_episodes(trained_checkpoint):
     assert summary["records"] == []
 
 
+def test_evaluate_rejects_a_negative_episode_count(trained_checkpoint):
+    with pytest.raises(ValueError, match="episodes"):
+        run.evaluate(trained_checkpoint, episodes=-3)
+
+
 def test_evaluate_ood_widens_the_environment(trained_checkpoint):
     summary = run.evaluate(trained_checkpoint, episodes=1, ood=True, seed=7)
     assert summary["ood"] is True
@@ -495,6 +530,14 @@ def test_evaluate_ood_widens_the_environment(trained_checkpoint):
 def test_evaluate_shield_override_requires_a_basis(trained_checkpoint):
     with pytest.raises(ValueError):
         run.evaluate(trained_checkpoint, episodes=1, shield=True)
+
+
+def test_directional_return_clause():
+    # criterion 8: for a negative plain return the full method must still beat it
+    assert not acceptance._return_kept(-0.5, -0.776)
+    assert acceptance._return_kept(71.8, -0.776)
+    assert acceptance._return_kept(0.6, 1.0) and not acceptance._return_kept(0.59, 1.0)
+    assert acceptance._return_kept(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

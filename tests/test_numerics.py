@@ -44,13 +44,13 @@ def _backward(net: Mlp, x: np.ndarray, upstream: np.ndarray):
 
 def test_forward_zero_weight_net_returns_zero():
     net = Mlp([3, 4, 2], [np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
-    assert np.array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(net.forward_batch(np.array([[1.0, -2.0, 3.0]])), np.zeros((1, 2)))
 
 
 def test_forward_single_linear_layer_is_identity():
     net = Mlp([2, 2], [np.eye(2)], [np.zeros(2)])
-    out = net.forward(np.array([1.0, 2.0]))
-    assert np.allclose(out, [1.0, 2.0])
+    out = net.forward_batch(np.array([[1.0, 2.0]]))
+    assert np.allclose(out, [[1.0, 2.0]])
 
 
 def test_forward_matches_independent_hand_rolled_pass():
@@ -58,7 +58,7 @@ def test_forward_matches_independent_hand_rolled_pass():
     net = Mlp.create([2, 3, 1], rng)
     for _ in range(5):
         x = rng.standard_normal(2)
-        assert np.allclose(net.forward(x), _hand_forward(net, x), atol=1e-12)
+        assert np.allclose(net.forward_batch(x[None, :])[0], _hand_forward(net, x), atol=1e-12)
 
 
 def test_forward_batch_agrees_with_single_rows():
@@ -67,13 +67,15 @@ def test_forward_batch_agrees_with_single_rows():
     X = rng.standard_normal((6, 4))
     batched = net.forward_batch(X)
     for i in range(6):
-        assert np.allclose(batched[i], net.forward(X[i]))
+        assert np.allclose(batched[i], net.forward_batch(X[i : i + 1])[0])
 
 
 def test_forward_rejects_wrong_input_dim():
     net = Mlp.create([3, 2], np.random.default_rng(0))
     with pytest.raises(ShapeMismatchError):
-        net.forward(np.zeros(4))
+        net.forward_batch(np.zeros((1, 4)))
+    with pytest.raises(ShapeMismatchError):  # a single row is a (1, d) batch
+        net.forward_batch(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

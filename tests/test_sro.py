@@ -28,22 +28,34 @@ def constant_net(input_dim: int, value: float) -> Mlp:
 
 
 def random_buffer(rng, n_episodes=3, ep_len=20, policy=None, critics=None):
-    """Random transitions, finalized with ``policy`` and ``critics`` (small defaults)."""
-    buf = sro.RolloutBuffer()
-    for _ in range(n_episodes):
-        for _ in range(ep_len):
-            buf.add(
-                rng.standard_normal(3),
-                rng.standard_normal(2),
-                rng.standard_normal(2),
-                float(rng.normal()),
-                float(rng.integers(0, 2)),
-            )
-        buf.end_episode(rng.standard_normal(3), rng.standard_normal(2))
+    """A random ``(n_episodes, ep_len)`` block, finalized with ``policy`` and ``critics``.
+
+    Draws step by step, each episode's bootstrap input after its steps.
+    """
+    inputs, actions = np.empty((n_episodes, ep_len, 5)), np.empty((n_episodes, ep_len, 2))
+    rewards, costs = np.empty((n_episodes, ep_len)), np.empty((n_episodes, ep_len))
+    boot_inputs = np.empty((n_episodes, 5))
+    for e in range(n_episodes):
+        for t in range(ep_len):
+            inputs[e, t] = rng.standard_normal(5)
+            actions[e, t] = rng.standard_normal(2)
+            rewards[e, t] = rng.normal()
+            costs[e, t] = rng.integers(0, 2)
+        boot_inputs[e] = rng.standard_normal(5)
+    buf = sro.RolloutBuffer(inputs, actions, rewards, costs, boot_inputs)
     policy = small_policy() if policy is None else policy
     critics = small_critics() if critics is None else critics
     buf.finalize(policy, critics, 0.99, 0.95)
     return buf
+
+
+def zero_block(rewards, costs):
+    """A buffer of the given ``(E, T)`` rewards and costs, with zero inputs and actions."""
+    rewards, costs = np.asarray(rewards, dtype=np.float64), np.asarray(costs, dtype=np.float64)
+    e, t = rewards.shape
+    return sro.RolloutBuffer(
+        np.zeros((e, t, 5)), np.zeros((e, t, 2)), rewards, costs, np.zeros((e, 5))
+    )
 
 
 def one_row_at_a_time(fn, X, *rest):
@@ -81,16 +93,14 @@ def test_log_prob_matches_the_closed_form():
 
 def test_mean_depends_on_the_context():
     policy = small_policy(seed=2)
-    s = np.ones(3)
-    a = policy.mean(s, np.array([0.0, 0.0]))
-    b = policy.mean(s, np.array([1.0, -1.0]))
+    a, b = policy.mean_batch(np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, -1.0]]))
     assert not np.allclose(a, b)
 
 
 def test_sample_n_statistics_and_determinism():
     policy = small_policy(seed=3)
     policy.log_std = np.array([-0.5, -1.0])
-    mu = policy.mean(np.ones(3), np.zeros(2))
+    mu = policy.mean_batch(np.array([[1.0, 1.0, 1.0, 0.0, 0.0]]))[0]
     draws = policy.sample_n(mu, 20_000, np.random.default_rng(4))
     assert draws.shape == (20_000, 2)
     np.testing.assert_allclose(draws.mean(axis=0), mu, atol=0.02)
@@ -105,7 +115,8 @@ def test_act_returns_a_consistent_log_density():
     # the density of a sample is the standard-normal density of its own noise
     policy = small_policy(seed=5)
     s, c = np.ones(3), np.zeros(2)
-    action = policy.sample_n(policy.mean(s, c), 1, np.random.default_rng(6))[0]
+    mu = policy.mean_batch(np.concatenate([s, c])[None, :])[0]
+    action = policy.sample_n(mu, 1, np.random.default_rng(6))[0]
     z = np.random.default_rng(6).standard_normal((1, 2))[0]
     logp = policy.log_prob_batch(np.concatenate([s, c])[None, :], action[None, :])[0]
     expected = -0.5 * np.sum(z**2) - np.sum(policy.log_std) - math.log(2 * math.pi)
@@ -164,23 +175,36 @@ def test_gae_rejects_mismatched_shapes():
         sro.gae(np.zeros(3), np.zeros(4), 0.9, 0.9)
 
 
+def test_gae_over_a_block_equals_gae_row_by_row():
+    rng = np.random.default_rng(12)
+    r, v = rng.standard_normal((4, 30)), rng.standard_normal((4, 30))
+    boot = rng.standard_normal(4)
+    adv, ret = sro.gae(r, v, 0.97, 0.9, boot)
+    for e in range(4):
+        adv_e, ret_e = sro.gae(r[e], v[e], 0.97, 0.9, boot[e])
+        np.testing.assert_array_equal(adv[e], adv_e)
+        np.testing.assert_array_equal(ret[e], ret_e)
+
+
 def test_buffer_finalize_is_per_episode():
     # batched log-probs, values and bootstraps agree with one-row evaluation,
-    # and each episode's advantages are that episode's own GAE
+    # the rows are episode-major, and each episode's advantages are that
+    # episode's own GAE
     policy, critics = small_policy(seed=10), small_critics(seed=10)
     buf = random_buffer(np.random.default_rng(10), n_episodes=2, ep_len=15,
                         policy=policy, critics=critics)
+    np.testing.assert_array_equal(buf.X, np.vstack([buf.inputs[0], buf.inputs[1]]))
+    np.testing.assert_array_equal(buf.A, np.vstack([buf.actions[0], buf.actions[1]]))
     np.testing.assert_allclose(
         buf.log_probs, one_row_at_a_time(policy.log_prob_batch, buf.X, buf.A), rtol=1e-12
     )
-    rewards = np.asarray(buf.rewards)
-    v_r = one_row_at_a_time(critics.v_r_values, buf.X)
-    boot_r = one_row_at_a_time(critics.v_r_values, np.asarray(buf.boot_inputs))
-    assert [end - start for start, end in buf.episodes] == [15, 15]
-    for (start, end), boot in zip(buf.episodes, boot_r):
-        adv, ret = sro.gae(rewards[start:end], v_r[start:end], 0.99, 0.95, boot)
-        np.testing.assert_allclose(buf.adv_r[start:end], adv, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(buf.ret_r[start:end], ret, rtol=1e-12, atol=1e-14)
+    v_r = one_row_at_a_time(critics.v_r_values, buf.X).reshape(2, 15)
+    boot_r = one_row_at_a_time(critics.v_r_values, buf.boot_inputs)
+    for e in range(2):
+        adv, ret = sro.gae(buf.rewards[e], v_r[e], 0.99, 0.95, boot_r[e])
+        rows = slice(15 * e, 15 * (e + 1))
+        np.testing.assert_allclose(buf.adv_r[rows], adv, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(buf.ret_r[rows], ret, rtol=1e-12, atol=1e-14)
 
 
 def test_buffer_normalizes_only_the_reward_advantage():
@@ -188,36 +212,28 @@ def test_buffer_normalizes_only_the_reward_advantage():
     buf = random_buffer(np.random.default_rng(11), critics=critics)
     assert buf.adv_r_norm.mean() == pytest.approx(0.0, abs=1e-9)
     assert buf.adv_r_norm.std() == pytest.approx(1.0, rel=1e-6)
-    costs = np.asarray(buf.costs)
-    v_c = one_row_at_a_time(critics.v_c_values, buf.X)
-    boot_c = one_row_at_a_time(critics.v_c_values, np.asarray(buf.boot_inputs))
-    for (start, end), boot in zip(buf.episodes, boot_c):
-        adv_c, ret_c = sro.gae(costs[start:end], v_c[start:end], 0.99, 0.95, boot)
-        np.testing.assert_allclose(buf.adv_c[start:end], adv_c, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(buf.ret_c[start:end], ret_c, rtol=1e-12, atol=1e-14)
+    episodes, steps = buf.costs.shape
+    v_c = one_row_at_a_time(critics.v_c_values, buf.X).reshape(episodes, steps)
+    boot_c = one_row_at_a_time(critics.v_c_values, buf.boot_inputs)
+    for e in range(episodes):
+        adv_c, ret_c = sro.gae(buf.costs[e], v_c[e], 0.99, 0.95, boot_c[e])
+        rows = slice(steps * e, steps * (e + 1))
+        np.testing.assert_allclose(buf.adv_c[rows], adv_c, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(buf.ret_c[rows], ret_c, rtol=1e-12, atol=1e-14)
 
 
 def test_buffer_guards():
     policy, critics = small_policy(), small_critics()
-    buf = sro.RolloutBuffer()
     with pytest.raises(ValueError):
-        buf.finalize(policy, critics, 0.99, 0.95)
-    buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        buf.finalize(policy, critics, 0.99, 0.95)  # open episode
-    buf.end_episode(np.zeros(3), np.zeros(2))
+        zero_block(np.zeros((0, 0)), np.zeros((0, 0))).finalize(policy, critics, 0.99, 0.95)
+    buf = zero_block([[1.0]], [[0.0]])
     buf.finalize(policy, critics, 0.99, 0.95)
+    assert len(buf) == 1
     np.testing.assert_array_equal(buf.episode_cost_totals(), [0.0])
 
 
 def test_episode_cost_totals():
-    buf = sro.RolloutBuffer()
-    for cost in (1.0, 0.0, 1.0):
-        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, cost)
-    buf.end_episode(np.zeros(3), np.zeros(2))
-    for cost in (0.0, 0.0):
-        buf.add(np.zeros(3), np.zeros(2), np.zeros(2), 0.0, cost)
-    buf.end_episode(np.zeros(3), np.zeros(2))
+    buf = zero_block(np.zeros((2, 3)), [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     buf.finalize(small_policy(), small_critics(), 0.99, 0.95)
     np.testing.assert_array_equal(buf.episode_cost_totals(), [2.0, 0.0])
 
