@@ -117,38 +117,68 @@ class EnvConfig:
         return self.dt * self.v_max
 
 
-@dataclass
 class EnvState:
     """Observable state: everything the agent (and the shield) can see.
 
-    ``sensor`` lists the obstacle offsets ``X_i - position`` sorted by
-    ascending distance, flattened to ``2 * obstacle_count`` entries, and
-    ``goal_rel`` is ``goal - position`` (zero for the circle task).  World
-    coordinates of obstacles and goal are recoverable from the state, which
-    keeps ``step`` a pure function.
+    The state is one flat read-only vector, ``position ++ velocity ++
+    goal_rel ++ sensor``, plus the step index; the four named parts are
+    views into it.  ``sensor`` lists the obstacle offsets
+    ``X_i - position`` sorted by ascending distance, flattened to
+    ``2 * obstacle_count`` entries, and ``goal_rel`` is ``goal - position``
+    (zero for the circle task).  World coordinates of obstacles and goal
+    are recoverable from the state, which keeps ``step`` a pure function.
     """
 
-    position: np.ndarray
-    velocity: np.ndarray
-    goal_rel: np.ndarray
-    sensor: np.ndarray
-    step_index: int = 0
+    __slots__ = ("_vector", "step_index", "_goal_distance")
+
+    def __init__(self, vector: np.ndarray, step_index: int = 0) -> None:
+        vector.setflags(write=False)
+        self._vector = vector
+        self.step_index = step_index
+        # |goal_rel| as ``step`` measures it, kept by ``step`` for the next one.
+        self._goal_distance: float | None = None
+
+    @property
+    def position(self) -> np.ndarray:
+        return self._vector[0:2]
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self._vector[2:4]
+
+    @property
+    def goal_rel(self) -> np.ndarray:
+        return self._vector[4:6]
+
+    @property
+    def sensor(self) -> np.ndarray:
+        return self._vector[6:]
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity, self.goal_rel, self.sensor])
+        """The stored vector itself (read-only), not a copy."""
+        return self._vector
+
+    def truncated(self, dim: int) -> "EnvState":
+        """This state cut to its first ``dim`` entries: the nearest obstacles.
+
+        The result shares this state's read-only vector (no copy); a state
+        already ``dim`` long is returned as is.
+        """
+        if self._vector.shape[0] == dim:
+            return self
+        view = EnvState.__new__(EnvState)
+        view._vector = self._vector[:dim]  # a view of a read-only array is read-only
+        view.step_index = self.step_index
+        view._goal_distance = self._goal_distance
+        return view
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, step_index: int = 0) -> "EnvState":
-        vec = np.asarray(vec, dtype=np.float64)
+        """A state holding a copy of ``vec``."""
+        vec = np.array(vec, dtype=np.float64)
         if vec.ndim != 1 or vec.shape[0] < 6 or (vec.shape[0] - 6) % 2 != 0:
             raise ValueError(f"state vector must have length 6 + 2M, got shape {vec.shape}")
-        return cls(
-            position=vec[0:2].copy(),
-            velocity=vec[2:4].copy(),
-            goal_rel=vec[4:6].copy(),
-            sensor=vec[6:].copy(),
-            step_index=step_index,
-        )
+        return cls(vec, step_index)
 
 
 POSITION_SLICE = slice(0, 2)
@@ -234,11 +264,7 @@ def reset(config: EnvConfig, phi: HiddenParams, rng: np.random.Generator) -> Env
         placed.append(obstacles[-1])
     obstacle_arr = np.array(obstacles).reshape(-1, 2) if obstacles else np.zeros((0, 2))
     return EnvState(
-        position=agent,
-        velocity=np.zeros(2),
-        goal_rel=goal_rel,
-        sensor=_sorted_sensor(obstacle_arr, agent),
-        step_index=0,
+        np.concatenate([agent, np.zeros(2), goal_rel, _sorted_sensor(obstacle_arr, agent)])
     )
 
 
@@ -249,19 +275,17 @@ def world_obstacles(state: EnvState) -> np.ndarray:
     return state.position + state.sensor.reshape(-1, 2)
 
 
-def world_goal(state: EnvState) -> np.ndarray:
-    return state.position + state.goal_rel
-
-
 def step(
     state: EnvState, action: np.ndarray, phi: HiddenParams, config: EnvConfig
 ) -> Transition:
     """Advance one control step.  Deterministic given (state, action, phi).
 
-    The 2-vector dynamics run in float arithmetic, in the operation order
-    of the equations above, so the result matches an elementwise numpy
-    evaluation bit for bit.  Obstacle distances are computed once, for the
-    sensor sort, and the cost is read off the nearest one.
+    Everything runs in Python float arithmetic, in the operation order of a
+    numpy evaluation of the equations above, so the result matches that
+    evaluation bit for bit.  ``np.tanh`` and ``ndarray.dot`` are kept where
+    the float equivalents could round differently.  Obstacle distances are
+    computed once: they order the sensor (ties by obstacle index, as a
+    stable ``argsort`` would) and give the navigation cost.
     """
     if state.step_index >= config.horizon:
         raise EpisodeOverrunError(
@@ -273,63 +297,67 @@ def step(
     ax, ay = a.tolist()
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise ValueError(f"action must be finite, got {a}")
-    ax, ay = min(max(ax, -1.0), 1.0), min(max(ay, -1.0), 1.0)
+    ax = -1.0 if ax < -1.0 else 1.0 if ax > 1.0 else ax
+    ay = -1.0 if ay < -1.0 else 1.0 if ay > 1.0 else ay
 
-    vx, vy = state.velocity.tolist()
-    tx, ty = np.tanh(state.velocity / config.v_eps).tolist()
+    vec = state.as_vector()
+    px, py, vx, vy, gx, gy, *sensor = vec.tolist()
+    tx, ty = np.tanh([vx / config.v_eps, vy / config.v_eps]).tolist()
     mass = config.mass * phi.mass_scale
     damping = config.damping * phi.damping_scale
     friction = config.friction * phi.friction_scale * config.gravity * phi.gravity_scale
     dt = config.dt
-    v_next = np.array(
-        [
-            vx + dt * (ax / mass - damping * vx - friction * tx),
-            vy + dt * (ay / mass - damping * vy - friction * ty),
-        ]
-    )
-    speed = math.sqrt(v_next.dot(v_next))
-    if speed > config.v_max:
-        v_next = v_next * (config.v_max / speed)
-    px, py = state.position.tolist()
-    vnx, vny = v_next.tolist()
-    p_next = np.array([px + dt * vnx, py + dt * vny])
+    vnx = vx + dt * (ax / mass - damping * vx - friction * tx)
+    vny = vy + dt * (ay / mass - damping * vy - friction * ty)
+    # The cap compares the speed as numpy's norm computes it, through
+    # ndarray.dot; x*x + y*y lies within a few ulps of that, so the exact
+    # speed is needed only near the cap.
+    if vnx * vnx + vny * vny > config.v_max * config.v_max * (1.0 - 1e-9):
+        v_next = np.array([vnx, vny])
+        speed = math.sqrt(v_next.dot(v_next))
+        if speed > config.v_max:
+            scale = config.v_max / speed
+            vnx, vny = vnx * scale, vny * scale
+    pnx, pny = px + dt * vnx, py + dt * vny
 
-    cost = 0
-    if state.sensor.size:
-        rel = world_obstacles(state) - p_next
-        dists = np.sqrt((rel * rel).sum(axis=1))  # np.linalg.norm(rel, axis=1), bit for bit
-        order = dists.argsort(kind="stable")
-        sensor_next = rel[order].reshape(-1)
-        if config.task == "navigation":
-            cost = int(dists[order[0]] <= config.safe_distance)
+    # (distance, index, offset): sorting orders by distance, ties by index.
+    seen = []
+    offsets = iter(sensor)
+    for i, (sx, sy) in enumerate(zip(offsets, offsets)):
+        rx = (px + sx) - pnx
+        ry = (py + sy) - pny
+        seen.append((math.sqrt(rx * rx + ry * ry), i, rx, ry))
+    seen.sort()
+
+    navigation = config.task == "navigation"
+    if navigation:
+        values = [pnx, pny, vnx, vny, (px + gx) - pnx, (py + gy) - pny]
     else:
-        sensor_next = np.zeros(0)
+        values = [pnx, pny, vnx, vny, 0.0, 0.0]
+    for _, _, rx, ry in seen:
+        values += (rx, ry)
+    vec_next = np.array(values)
+    next_state = EnvState(vec_next, state.step_index + 1)
 
-    if config.task == "navigation":
-        goal_rel_next = world_goal(state) - p_next
-        dist_prev = math.sqrt(state.goal_rel.dot(state.goal_rel))
-        dist_next = math.sqrt(goal_rel_next.dot(goal_rel_next))
+    if navigation:
+        cost = int(seen[0][0] <= config.safe_distance) if seen else 0
+        dist_prev = state._goal_distance
+        if dist_prev is None:
+            goal_rel = state.goal_rel
+            dist_prev = math.sqrt(goal_rel.dot(goal_rel))
+        goal_rel_next = vec_next[4:6]
+        dist_next = next_state._goal_distance = math.sqrt(goal_rel_next.dot(goal_rel_next))
         reward = dist_prev - dist_next
         if dist_next < config.goal_radius:
             reward += 1.0
     else:
-        goal_rel_next = np.zeros(2)
-        radius = float(np.linalg.norm(p_next))
+        radius = float(np.linalg.norm(next_state.position))
         if radius > 0.0:
-            tangent = np.array([-p_next[1], p_next[0]]) / radius
-            tangential_speed = float(v_next @ tangent)
+            tangent = np.array([-pny, pnx]) / radius
+            tangential_speed = float(next_state.velocity @ tangent)
         else:
             tangential_speed = 0.0
         reward = tangential_speed - abs(radius - config.circle_radius)
-
-    next_state = EnvState(
-        position=p_next,
-        velocity=v_next,
-        goal_rel=goal_rel_next,
-        sensor=sensor_next,
-        step_index=state.step_index + 1,
-    )
-    if config.task != "navigation":
         cost = cost_fn(next_state, config)
     return Transition(state, np.array([ax, ay]), next_state, float(reward), cost)
 

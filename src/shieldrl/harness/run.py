@@ -104,15 +104,6 @@ def _state_view(vec: np.ndarray, view_dim: int) -> np.ndarray:
     return vec[..., :view_dim]
 
 
-def _view_state(state: envmod.EnvState, extra: int) -> envmod.EnvState:
-    """``state`` without its last ``extra`` sensor entries (the farthest obstacles)."""
-    if extra == 0:
-        return state
-    return envmod.EnvState(
-        state.position, state.velocity, state.goal_rel, state.sensor[:-extra], state.step_index
-    )
-
-
 def _episode_streams(
     seed: int, rollout: tuple[str, int], shield: tuple[str, int], first: int, count: int
 ) -> list[tuple[np.random.Generator, np.random.Generator]]:
@@ -215,18 +206,27 @@ def run_episode(
         return np.zeros((n, cfg.fe.k))
 
     horizon = env_cfg.horizon
-    extra = env_cfg.state_dim - view_dim
     S = _state_view(np.array([st.as_vector() for st in states]), view_dim)
-    S_next = np.empty_like(S)
-    actions = np.empty((n, env_cfg.action_dim))
     returns, ep_costs = np.zeros(n), np.zeros(n)
-    rewards, costs = np.empty(n), np.empty(n)
     if record:
         inputs = np.empty((n, horizon, policy.mean_net.input_dim))
         taken = np.empty((n, horizon, env_cfg.action_dim))
         step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
-    triggers, empties = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    triggers, empties = [0] * n, [0] * n
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
+    if shield_on:
+        # Each episode's shield context and sampler are built once.  A step
+        # sets the context's radius (and its coefficients after a refresh),
+        # and the sampler reads that step's policy mean.
+        shield_ctxs = [
+            shieldmod.ShieldContext(shieldmod.FePredictor(basis, b), env_cfg, 0.0, rng)
+            for b, rng in zip(online.b, shield_rngs)
+        ]
+        samplers = [
+            lambda m, j=j, rng=rng: policy.sample_n(mu[j], m, rng)
+            for j, rng in enumerate(rollout_rngs)
+        ]
+        b_seen = online.b
     for t in range(horizon):
         X = np.hstack([S, contexts()])
         mu = policy.mean_batch(X)
@@ -236,31 +236,32 @@ def run_episode(
             finite = np.isfinite(gammas)
             gamma_sum[finite] += gammas[finite]
             gamma_count += finite
-            for j in range(n):
-                sctx = shieldmod.ShieldContext(
-                    shieldmod.FePredictor(basis, online.b[j]), env_cfg, gammas[j], shield_rngs[j]
-                )
+            if online.b is not b_seen:
+                b_seen = online.b
+                for sctx, b in zip(shield_ctxs, b_seen):
+                    sctx.predictor.b = b
+            acts = []
+            rows = zip(shield_ctxs, gammas.tolist(), samplers, states)
+            for j, (sctx, gamma, sample, state) in enumerate(rows):
+                sctx.gamma = gamma
                 decision = shieldmod.select_action(
-                    lambda m, j=j: policy.sample_n(mu[j], m, rollout_rngs[j]),
-                    _view_state(states[j], extra),
-                    sctx,
-                    cfg.shield,
+                    sample, state.truncated(view_dim), sctx, cfg.shield
                 )
-                actions[j] = decision.action
-                triggers[j] += decision.intervened
-                empties[j] += decision.safe_set_empty
+                acts.append(decision.action)
+                if decision.intervened:
+                    triggers[j] += 1
+                    empties[j] += decision.safe_set_empty
         else:
-            for j in range(n):
-                actions[j] = policy.sample_n(mu[j], 1, rollout_rngs[j])[0]
+            acts = [policy.sample_n(mu[j], 1, rng)[0] for j, rng in enumerate(rollout_rngs)]
+        actions = np.array(acts)
         if online is not None:
             predicted, basis_rows = shieldmod.FePredictor(basis, online.b).predict(S, actions)
 
-        for j in range(n):
-            tr = envmod.step(states[j], actions[j], phis[j], env_cfg)
-            states[j] = tr.next_state
-            S_next[j] = _state_view(tr.next_state.as_vector(), view_dim)
-            rewards[j] = tr.reward
-            costs[j] = tr.cost
+        steps = [envmod.step(st, a, phi, env_cfg) for st, a, phi in zip(states, acts, phis)]
+        states = [tr.next_state for tr in steps]
+        S_next = _state_view(np.array([st.as_vector() for st in states]), view_dim)
+        rewards = [tr.reward for tr in steps]
+        costs = [tr.cost for tr in steps]
         returns += rewards
         ep_costs += costs
 
@@ -271,7 +272,7 @@ def run_episode(
             conformal.observe(acp, conformal.score(predicted, S_next))
         if online is not None:
             online.observe(basis_rows, S_next - S)
-        S, S_next = S_next, S
+        S = S_next
 
     boot = np.hstack([S, contexts()])
     buffer = sro.RolloutBuffer(inputs, taken, step_rewards, step_costs, boot) if record else None
@@ -283,8 +284,8 @@ def run_episode(
             "steps": horizon,
             "return": float(returns[j]),
             "cost_rate": float(ep_costs[j]) / horizon,
-            "shield_trigger_rate": int(triggers[j]) / horizon,
-            "safe_set_empty_rate": int(empties[j]) / horizon,
+            "shield_trigger_rate": triggers[j] / horizon,
+            "safe_set_empty_rate": empties[j] / horizon,
             "acp_miss_rate": int(misses[j]) / updates if updates else 0.0,
             "mean_gamma": float(gamma_sum[j]) / int(gamma_count[j]) if gamma_count[j] else 0.0,
             "fe_solve_failures": int(online.solve_failures[j]) if online is not None else 0,
@@ -351,8 +352,19 @@ def build_checkpoint(
     return ck
 
 
+def _json_default(value):
+    """JSON form of the numpy values a checkpoint holds (the encoder's fallback)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_jsonify(ck), sort_keys=True))
+    Path(path).write_text(json.dumps(ck, sort_keys=True, default=_json_default))
 
 
 def load_checkpoint(path: str | Path) -> dict:

@@ -112,7 +112,11 @@ class GroundTruthPredictor:
 
 @dataclass
 class ShieldContext:
-    """Episode-scoped inputs: model, radius, randomness."""
+    """Episode-scoped inputs: model, radius, randomness.
+
+    A rollout builds one per episode and updates ``gamma`` (and the
+    predictor's coefficients) in place as the episode runs.
+    """
 
     predictor: Predictor
     env_config: envmod.EnvConfig
@@ -126,10 +130,11 @@ def pre_safety_check(
     """True when the current margin certifies one-step safety for any action."""
     if env_config.task == "navigation":
         # The sensor is sorted by distance: its first offset is the nearest obstacle.
-        if state.sensor.size == 0:
+        nearest = state.sensor[:2].tolist()
+        if not nearest:
             margin = math.inf
         else:
-            x, y = state.sensor[:2].tolist()
+            x, y = nearest
             margin = math.sqrt(x * x + y * y) - env_config.safe_distance
     else:
         margin = envmod.nu(state.position, envmod.world_obstacles(state), env_config)
@@ -152,9 +157,8 @@ def select_action(
     if config.n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
     if pre_safety_check(state, config, context.env_config):
-        action = np.asarray(policy_sampler(1))[0]
         return ShieldDecision(
-            action=action,
+            action=policy_sampler(1)[0],
             intervened=False,
             safe_set_empty=False,
             scores=None,

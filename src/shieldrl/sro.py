@@ -120,15 +120,26 @@ class GaussianPolicy:
         The mean is a row of :meth:`mean_batch`, so sampling never
         re-evaluates the network.
         """
-        if not np.isfinite(mu).all():
+        if not all(map(math.isfinite, mu.tolist())):
             raise ValueError(f"policy mean is not finite: {mu}")
-        return mu + self.std() * rng.standard_normal((n, self.action_dim))
+        std = np.exp(self.log_std)
+        if n == 1:  # the common case; 1-D operands skip numpy's broadcasting
+            return (mu + std * rng.standard_normal(mu.shape[0]))[None]
+        return mu + std * rng.standard_normal((n, mu.shape[0]))
 
     def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """Log-density of actions ``A`` at the ``n`` inputs ``X``.
+
+        ``A`` is ``(n, action_dim)``, one action per input, or
+        ``(n, m, action_dim)``, ``m`` actions per input; the mean is
+        evaluated once per input either way.
+        """
         mu = self.mean_batch(X)
+        if A.ndim == 3:
+            mu = mu[:, None, :]
         z = (A - mu) / self.std()
         return (
-            -0.5 * np.sum(z**2, axis=1)
+            -0.5 * np.sum(z**2, axis=-1)
             - np.sum(self.log_std)
             - 0.5 * self.action_dim * LOG_2PI
         )
@@ -319,9 +330,9 @@ def q_safe_batch(
     n, da = actions.shape
     eps = cfg.sigma_qsafe * rng.standard_normal((n, cfg.n_qsafe, da))
     perturbed = actions[:, None, :] + eps
+    density = policy.density_batch(X, perturbed)
     flat_actions = perturbed.reshape(n * cfg.n_qsafe, da)
     flat_X = np.repeat(X, cfg.n_qsafe, axis=0)
-    density = policy.density_batch(flat_X, flat_actions).reshape(n, cfg.n_qsafe)
     q_vals = q_c_net.forward_batch(np.hstack([flat_X, flat_actions]))[:, 0]
     q_vals = np.maximum(q_vals.reshape(n, cfg.n_qsafe), 0.0)
     m = np.mean(density * q_vals, axis=1)

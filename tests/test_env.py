@@ -26,11 +26,10 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.0, 1.0), obstacles=()):
     obs = np.asarray(obstacles, dtype=np.float64).reshape(-1, 2)
     rel = obs - p
     order = np.argsort(np.linalg.norm(rel, axis=1), kind="stable") if len(obs) else []
-    return env.EnvState(
-        position=p,
-        velocity=np.asarray(velocity, dtype=np.float64),
-        goal_rel=np.asarray(goal, dtype=np.float64) - p,
-        sensor=rel[order].reshape(-1) if len(obs) else np.zeros(0),
+    sensor = rel[order].reshape(-1) if len(obs) else np.zeros(0)
+    return env.EnvState.from_vector(
+        np.concatenate([p, np.asarray(velocity, dtype=np.float64),
+                        np.asarray(goal, dtype=np.float64) - p, sensor])
     )
 
 
@@ -121,13 +120,7 @@ def test_step_rejects_bad_input():
         env.step(state, np.zeros(3), unit_phi(), cfg)
     with pytest.raises(ValueError):
         env.step(state, np.array([np.nan, 0.0]), unit_phi(), cfg)
-    done = env.EnvState(
-        position=np.zeros(2),
-        velocity=np.zeros(2),
-        goal_rel=np.zeros(2),
-        sensor=np.zeros(0),
-        step_index=cfg.horizon,
-    )
+    done = env.EnvState(np.zeros(6), step_index=cfg.horizon)
     with pytest.raises(env.EpisodeOverrunError):
         env.step(done, np.zeros(2), unit_phi(), cfg)
 
@@ -198,9 +191,7 @@ def test_margin_sign_matches_cost_indicator():
         obstacles = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 5)), 2))
         state = make_state(p, obstacles=obstacles)
         assert (env.nu(p, obstacles, nav) <= 0.0) == bool(env.cost_fn(state, nav))
-        ring_state = env.EnvState(
-            position=p, velocity=np.zeros(2), goal_rel=np.zeros(2), sensor=np.zeros(0)
-        )
+        ring_state = env.EnvState.from_vector(np.concatenate([p, np.zeros(4)]))
         assert (env.nu(p, obstacles, ring) <= 0.0) == bool(env.cost_fn(ring_state, ring))
 
 
@@ -251,7 +242,8 @@ def test_reset_layout_has_clearance():
         assert state.step_index == 0
         np.testing.assert_array_equal(state.velocity, np.zeros(2))
         points = np.vstack(
-            [state.position[None, :], env.world_goal(state)[None, :], env.world_obstacles(state)]
+            [state.position[None, :], (state.position + state.goal_rel)[None, :],
+             env.world_obstacles(state)]
         )
         diffs = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
         off_diag = diffs[~np.eye(len(points), dtype=bool)]
@@ -337,15 +329,15 @@ def test_navigation_reward_is_progress():
     state = make_state((0.0, 0.0), velocity=(1.0, 0.0), goal=(2.0, 0.0), obstacles=[(0, 1.9)])
     tr = env.step(state, np.zeros(2), unit_phi(), cfg)
     dist_prev = np.linalg.norm(state.goal_rel)
-    dist_next = np.linalg.norm(env.world_goal(tr.next_state) - tr.next_state.position)
+    dist_next = np.linalg.norm(state.position + state.goal_rel - tr.next_state.position)
     assert tr.reward == pytest.approx(dist_prev - dist_next)
     assert tr.reward > 0
 
 
 def test_circle_reward_prefers_counterclockwise_motion():
     cfg = circle_config()
-    fwd = env.EnvState(np.array([1.0, 0.0]), np.array([0.0, 0.5]), np.zeros(2), np.zeros(0))
-    back = env.EnvState(np.array([1.0, 0.0]), np.array([0.0, -0.5]), np.zeros(2), np.zeros(0))
+    fwd = env.EnvState(np.array([1.0, 0.0, 0.0, 0.5, 0.0, 0.0]))
+    back = env.EnvState(np.array([1.0, 0.0, 0.0, -0.5, 0.0, 0.0]))
     r_fwd = env.step(fwd, np.zeros(2), unit_phi(), cfg).reward
     r_back = env.step(back, np.zeros(2), unit_phi(), cfg).reward
     assert r_fwd > r_back
@@ -366,6 +358,102 @@ def test_state_vector_round_trip():
         env.EnvState.from_vector(np.zeros(5))
     with pytest.raises(ValueError):
         env.EnvState.from_vector(np.zeros(7))
+
+
+def test_state_vector_is_stored_read_only():
+    source = np.arange(10.0)
+    state = env.EnvState.from_vector(source)
+    vec = state.as_vector()
+    assert vec is state.as_vector()  # the stored vector, not a concatenated copy
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+    for part in (state.position, state.velocity, state.goal_rel, state.sensor):
+        assert np.shares_memory(part, vec) and not part.flags.writeable
+    source[0] = 99.0  # from_vector copied its input
+    assert vec[0] == 0.0
+    nxt = env.step(state, np.zeros(2), unit_phi(), nav_config(obstacle_count=2)).next_state
+    assert not nxt.as_vector().flags.writeable
+
+
+def reference_step(state, action, phi, cfg):
+    """The numpy formulation of one step, kept to pin ``env.step`` bit for bit.
+
+    Returns ``(next state vector, reward, cost)``.
+    """
+    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    vec = state.as_vector()
+    p, v, goal_rel, sensor = vec[0:2], vec[2:4], vec[4:6], vec[6:]
+    mass = cfg.mass * phi.mass_scale
+    damping = cfg.damping * phi.damping_scale
+    friction = cfg.friction * phi.friction_scale * cfg.gravity * phi.gravity_scale
+    v_next = v + cfg.dt * (a / mass - damping * v - friction * np.tanh(v / cfg.v_eps))
+    speed = np.linalg.norm(v_next)
+    if speed > cfg.v_max:
+        v_next = v_next * (cfg.v_max / speed)
+    p_next = p + cfg.dt * v_next
+    rel = (p + sensor.reshape(-1, 2)) - p_next
+    dists = np.linalg.norm(rel, axis=1)
+    sensor_next = rel[np.argsort(dists, kind="stable")].reshape(-1)
+    if cfg.task == "navigation":
+        cost = int(dists.size > 0 and dists.min() <= cfg.safe_distance)
+        goal_next = (p + goal_rel) - p_next
+        dist_next = np.linalg.norm(goal_next)
+        reward = np.linalg.norm(goal_rel) - dist_next
+        if dist_next < cfg.goal_radius:
+            reward += 1.0
+    else:
+        goal_next = np.zeros(2)
+        radius = np.linalg.norm(p_next)
+        tangent = np.array([-p_next[1], p_next[0]]) / radius
+        reward = float(v_next @ tangent) - abs(radius - cfg.circle_radius)
+        cost = int(radius >= cfg.region_radius - cfg.region_margin)
+    return np.concatenate([p_next, v_next, goal_next, sensor_next]), float(reward), cost
+
+
+@pytest.mark.parametrize(
+    "task, obstacles", [("navigation", 0), ("navigation", 4), ("navigation", 6), ("circle", 0),
+                        ("circle", 3)]
+)
+def test_step_matches_the_numpy_formulation_bit_for_bit(task, obstacles):
+    cfg = env.EnvConfig(task=task, obstacle_count=obstacles)
+    rng = np.random.default_rng(17 + obstacles)
+    clipped = 0
+    for i in range(2000):
+        phi = env.sample_phi(rng, ((0.15, 0.3), (0.3, 1.7), (1.7, 2.5)))
+        # speeds from rest to past the cap, commands inside and outside the box
+        vec = np.concatenate([
+            rng.uniform(-1.5, 1.5, 2),
+            rng.uniform(-1.0, 1.0, 2) * rng.choice([0.01, 1.0, 2.5]),
+            rng.uniform(-2.0, 2.0, 2) if task == "navigation" else np.zeros(2),
+            rng.uniform(-2.0, 2.0, 2 * obstacles),
+        ])
+        state = env.EnvState(vec, step_index=i % (cfg.horizon - 1))
+        action = rng.uniform(-2.0, 2.0, 2)
+        # two chained steps: the second starts from a state ``step`` made
+        for _ in range(2):
+            tr = env.step(state, action, phi, cfg)
+            expected, reward, cost = reference_step(state, action, phi, cfg)
+            np.testing.assert_array_equal(tr.next_state.as_vector(), expected)
+            assert tr.reward == reward and tr.cost == cost
+            clipped += np.linalg.norm(tr.next_state.velocity) == cfg.v_max
+            state = tr.next_state
+    assert clipped > 100  # the speed cap was active in many cases
+
+
+def test_step_orders_equidistant_obstacles_by_index():
+    # Offsets in binary fractions keep every difference exact: three
+    # obstacles at distance 0.5 from a point at rest, listed in each order.
+    cfg = nav_config(obstacle_count=3)
+    offsets = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)]
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        sensor = np.array([offsets[i] for i in order]).reshape(-1)
+        state = env.EnvState(np.concatenate([[0.25, 0.5], np.zeros(2), [1.0, 1.0], sensor]))
+        tr = env.step(state, np.zeros(2), unit_phi(), cfg)
+        expected, reward, cost = reference_step(state, np.zeros(2), unit_phi(), cfg)
+        np.testing.assert_array_equal(tr.next_state.sensor, sensor)
+        np.testing.assert_array_equal(tr.next_state.as_vector(), expected)
+        assert tr.reward == reward and tr.cost == cost
 
 
 def test_config_validation():

@@ -23,11 +23,10 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.8, 1.8), obstacles=()):
     obs = np.asarray(obstacles, dtype=np.float64).reshape(-1, 2)
     rel = obs - p
     order = np.argsort(np.linalg.norm(rel, axis=1), kind="stable") if len(obs) else []
-    return env.EnvState(
-        position=p,
-        velocity=np.asarray(velocity, dtype=np.float64),
-        goal_rel=np.asarray(goal, dtype=np.float64) - p,
-        sensor=rel[order].reshape(-1) if len(obs) else np.zeros(0),
+    sensor = rel[order].reshape(-1) if len(obs) else np.zeros(0)
+    return env.EnvState.from_vector(
+        np.concatenate([p, np.asarray(velocity, dtype=np.float64),
+                        np.asarray(goal, dtype=np.float64) - p, sensor])
     )
 
 
