@@ -113,8 +113,8 @@ class BasisSet:
             layer_sizes,
             [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
             [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
-            np.asarray(norm_mean, dtype=np.float64),
-            np.asarray(norm_std, dtype=np.float64),
+            np.array(norm_mean, dtype=np.float64),
+            np.array(norm_std, dtype=np.float64),
             {} if meta is None else meta,
         )
 
@@ -388,18 +388,22 @@ class OnlineCoefficients:
 
 
 def basis_to_record(basis: BasisSet) -> dict:
-    """JSON-safe dict form of a basis set, one entry per net; floats round-trip exactly."""
+    """Dict form of a basis set, one entry per net, holding array copies.
+
+    :func:`save_basis` writes the arrays as decimal lists, whose floats
+    round-trip exactly.
+    """
     return {
         "format": BASIS_FORMAT,
         "version": BASIS_VERSION,
         "k": basis.k,
         "layer_sizes": basis.layer_sizes,
-        "norm_mean": basis.norm_mean.tolist(),
-        "norm_std": basis.norm_std.tolist(),
+        "norm_mean": basis.norm_mean.copy(),
+        "norm_std": basis.norm_std.copy(),
         "nets": [
             {
-                "weights": [w[i].tolist() for w in basis.weights],
-                "biases": [b[i].tolist() for b in basis.biases],
+                "weights": [w[i].copy() for w in basis.weights],
+                "biases": [b[i].copy() for b in basis.biases],
             }
             for i in range(basis.k)
         ],
@@ -427,7 +431,8 @@ def basis_from_record(data: dict) -> BasisSet:
 
 def save_basis(basis: BasisSet, path: str | Path) -> None:
     """Write a versioned JSON artifact with deterministic bytes."""
-    Path(path).write_text(json.dumps(basis_to_record(basis), sort_keys=True))
+    text = json.dumps(basis_to_record(basis), sort_keys=True, default=np.ndarray.tolist)
+    Path(path).write_text(text)
 
 
 def load_basis(path: str | Path) -> BasisSet:

@@ -9,8 +9,10 @@ and are stripped by :func:`canonical_records` before stream comparison.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +29,7 @@ from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Fields excluded when comparing metric streams for determinism.
 NONDETERMINISTIC_FIELDS = ("wall_clock_seconds",)
@@ -320,7 +322,7 @@ def build_checkpoint(
         "lambda": lam,
         "policy": {
             "mean_net": sro.mlp_to_dict(policy.mean_net),
-            "log_std": policy.log_std.tolist(),
+            "log_std": policy.log_std.copy(),
             "log_std_low": policy.log_std_low,
             "log_std_high": policy.log_std_high,
         },
@@ -352,10 +354,16 @@ def build_checkpoint(
     return ck
 
 
-def _json_default(value):
-    """JSON form of the numpy values a checkpoint holds (the encoder's fallback)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+def _encode_numpy(value):
+    """JSON form of the numpy values a checkpoint holds (the encoder's fallback).
+
+    A float64 array becomes ``{"f8": <base64 of its little-endian bytes>,
+    "shape": [...]}``, which round-trips every bit (NaN, infinities, -0.0,
+    subnormals); :func:`_decode_array` reverses it.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
+        return {"f8": base64.b64encode(raw).decode("ascii"), "shape": list(value.shape)}
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -363,16 +371,47 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _decode_array(obj: dict):
+    """``object_hook`` of :func:`load_checkpoint`: an encoded array back to a
+    read-only float64 array over the decoded bytes; other objects unchanged."""
+    if obj.keys() == {"f8", "shape"}:
+        return np.frombuffer(base64.b64decode(obj["f8"]), dtype="<f8").reshape(obj["shape"])
+    return obj
+
+
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ck, sort_keys=True, default=_json_default))
+    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 2.
+
+    Config, epoch, dual variable, step and episode counters and RNG states
+    stay readable JSON; every float64 array (network weights, optimizer
+    moments, log-std, basis weights) is an object holding its ``shape`` and
+    the base64 of its little-endian ``<f8`` bytes under ``"f8"``.  The file
+    is written beside ``path`` and moved over it, so a process killed
+    mid-save leaves the previous checkpoint intact.
+    """
+    path = Path(path)
+    text = json.dumps(ck, sort_keys=True, default=_encode_numpy)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    ck = json.loads(Path(path).read_text())
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Arrays come back as read-only float64 arrays; the restore helpers
+    (:func:`policy_from_checkpoint`, ``train(resume=...)``) copy them.
+    Files of any other format or version, including version 1 (arrays as
+    decimal lists), raise ``ValueError``.
+    """
+    ck = json.loads(Path(path).read_text(), object_hook=_decode_array)
     if ck.get("format") != CHECKPOINT_FORMAT or ck.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint (format={ck.get('format')!r}, "
-            f"version={ck.get('version')!r})"
+            f"version={ck.get('version')!r}); this release reads version {CHECKPOINT_VERSION}"
         )
     return ck
 
@@ -381,7 +420,7 @@ def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
     pol = ck["policy"]
     return sro.GaussianPolicy(
         mean_net=sro.mlp_from_dict(pol["mean_net"]),
-        log_std=np.asarray(pol["log_std"], dtype=np.float64),
+        log_std=np.array(pol["log_std"], dtype=np.float64),
         log_std_low=pol["log_std_low"],
         log_std_high=pol["log_std_high"],
     )
@@ -729,16 +768,16 @@ def train_pooled(
 def pooled_to_dict(model: PooledRegressor) -> dict:
     return {
         "net": sro.mlp_to_dict(model.net),
-        "norm_mean": model.norm_mean.tolist(),
-        "norm_std": model.norm_std.tolist(),
+        "norm_mean": model.norm_mean.copy(),
+        "norm_std": model.norm_std.copy(),
     }
 
 
 def pooled_from_dict(data: dict) -> PooledRegressor:
     return PooledRegressor(
         sro.mlp_from_dict(data["net"]),
-        np.asarray(data["norm_mean"], dtype=np.float64),
-        np.asarray(data["norm_std"], dtype=np.float64),
+        np.array(data["norm_mean"], dtype=np.float64),
+        np.array(data["norm_std"], dtype=np.float64),
     )
 
 

@@ -507,21 +507,23 @@ def _value_step(net: Mlp, opt: AdamState, X: np.ndarray, targets: np.ndarray, m:
 # ---------------------------------------------------------------------------
 # Checkpoint (de)serialization helpers
 # ---------------------------------------------------------------------------
+# ``*_to_dict`` hold array copies and ``*_from_dict`` copy what they read, so
+# a checkpoint dict never shares memory with parameters that training updates.
 
 
 def mlp_to_dict(net: Mlp) -> dict:
     return {
         "layer_sizes": list(net.layer_sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "weights": [w.copy() for w in net.weights],
+        "biases": [b.copy() for b in net.biases],
     }
 
 
 def mlp_from_dict(data: dict) -> Mlp:
     return Mlp(
         list(data["layer_sizes"]),
-        [np.asarray(w, dtype=np.float64) for w in data["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in data["biases"]],
+        [np.array(w, dtype=np.float64) for w in data["weights"]],
+        [np.array(b, dtype=np.float64) for b in data["biases"]],
     )
 
 
@@ -532,10 +534,10 @@ def adam_to_dict(state: AdamState) -> dict:
         "beta2": state.beta2,
         "eps": state.eps,
         "step": state.step,
-        "m_w": [m.tolist() for m in state.m_w],
-        "v_w": [v.tolist() for v in state.v_w],
-        "m_b": [m.tolist() for m in state.m_b],
-        "v_b": [v.tolist() for v in state.v_b],
+        "m_w": [m.copy() for m in state.m_w],
+        "v_w": [v.copy() for v in state.v_w],
+        "m_b": [m.copy() for m in state.m_b],
+        "v_b": [v.copy() for v in state.v_b],
     }
 
 
@@ -546,10 +548,10 @@ def adam_from_dict(data: dict) -> AdamState:
         beta2=data["beta2"],
         eps=data["eps"],
         step=data["step"],
-        m_w=[np.asarray(m, dtype=np.float64) for m in data["m_w"]],
-        v_w=[np.asarray(v, dtype=np.float64) for v in data["v_w"]],
-        m_b=[np.asarray(m, dtype=np.float64) for m in data["m_b"]],
-        v_b=[np.asarray(v, dtype=np.float64) for v in data["v_b"]],
+        m_w=[np.array(m, dtype=np.float64) for m in data["m_w"]],
+        v_w=[np.array(v, dtype=np.float64) for v in data["v_w"]],
+        m_b=[np.array(m, dtype=np.float64) for m in data["m_b"]],
+        v_b=[np.array(v, dtype=np.float64) for v in data["v_b"]],
     )
 
 
@@ -560,8 +562,8 @@ def adam_vector_to_dict(state: AdamVector) -> dict:
         "beta2": state.beta2,
         "eps": state.eps,
         "step": state.step,
-        "m": None if state.m is None else state.m.tolist(),
-        "v": None if state.v is None else state.v.tolist(),
+        "m": None if state.m is None else state.m.copy(),
+        "v": None if state.v is None else state.v.copy(),
     }
 
 
@@ -572,6 +574,6 @@ def adam_vector_from_dict(data: dict) -> AdamVector:
         beta2=data["beta2"],
         eps=data["eps"],
         step=data["step"],
-        m=None if data["m"] is None else np.asarray(data["m"], dtype=np.float64),
-        v=None if data["v"] is None else np.asarray(data["v"], dtype=np.float64),
+        m=None if data["m"] is None else np.array(data["m"], dtype=np.float64),
+        v=None if data["v"] is None else np.array(data["v"], dtype=np.float64),
     )

@@ -485,6 +485,71 @@ def test_checkpoint_file_round_trip(tmp_path):
         run.load_checkpoint(__file__)  # not a checkpoint
 
 
+def test_checkpoint_arrays_round_trip_every_bit(tmp_path):
+    cfg = tiny_config()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
+    )
+    special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1.0 / 3.0]
+    policy.mean_net.weights[0].flat[: len(special)] = special
+    ck = run.build_checkpoint(cfg, policy)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    run.save_checkpoint(ck, first)
+    loaded = run.load_checkpoint(first)
+    run.save_checkpoint(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for key in ("weights", "biases"):
+        for want, got in zip(ck["policy"]["mean_net"][key], loaded["policy"]["mean_net"][key]):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert loaded["policy"]["log_std"].tobytes() == policy.log_std.tobytes()
+
+
+def test_restoring_a_checkpoint_does_not_alias_it(tmp_path):
+    half = run.train(tiny_config(seed=12, total_steps=100))
+    before = tmp_path / "before.json"
+    run.save_checkpoint(half.checkpoint, before)
+    run.train(tiny_config(seed=12, total_steps=200), resume=half.checkpoint)
+    run.evaluate(half.checkpoint, episodes=1, seed=2)
+    after = tmp_path / "after.json"
+    run.save_checkpoint(half.checkpoint, after)
+    assert after.read_bytes() == before.read_bytes()
+    # arrays loaded from a file are read-only, so aliasing them would raise
+    run.train(tiny_config(seed=12, total_steps=200), resume=run.load_checkpoint(before))
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
+                                "policy": {"log_std": [-0.5, -0.5]}}))
+    with pytest.raises(ValueError, match="version=1"):
+        run.load_checkpoint(path)
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    cfg_full = tiny_config(seed=12, total_steps=200)
+    half = run.train(tiny_config(seed=12, total_steps=100), out_path=path)
+
+    def torn_write(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(run.Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        run.train(cfg_full, out_path=path, resume=path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    ck = run.load_checkpoint(path)
+    assert ck["epoch"] == 1 and ck["steps_done"] == 100
+    resumed = run.train(cfg_full, resume=ck)
+    joined = non_header(half.records) + non_header(resumed.records)
+    full = run.train(cfg_full)
+    assert run.canonical_records(non_header(full.records)) == run.canonical_records(joined)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
