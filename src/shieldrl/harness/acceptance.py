@@ -28,6 +28,7 @@ from .run import (
     canonical_records,
     collect_random_episodes,
     evaluate,
+    load_training_basis,
     pooled_from_dict,
     pretrain_fe,
     score_heldout,
@@ -76,7 +77,7 @@ class Workspace:
         if self._basis is None:
             path = self.root / "acceptance_basis.json"
             if path.exists():
-                self._basis = fe.load_basis(path)
+                self._basis = load_training_basis(path)
             else:
                 self._basis = pretrain_fe(self.fe_config(), out_path=path).basis
             self._pooled = pooled_from_dict(self._basis.meta["pooled_model"])
@@ -105,7 +106,8 @@ def check_qsafe_bound(ws: Workspace) -> CriterionResult:
         contexts = rng.uniform(-3.0, 3.0, size=(n, ctx_dim))
         actions = rng.uniform(-2.0, 2.0, size=(n, act_dim))
         v_c = rng.normal(scale=3.0, size=n)
-        q = sro.q_safe_batch(np.hstack([states, contexts]), actions, policy, q_c, v_c, cfg, rng)
+        X = np.hstack([states, contexts])
+        q = sro.q_safe_batch(X, actions, policy.mean_batch(X), policy, q_c, v_c, cfg, rng)
         draws += n
         bad = ~((q > -1.0) & (q <= 0.0) & np.isfinite(q))
         violations += int(bad.sum())

@@ -83,10 +83,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({k: v for k, v in result.header.items() if k != "phi_draws"}))
             return 0
         if args.command == "train":
-            from ..function_encoder import load_basis
-            from .run import train
+            from .run import load_training_basis, train
 
-            basis = load_basis(args.basis) if args.basis else None
+            basis = load_training_basis(args.basis) if args.basis else None
             result = train(
                 _load_cfg(args),
                 basis=basis,

@@ -465,8 +465,10 @@ def train(
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
     ``ValueError`` inside an epoch, or an epoch in which no episode can be
-    placed, writes an abort record and the checkpoint of the finished
-    epochs, then propagates.
+    placed, writes an abort record and the checkpoint of the last finished
+    epoch (the start state if none finished), taken before the failed epoch
+    changed anything, then propagates; resuming from it continues the
+    uninterrupted run.
     """
     cfg.validate()
     if (cfg.shield_enabled or cfg.fe_context) and basis is None:
@@ -533,10 +535,15 @@ def train(
             basis,
         )
         ck["episode_index"] = episode_index
-        if out_path is not None:
-            save_checkpoint(ck, out_path)
         return ck
 
+    def save(ck: dict) -> None:
+        if out_path is not None:
+            save_checkpoint(ck, out_path)
+
+    # The state at the last epoch boundary: an epoch that fails has already
+    # moved the parameters, the optimizers and the streams.
+    ck = checkpoint_now(start_epoch)
     epochs_run = 0
     try:
         for epoch in range(start_epoch, epochs):
@@ -606,14 +613,15 @@ def train(
                     }
                 )
             ck = checkpoint_now(epoch + 1)
+            save(ck)
     except (ValueError, envmod.PlacementError) as exc:
-        writer.write({"kind": "abort", "epoch": epochs_run + start_epoch, "reason": str(exc)})
-        checkpoint_now(epochs_run + start_epoch)
+        writer.write({"kind": "abort", "epoch": ck["epoch"], "reason": str(exc)})
+        save(ck)
         writer.close()
         raise
 
     if epochs_run == 0:  # zero steps, or resumed at the last epoch: nothing saved yet
-        ck = checkpoint_now(start_epoch)
+        save(ck)
     writer.close()
     return TrainResult(checkpoint=ck, records=writer.records, epochs_run=epochs_run)
 
@@ -779,6 +787,20 @@ def pooled_from_dict(data: dict) -> PooledRegressor:
         np.array(data["norm_mean"], dtype=np.float64),
         np.array(data["norm_std"], dtype=np.float64),
     )
+
+
+def load_training_basis(path: str | Path) -> fe.BasisSet:
+    """A basis artifact as :func:`pretrain_fe` leaves the basis in memory.
+
+    :func:`fe.load_basis` returns the pooled baseline in ``meta`` as the
+    artifact's decimal lists; it is rebuilt here as arrays, so a checkpoint
+    of the loaded basis has the same bytes as one of the basis it was saved
+    from.
+    """
+    basis = fe.load_basis(path)
+    if "pooled_model" in basis.meta:
+        basis.meta["pooled_model"] = pooled_to_dict(pooled_from_dict(basis.meta["pooled_model"]))
+    return basis
 
 
 @dataclass

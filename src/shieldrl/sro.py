@@ -22,9 +22,10 @@ observed episode costs against the cost limit.
 The policy and the critics stay frozen while an epoch's episodes are rolled
 out.  A rollout therefore only samples actions and hands the epoch over as
 one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
-``RolloutBuffer.finalize`` evaluates the behaviour log-probabilities and the
-value estimates in one batch per epoch, runs GAE along each episode's row,
-and the critic and policy updates read the flattened arrays.
+``RolloutBuffer.finalize`` evaluates the behaviour means, log-probabilities
+and value estimates in one batch per epoch, runs GAE along each episode's
+row, and the critic and policy updates read the flattened arrays; the
+safety score's density reads the kept means.
 """
 
 from __future__ import annotations
@@ -128,13 +129,17 @@ class GaussianPolicy:
         return mu + std * rng.standard_normal((n, mu.shape[0]))
 
     def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Log-density of actions ``A`` at the ``n`` inputs ``X``.
+        """Log-density of actions ``A`` at the ``n`` inputs ``X``."""
+        return self.log_prob_at(self.mean_batch(X), A)
 
-        ``A`` is ``(n, action_dim)``, one action per input, or
-        ``(n, m, action_dim)``, ``m`` actions per input; the mean is
-        evaluated once per input either way.
+    def log_prob_at(self, mu: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """Log-density of actions ``A`` around the ``(n, action_dim)`` means ``mu``.
+
+        ``mu`` is :meth:`mean_batch` of the inputs, so a caller that already
+        holds the means never runs the network again.  ``A`` is
+        ``(n, action_dim)``, one action per input, or ``(n, m, action_dim)``,
+        ``m`` actions per input.
         """
-        mu = self.mean_batch(X)
         if A.ndim == 3:
             mu = mu[:, None, :]
         z = (A - mu) / self.std()
@@ -143,9 +148,6 @@ class GaussianPolicy:
             - np.sum(self.log_std)
             - 0.5 * self.action_dim * LOG_2PI
         )
-
-    def density_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_prob_batch(X, A))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,7 @@ class RolloutBuffer:
     # populated by finalize(): one flat row per step, episode-major
     X: np.ndarray | None = None
     A: np.ndarray | None = None
+    means: np.ndarray | None = None
     log_probs: np.ndarray | None = None
     adv_r: np.ndarray | None = None
     adv_r_norm: np.ndarray | None = None
@@ -281,9 +284,12 @@ class RolloutBuffer:
         """Evaluate log-probs and values, then advantages and targets.
 
         The block is flattened episode-major.  The policy runs once over the
-        epoch's rows and each value head once over those rows plus the
-        bootstrap rows; advantages run along each episode's row of the
-        block.  Only the reward advantage is normalized.
+        epoch's rows; its behaviour means stay in ``means``, which the
+        policy update's safety score reads instead of running the policy
+        again (the policy does not change between the two).  Each value
+        head runs once over the epoch's rows plus the bootstrap rows;
+        advantages run along each episode's row of the block.  Only the
+        reward advantage is normalized.
         """
         n = len(self)
         if n == 0:
@@ -291,7 +297,8 @@ class RolloutBuffer:
         shape = self.rewards.shape
         self.X = self.inputs.reshape(n, -1)
         self.A = self.actions.reshape(n, -1)
-        self.log_probs = policy.log_prob_batch(self.X, self.A)
+        self.means = policy.mean_batch(self.X)
+        self.log_probs = policy.log_prob_at(self.means, self.A)
         X_all = np.vstack([self.X, self.boot_inputs])
         v_r = critics.v_r_values(X_all)
         v_c = critics.v_c_values(X_all)
@@ -313,31 +320,56 @@ class RolloutBuffer:
 # ---------------------------------------------------------------------------
 
 
+# Cost-critic rows per block in ``q_safe_batch``: about 1,000 perturbed
+# rows, whose 64-wide hidden activations (about 0.5 MB) stay in cache.
+_QSAFE_BLOCK_ROWS = 1000
+
+
 def q_safe_batch(
     X: np.ndarray,
     actions: np.ndarray,
+    means: np.ndarray,
     policy: GaussianPolicy,
     q_c_net: Mlp,
     v_c_values: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized safety score for a batch of (state ++ context, action) pairs.
+    """Vectorized safety score for ``n`` (state ++ context, action) pairs.
 
-    All inputs are constants for the policy update: the estimate never
-    carries gradients.
+    ``means`` is ``policy.mean_batch(X)``; training passes the behaviour
+    means that :meth:`RolloutBuffer.finalize` kept, so the policy does not
+    run again.  All ``n x n_qsafe`` perturbations are drawn up front in one
+    call; the cost critic then runs over blocks of whole rows, writing one
+    ``(n, n_qsafe)`` array, so no epoch-sized ``n x n_qsafe``-row input or
+    activation is ever built.  All inputs are constants for the policy
+    update: the estimate never carries gradients.
     """
     n, da = actions.shape
-    eps = cfg.sigma_qsafe * rng.standard_normal((n, cfg.n_qsafe, da))
+    if X.shape[0] != n or means.shape != (n, da) or np.shape(v_c_values) != (n,):
+        raise ValueError(
+            f"q_safe_batch needs {n} rows everywhere: X {X.shape}, means {means.shape}, "
+            f"v_c_values {np.shape(v_c_values)}"
+        )
+    m, dx = cfg.n_qsafe, X.shape[1]
+    eps = cfg.sigma_qsafe * rng.standard_normal((n, m, da))
     perturbed = actions[:, None, :] + eps
-    density = policy.density_batch(X, perturbed)
-    flat_actions = perturbed.reshape(n * cfg.n_qsafe, da)
-    flat_X = np.repeat(X, cfg.n_qsafe, axis=0)
-    q_vals = q_c_net.forward_batch(np.hstack([flat_X, flat_actions]))[:, 0]
-    q_vals = np.maximum(q_vals.reshape(n, cfg.n_qsafe), 0.0)
-    m = np.mean(density * q_vals, axis=1)
+    density = np.exp(policy.log_prob_at(means, perturbed))
+    # Whole buffer rows per block.  The last block takes a remainder shorter
+    # than a block: a handful of rows would go through BLAS's small-matrix
+    # paths, which round differently from the one-pass product.
+    step = max(1, _QSAFE_BLOCK_ROWS // m)
+    starts = range(0, max(n - step, 0) + 1, step)
+    q_vals = np.empty((n, m))
+    block = np.empty((min(n, 2 * step), m, dx + da))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        rows = block[: hi - lo]
+        rows[:, :, :dx] = X[lo:hi, None, :]
+        rows[:, :, dx:] = perturbed[lo:hi]
+        q_vals[lo:hi] = q_c_net.forward_batch(rows.reshape(-1, dx + da)).reshape(hi - lo, m)
+    m_hat = np.mean(density * np.maximum(q_vals, 0.0), axis=1)
     denom = np.maximum(v_c_values, 0.0) + cfg.eps_num
-    return np.clip(-m / denom, -1.0 + 1e-6, 0.0)
+    return np.clip(-m_hat / denom, -1.0 + 1e-6, 0.0)
 
 
 def augmented_advantage(a_r, q_safe, alpha: float):
@@ -409,13 +441,16 @@ def policy_update(
     Early-stops once the estimated KL drift exceeds ``kl_max``.  A non-finite
     loss or gradient aborts the whole update and restores the incoming
     parameters.  The safety scores are computed once per update (with the
-    current critics) and enter as constants; with ``alpha == 0`` or SRO
-    disabled they are identically zero and no perturbation noise is drawn,
-    so both configurations follow the identical plain-Lagrangian path.
+    current critics and the behaviour means ``finalize`` kept) and enter as
+    constants; with ``alpha == 0`` or SRO disabled they are identically zero
+    and no perturbation noise is drawn, so both configurations follow the
+    identical plain-Lagrangian path.
     """
     X, A, logp_old = buffer.X, buffer.A, buffer.log_probs
     if sro_enabled and cfg.alpha > 0:
-        q_safe = q_safe_batch(X, A, policy, critics.q_c, critics.v_c_values(X), cfg, rng)
+        q_safe = q_safe_batch(
+            X, A, buffer.means, policy, critics.q_c, critics.v_c_values(X), cfg, rng
+        )
     else:
         q_safe = np.zeros(len(buffer))
     adv = augmented_advantage(buffer.adv_r_norm, q_safe, cfg.alpha) - lam * buffer.adv_c

@@ -241,15 +241,17 @@ def test_training_consumes_the_requested_steps():
 
 
 def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
-    calls = Counter()
+    # passes over the epoch's rows; a rollout step runs the policy on one
+    # row per episode, which is not counted
+    calls, steps = Counter(), 0
     for owner, name in (
-        (sro.GaussianPolicy, "log_prob_batch"),
+        (sro.GaussianPolicy, "mean_batch"),
         (sro.CriticSet, "v_r_values"),
         (sro.CriticSet, "v_c_values"),
     ):
-        def counted(*args, _name=name, _fn=getattr(owner, name)):
-            calls[_name] += 1
-            return _fn(*args)
+        def counted(self, X, _name=name, _fn=getattr(owner, name)):
+            calls[_name] += len(X) >= steps
+            return _fn(self, X)
 
         monkeypatch.setattr(owner, name, counted)
     counts = []
@@ -259,8 +261,10 @@ def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
         cfg.train = replace(cfg.train, steps_per_epoch=steps)
         run.train(cfg.validate())
         counts.append(dict(calls))
-    # finalize makes one pass of each; the safety score one more policy and v_c pass
-    assert counts == [{"log_prob_batch": 2, "v_r_values": 1, "v_c_values": 2}] * 2
+    # finalize runs the policy and each value head once; the safety score
+    # reads finalize's policy means and runs v_c once more, on the critics
+    # the critic update has just changed
+    assert counts == [{"mean_batch": 1, "v_r_values": 1, "v_c_values": 2}] * 2
 
 
 def episode_streams(count):
@@ -407,6 +411,35 @@ def test_placement_failure_writes_abort_record_and_checkpoint(tmp_path):
     assert ck["epoch"] == 1 and ck["steps_done"] == 400
 
 
+@pytest.mark.parametrize("failing_epoch", [0, 2])
+def test_abort_checkpoint_holds_the_last_epoch_boundary(tmp_path, monkeypatch, failing_epoch):
+    # the failed epoch has already rolled its episodes and drawn from the env
+    # stream when its first critic update raises
+    cfg = tiny_config(seed=12, total_steps=300)
+    full = run.train(cfg)
+    original, calls = sro.critic_update, Counter()
+
+    def failing(*args):
+        calls["critic_update"] += 1
+        if calls["critic_update"] == failing_epoch * cfg.train.critic_iters + 1:
+            raise ValueError("injected failure")
+        return original(*args)
+
+    monkeypatch.setattr(sro, "critic_update", failing)
+    out = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match="injected failure"):
+        run.train(cfg, out_path=out)
+    monkeypatch.undo()
+    ck = run.load_checkpoint(out)
+    episodes = failing_epoch * cfg.train.steps_per_epoch // cfg.env.horizon
+    assert (ck["epoch"], ck["steps_done"], ck["episode_index"]) == (
+        failing_epoch, failing_epoch * cfg.train.steps_per_epoch, episodes
+    )
+    resumed = run.train(cfg, resume=ck)
+    later = [r for r in non_header(full.records) if r["epoch"] >= failing_epoch]
+    assert run.canonical_records(non_header(resumed.records)) == run.canonical_records(later)
+
+
 def test_recorded_block_has_one_row_per_placed_episode():
     cfg = crowded_config()
     policy = sro.GaussianPolicy.create(
@@ -516,6 +549,18 @@ def test_restoring_a_checkpoint_does_not_alias_it(tmp_path):
     assert after.read_bytes() == before.read_bytes()
     # arrays loaded from a file are read-only, so aliasing them would raise
     run.train(tiny_config(seed=12, total_steps=200), resume=run.load_checkpoint(before))
+
+
+def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
+    cfg = tiny_config(seed=4)
+    basis = run.pretrain_fe(cfg, out_path=tmp_path / "basis.json").basis
+    loaded = run.load_training_basis(tmp_path / "basis.json")
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
+    )
+    for name, b in (("memory.json", basis), ("loaded.json", loaded)):
+        run.save_checkpoint(run.build_checkpoint(cfg, policy, basis=b), tmp_path / name)
+    assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "loaded.json").read_bytes()
 
 
 def test_version_1_checkpoint_is_rejected(tmp_path):

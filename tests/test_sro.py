@@ -2,6 +2,11 @@
 
 import copy
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,8 +91,12 @@ def test_log_prob_matches_the_closed_form():
         ]
     )
     np.testing.assert_allclose(policy.log_prob_batch(X, A), expected, atol=1e-12)
-    np.testing.assert_allclose(
-        policy.density_batch(X, A), np.exp(expected), rtol=1e-12
+    np.testing.assert_array_equal(policy.log_prob_at(mu, A), policy.log_prob_batch(X, A))
+    # m actions per input: each column is that action's own log-density
+    A3 = np.stack([A, A[::-1]], axis=1)
+    np.testing.assert_array_equal(policy.log_prob_at(mu, A3)[:, 0], policy.log_prob_at(mu, A))
+    np.testing.assert_array_equal(
+        policy.log_prob_at(mu, A3)[:, 1], policy.log_prob_at(mu, A[::-1])
     )
 
 
@@ -195,6 +204,7 @@ def test_buffer_finalize_is_per_episode():
                         policy=policy, critics=critics)
     np.testing.assert_array_equal(buf.X, np.vstack([buf.inputs[0], buf.inputs[1]]))
     np.testing.assert_array_equal(buf.A, np.vstack([buf.actions[0], buf.actions[1]]))
+    np.testing.assert_array_equal(buf.means, policy.mean_batch(buf.X))
     np.testing.assert_allclose(
         buf.log_probs, one_row_at_a_time(policy.log_prob_batch, buf.X, buf.A), rtol=1e-12
     )
@@ -248,9 +258,11 @@ def test_q_safe_lies_in_the_half_open_unit_interval():
     cfg = sro.TrainConfig(n_qsafe=8)
     rng = np.random.default_rng(13)
     q_c = Mlp.create([7, 8, 1], np.random.default_rng(14))
+    X = rng.standard_normal((500, 5))
     out = sro.q_safe_batch(
-        rng.standard_normal((500, 5)),
+        X,
         rng.standard_normal((500, 2)),
+        policy.mean_batch(X),
         policy,
         q_c,
         rng.normal(scale=3.0, size=500),
@@ -266,9 +278,11 @@ def test_q_safe_is_zero_when_cost_q_is_never_positive():
     cfg = sro.TrainConfig(n_qsafe=16)
     rng = np.random.default_rng(16)
     q_c = constant_net(7, -1.0)  # max(Q, 0) = 0 everywhere
+    X = rng.standard_normal((50, 5))
     out = sro.q_safe_batch(
-        rng.standard_normal((50, 5)),
+        X,
         rng.standard_normal((50, 2)),
+        policy.mean_batch(X),
         policy,
         q_c,
         np.ones(50),
@@ -291,6 +305,7 @@ def test_q_safe_matches_the_gaussian_convolution_limit():
     got = sro.q_safe_batch(
         np.zeros((1, 5)),
         np.zeros((1, 2)),
+        np.zeros((1, 2)),
         policy,
         constant_net(7, q0),
         np.array([v_c]),
@@ -306,10 +321,106 @@ def test_q_safe_clamps_at_minus_one():
                                 np.array([-0.5, -0.5]))
     cfg = sro.TrainConfig(n_qsafe=64)
     got = sro.q_safe_batch(
-        np.zeros((1, 5)), np.zeros((1, 2)), policy,
+        np.zeros((1, 5)), np.zeros((1, 2)), np.zeros((1, 2)), policy,
         constant_net(7, 100.0), np.zeros(1), cfg, np.random.default_rng(18),
     )[0]
     assert got == -1.0 + 1e-6
+
+
+def q_safe_case(n, n_qsafe, seed=0, hidden=(64, 64)):
+    """Policy, cost critic and ``n`` random inputs for the safety score."""
+    rng = np.random.default_rng(seed)
+    policy = sro.GaussianPolicy.create(16, 4, 2, hidden, rng)
+    q_c = Mlp.create([22, *hidden, 1], rng)
+    q_c.biases[-1][:] = 0.3  # most perturbed rows score a positive cost
+    X = rng.standard_normal((n, 20))
+    A = 0.3 * rng.standard_normal((n, 2))
+    v_c = np.abs(rng.standard_normal(n))
+    return policy, q_c, X, A, v_c, sro.TrainConfig(n_qsafe=n_qsafe)
+
+
+def unblocked_q_safe(X, actions, policy, q_c_net, v_c_values, cfg, rng):
+    """The safety score as it was before blocking: the policy runs over
+    ``X`` again and the cost critic runs once over all ``n x n_qsafe`` rows."""
+    n, da = actions.shape
+    eps = cfg.sigma_qsafe * rng.standard_normal((n, cfg.n_qsafe, da))
+    perturbed = actions[:, None, :] + eps
+    z = (perturbed - policy.mean_batch(X)[:, None, :]) / np.exp(policy.log_std)
+    density = np.exp(
+        -0.5 * np.sum(z**2, axis=-1) - np.sum(policy.log_std) - 0.5 * da * sro.LOG_2PI
+    )
+    flat_X = np.repeat(X, cfg.n_qsafe, axis=0)
+    q_vals = q_c_net.forward_batch(np.hstack([flat_X, perturbed.reshape(-1, da)]))[:, 0]
+    q_vals = np.maximum(q_vals.reshape(n, cfg.n_qsafe), 0.0)
+    m = np.mean(density * q_vals, axis=1)
+    denom = np.maximum(v_c_values, 0.0) + cfg.eps_num
+    return np.clip(-m / denom, -1.0 + 1e-6, 0.0)
+
+
+def blocked_q_safe_mismatches():
+    """``(n_qsafe, n, differing scores)`` wherever the blocked score differs
+    from :func:`unblocked_q_safe`, around one and two blocks of buffer rows."""
+    found = []
+    for n_qsafe in (10, 1):
+        block = sro._QSAFE_BLOCK_ROWS // n_qsafe
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            policy, q_c, X, A, v_c, cfg = q_safe_case(n, n_qsafe, seed=n)
+            want = unblocked_q_safe(X, A, policy, q_c, v_c, cfg, np.random.default_rng(7))
+            got = sro.q_safe_batch(
+                X, A, policy.mean_batch(X), policy, q_c, v_c, cfg, np.random.default_rng(7)
+            )
+            assert 0 < np.count_nonzero(got) and got.shape == (n,)
+            if not np.array_equal(got, want):
+                found.append((n_qsafe, n, int(np.sum(got != want))))
+    return found
+
+
+def test_blocked_q_safe_equals_the_unblocked_formula_bit_for_bit():
+    # Run with one BLAS thread, as the benchmark runs.  With more, OpenBLAS
+    # splits a matrix product's rows between threads at a point set by the
+    # row count, so the one-pass formula itself can move a row by an ulp
+    # against any other split of the same rows.
+    here = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path[:0] = {[str(here.parent / 'src'), str(here)]!r}\n"
+        "import test_sro; print(test_sro.blocked_q_safe_mismatches())"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_q_safe_peak_memory_does_not_scale_with_the_perturbed_rows():
+    # One unblocked critic pass over 40,000 perturbed rows peaks near 90 MB.
+    policy, q_c, X, A, v_c, cfg = q_safe_case(4000, 10)
+    means = policy.mean_batch(X)
+    tracemalloc.start()
+    try:
+        sro.q_safe_batch(X, A, means, policy, q_c, v_c, cfg, np.random.default_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"v_c": np.ones((6, 1))},  # used to broadcast to a (6, 6) score matrix
+        {"v_c": np.ones(1)},  # used to broadcast one value over every row
+        {"X": np.zeros((5, 20))},
+        {"means": np.zeros((6, 3))},
+    ],
+)
+def test_q_safe_rejects_inputs_without_one_row_per_action(bad):
+    policy, q_c, X, A, v_c, cfg = q_safe_case(6, 4)
+    args = {"X": X, "means": policy.mean_batch(X), "v_c": v_c, **bad}
+    with pytest.raises(ValueError, match="rows"):
+        sro.q_safe_batch(
+            args["X"], A, args["means"], policy, q_c, args["v_c"], cfg, np.random.default_rng(9)
+        )
 
 
 def test_augmented_advantage_arithmetic():
