@@ -32,6 +32,7 @@ every basis function toward unit norm so the solve stays well conditioned.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -429,10 +430,25 @@ def basis_from_record(data: dict) -> BasisSet:
     return BasisSet.from_nets(nets, data["norm_mean"], data["norm_std"], data.get("meta", {}))
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file and move it over ``path``.
+
+    A process killed mid-write leaves the previous file intact.  Basis
+    artifacts and training checkpoints are both written this way.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_basis(basis: BasisSet, path: str | Path) -> None:
-    """Write a versioned JSON artifact with deterministic bytes."""
+    """Write a versioned JSON artifact with deterministic bytes, atomically."""
     text = json.dumps(basis_to_record(basis), sort_keys=True, default=np.ndarray.tolist)
-    Path(path).write_text(text)
+    write_atomic(path, text)
 
 
 def load_basis(path: str | Path) -> BasisSet:

@@ -24,12 +24,13 @@ from ..numerics import Mlp
 from ..seeding import rng_for
 from .config import ExperimentConfig, FeSettings
 from .run import (
+    PooledRegressor,
+    _restore,
     build_checkpoint,
     canonical_records,
     collect_random_episodes,
     evaluate,
     load_training_basis,
-    pooled_from_dict,
     pretrain_fe,
     score_heldout,
     train,
@@ -45,16 +46,6 @@ class CriterionResult:
     threshold: str
     measured: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "suite": self.suite,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "measured": self.measured,
-            "runtime_seconds": self.runtime_seconds,
-        }
 
 
 class Workspace:
@@ -80,7 +71,7 @@ class Workspace:
                 self._basis = load_training_basis(path)
             else:
                 self._basis = pretrain_fe(self.fe_config(), out_path=path).basis
-            self._pooled = pooled_from_dict(self._basis.meta["pooled_model"])
+            self._pooled = _restore(PooledRegressor, self._basis.meta["pooled_model"])
         return self._basis, self._pooled
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from ..env import PlacementError
 from .config import ConfigError, apply_overrides, load_config
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             from .acceptance import run_suites
 
             results = run_suites(args.suite, workdir=args.workdir)
-            lines = [json.dumps(r.as_dict(), sort_keys=True) for r in results]
+            lines = [json.dumps(asdict(r), sort_keys=True) for r in results]
             for line in lines:
                 print(line)
             if args.out:

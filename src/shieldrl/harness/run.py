@@ -10,11 +10,12 @@ and are stripped by :func:`canonical_records` before stream comparison.
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
-import os
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,45 +314,31 @@ def build_checkpoint(
     rngs: dict[str, np.random.Generator] | None = None,
     basis: fe.BasisSet | None = None,
 ) -> dict:
-    ck = {
+    """The checkpoint dict of a policy and, from training, the rest of its state.
+
+    Each training-state section is ``asdict`` of the object it stores (its
+    fields, arrays copied); a section not given is ``None``.
+    """
+
+    def section(obj) -> dict | None:
+        return None if obj is None else asdict(obj)
+
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": serialize_config(cfg),
         "epoch": epoch,
         "steps_done": steps_done,
         "lambda": lam,
-        "policy": {
-            "mean_net": sro.mlp_to_dict(policy.mean_net),
-            "log_std": policy.log_std.copy(),
-            "log_std_low": policy.log_std_low,
-            "log_std_high": policy.log_std_high,
+        "policy": asdict(policy),
+        "critics": section(critics),
+        "policy_opt": section(policy_opt),
+        "critic_opt": section(critic_opt),
+        "rng_states": None if rngs is None else {
+            name: rngs[name].bit_generator.state for name in _TRAIN_STREAMS
         },
-        "critics": None,
-        "policy_opt": None,
-        "critic_opt": None,
-        "rng_states": None,
         "basis": fe.basis_to_record(basis) if basis is not None else None,
     }
-    if critics is not None:
-        ck["critics"] = {
-            "v_r": sro.mlp_to_dict(critics.v_r),
-            "v_c": sro.mlp_to_dict(critics.v_c),
-            "q_c": sro.mlp_to_dict(critics.q_c),
-        }
-    if policy_opt is not None:
-        ck["policy_opt"] = {
-            "mean_net": sro.adam_to_dict(policy_opt.mean_net),
-            "log_std": sro.adam_vector_to_dict(policy_opt.log_std),
-        }
-    if critic_opt is not None:
-        ck["critic_opt"] = {
-            "v_r": sro.adam_to_dict(critic_opt.v_r),
-            "v_c": sro.adam_to_dict(critic_opt.v_c),
-            "q_c": sro.adam_to_dict(critic_opt.q_c),
-        }
-    if rngs is not None:
-        ck["rng_states"] = {name: rngs[name].bit_generator.state for name in _TRAIN_STREAMS}
-    return ck
 
 
 def _encode_numpy(value):
@@ -389,21 +376,14 @@ def save_checkpoint(ck: dict, path: str | Path) -> None:
     is written beside ``path`` and moved over it, so a process killed
     mid-save leaves the previous checkpoint intact.
     """
-    path = Path(path)
-    text = json.dumps(ck, sort_keys=True, default=_encode_numpy)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    fe.write_atomic(path, json.dumps(ck, sort_keys=True, default=_encode_numpy))
 
 
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Arrays come back as read-only float64 arrays; the restore helpers
-    (:func:`policy_from_checkpoint`, ``train(resume=...)``) copy them.
+    Arrays come back as read-only float64 arrays; restoring a section
+    (:func:`policy_from_checkpoint`, ``train(resume=...)``) copies them.
     Files of any other format or version, including version 1 (arrays as
     decimal lists), raise ``ValueError``.
     """
@@ -416,23 +396,37 @@ def load_checkpoint(path: str | Path) -> dict:
     return ck
 
 
+def _restore(cls, section: dict):
+    """The ``cls`` object that ``asdict`` turned into ``section``.
+
+    Nested dataclass fields (``Mlp``, ``AdamState``, ``AdamVector``) are
+    restored the same way.  Values are deep copies, array fields float64
+    arrays (a basis artifact holds decimal lists), so the object is
+    writable and shares no memory with ``section``.  A missing or
+    unexpected key raises ``ValueError``.
+    """
+    names = {f.name for f in fields(cls)}
+    if section.keys() != names:
+        raise ValueError(
+            f"{cls.__name__} section: missing keys {sorted(names - section.keys())}, "
+            f"unexpected keys {sorted(section.keys() - names)}"
+        )
+    values = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        value = section[name]
+        if is_dataclass(hint):
+            values[name] = _restore(hint, value)
+        elif hint == list[np.ndarray]:
+            values[name] = [np.array(v, dtype=np.float64) for v in value]
+        elif value is not None and np.ndarray in (hint, *typing.get_args(hint)):
+            values[name] = np.array(value, dtype=np.float64)
+        else:
+            values[name] = copy.deepcopy(value)
+    return cls(**values)
+
+
 def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
-    pol = ck["policy"]
-    return sro.GaussianPolicy(
-        mean_net=sro.mlp_from_dict(pol["mean_net"]),
-        log_std=np.array(pol["log_std"], dtype=np.float64),
-        log_std_low=pol["log_std_low"],
-        log_std_high=pol["log_std_high"],
-    )
-
-
-def _critics_from_checkpoint(ck: dict) -> sro.CriticSet:
-    data = ck["critics"]
-    return sro.CriticSet(
-        v_r=sro.mlp_from_dict(data["v_r"]),
-        v_c=sro.mlp_from_dict(data["v_c"]),
-        q_c=sro.mlp_from_dict(data["q_c"]),
-    )
+    return _restore(sro.GaussianPolicy, ck["policy"])
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +453,15 @@ def train(
     Epoch count is ``total_steps // steps_per_epoch`` (at least one when any
     steps are requested; zero total steps emits the header only).  When
     ``out_path`` is given a resumable checkpoint is rewritten after every
-    epoch; ``resume`` restores parameters, optimizers, the dual variable,
-    and all random streams, so a resumed run continues the original one
-    bit-for-bit.  Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
+    epoch (see :func:`build_checkpoint`: its sections are the policy's,
+    critics' and optimizers' dataclass fields).  ``resume`` restores
+    parameters, optimizers, the dual variable, and all random streams, so a
+    resumed run continues the original one bit-for-bit, provided it runs
+    with the same BLAS thread count: OpenBLAS splits products between
+    threads at count-dependent points, and the checkpoint does not record
+    the count.  A checkpoint whose config differs from ``cfg`` in anything
+    but ``total_steps`` raises ``ValueError`` naming the differing keys.
+    Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
     ``ValueError`` inside an epoch, or an epoch in which no episode can be
@@ -482,24 +482,22 @@ def train(
         epochs = 1
 
     rngs = {name: rng_for(cfg.seed, name) for name in _TRAIN_STREAMS}
-    writer = MetricsWriter(metrics_path)
-    writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
 
     if resume is not None:
         ck = resume if isinstance(resume, dict) else load_checkpoint(resume)
-        if ck["critics"] is None or ck["policy_opt"] is None or ck["rng_states"] is None:
+        if any(ck[key] is None for key in ("critics", "policy_opt", "critic_opt", "rng_states")):
             raise ValueError("checkpoint was not saved from training; cannot resume")
+        saved = serialize_config(parse_config(ck["config"])).splitlines()
+        changed = [
+            line for line, now in zip(saved, serialize_config(cfg).splitlines())
+            if line != now and not line.startswith("total_steps ")
+        ]
+        if changed:
+            raise ValueError(f"checkpoint config differs from this run's: {', '.join(changed)}")
         policy = policy_from_checkpoint(ck)
-        critics = _critics_from_checkpoint(ck)
-        policy_opt = sro.PolicyOptimizer(
-            sro.adam_from_dict(ck["policy_opt"]["mean_net"]),
-            sro.adam_vector_from_dict(ck["policy_opt"]["log_std"]),
-        )
-        critic_opt = sro.CriticOptimizer(
-            sro.adam_from_dict(ck["critic_opt"]["v_r"]),
-            sro.adam_from_dict(ck["critic_opt"]["v_c"]),
-            sro.adam_from_dict(ck["critic_opt"]["q_c"]),
-        )
+        critics = _restore(sro.CriticSet, ck["critics"])
+        policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"])
+        critic_opt = _restore(sro.CriticOptimizer, ck["critic_opt"])
         lam = float(ck["lambda"])
         start_epoch = int(ck["epoch"])
         steps_done = int(ck["steps_done"])
@@ -520,6 +518,10 @@ def train(
         start_epoch = 0
         steps_done = 0
         episode_index = 0
+
+    # Opened once the resume is accepted: a rejected one leaves the file alone.
+    writer = MetricsWriter(metrics_path)
+    writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
 
     def checkpoint_now(epoch_done: int) -> dict:
         ck = build_checkpoint(
@@ -773,22 +775,6 @@ def train_pooled(
     return PooledRegressor(net, norm_mean, norm_std)
 
 
-def pooled_to_dict(model: PooledRegressor) -> dict:
-    return {
-        "net": sro.mlp_to_dict(model.net),
-        "norm_mean": model.norm_mean.copy(),
-        "norm_std": model.norm_std.copy(),
-    }
-
-
-def pooled_from_dict(data: dict) -> PooledRegressor:
-    return PooledRegressor(
-        sro.mlp_from_dict(data["net"]),
-        np.array(data["norm_mean"], dtype=np.float64),
-        np.array(data["norm_std"], dtype=np.float64),
-    )
-
-
 def load_training_basis(path: str | Path) -> fe.BasisSet:
     """A basis artifact as :func:`pretrain_fe` leaves the basis in memory.
 
@@ -799,7 +785,7 @@ def load_training_basis(path: str | Path) -> fe.BasisSet:
     """
     basis = fe.load_basis(path)
     if "pooled_model" in basis.meta:
-        basis.meta["pooled_model"] = pooled_to_dict(pooled_from_dict(basis.meta["pooled_model"]))
+        basis.meta["pooled_model"] = asdict(_restore(PooledRegressor, basis.meta["pooled_model"]))
     return basis
 
 
@@ -909,7 +895,7 @@ def pretrain_fe(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Pr
         "phi_draws": [phi.as_array().tolist() for phi in draws],
     }
     basis.meta.update(header)
-    basis.meta["pooled_model"] = pooled_to_dict(pooled)
+    basis.meta["pooled_model"] = asdict(pooled)
     if out_path is not None:
         fe.save_basis(basis, out_path)
     return PretrainResult(basis=basis, pooled=pooled, header=header, heldout=heldout)

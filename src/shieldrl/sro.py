@@ -51,7 +51,6 @@ class TrainConfig:
     critic_lr: float = 1e-3
     lagrangian_lr: float = 0.035
     cost_limit: float = 0.0
-    epochs: int = 50
     steps_per_epoch: int = 4000
     minibatch: int = 256
     policy_iters: int = 4
@@ -538,77 +537,3 @@ def _value_step(net: Mlp, opt: AdamState, X: np.ndarray, targets: np.ndarray, m:
     adam_step(net, opt, grads)
     return loss
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint (de)serialization helpers
-# ---------------------------------------------------------------------------
-# ``*_to_dict`` hold array copies and ``*_from_dict`` copy what they read, so
-# a checkpoint dict never shares memory with parameters that training updates.
-
-
-def mlp_to_dict(net: Mlp) -> dict:
-    return {
-        "layer_sizes": list(net.layer_sizes),
-        "weights": [w.copy() for w in net.weights],
-        "biases": [b.copy() for b in net.biases],
-    }
-
-
-def mlp_from_dict(data: dict) -> Mlp:
-    return Mlp(
-        list(data["layer_sizes"]),
-        [np.array(w, dtype=np.float64) for w in data["weights"]],
-        [np.array(b, dtype=np.float64) for b in data["biases"]],
-    )
-
-
-def adam_to_dict(state: AdamState) -> dict:
-    return {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "step": state.step,
-        "m_w": [m.copy() for m in state.m_w],
-        "v_w": [v.copy() for v in state.v_w],
-        "m_b": [m.copy() for m in state.m_b],
-        "v_b": [v.copy() for v in state.v_b],
-    }
-
-
-def adam_from_dict(data: dict) -> AdamState:
-    return AdamState(
-        lr=data["lr"],
-        beta1=data["beta1"],
-        beta2=data["beta2"],
-        eps=data["eps"],
-        step=data["step"],
-        m_w=[np.array(m, dtype=np.float64) for m in data["m_w"]],
-        v_w=[np.array(v, dtype=np.float64) for v in data["v_w"]],
-        m_b=[np.array(m, dtype=np.float64) for m in data["m_b"]],
-        v_b=[np.array(v, dtype=np.float64) for v in data["v_b"]],
-    )
-
-
-def adam_vector_to_dict(state: AdamVector) -> dict:
-    return {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "step": state.step,
-        "m": None if state.m is None else state.m.copy(),
-        "v": None if state.v is None else state.v.copy(),
-    }
-
-
-def adam_vector_from_dict(data: dict) -> AdamVector:
-    return AdamVector(
-        lr=data["lr"],
-        beta1=data["beta1"],
-        beta2=data["beta2"],
-        eps=data["eps"],
-        step=data["step"],
-        m=None if data["m"] is None else np.array(data["m"], dtype=np.float64),
-        v=None if data["v"] is None else np.array(data["v"], dtype=np.float64),
-    )

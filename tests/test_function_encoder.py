@@ -1,6 +1,7 @@
 """Basis-function dynamics model: identification, training, online use."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +408,27 @@ def test_per_net_artifact_loads_and_resaves_byte_identical(tmp_path):
         rtol=1e-12,
         atol=1e-14,
     )
+
+
+def test_interrupted_save_keeps_the_previous_artifact(tmp_path, monkeypatch):
+    first = plain_basis([linear_net([[1.0, 0.5]])])
+    path = tmp_path / "basis.json"
+    fe.save_basis(first, path)
+    before = path.read_bytes()
+
+    def torn_write(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        fe.save_basis(plain_basis([linear_net([[0.0, -1.0]])]), path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["basis.json"]
+    assert path.read_bytes() == before
+    X = np.random.default_rng(3).standard_normal((4, 2))
+    np.testing.assert_array_equal(fe.load_basis(path).evaluate(X), first.evaluate(X))
 
 
 def test_load_rejects_foreign_records(tmp_path):

@@ -90,7 +90,7 @@ def test_unknown_keys_are_rejected():
 
 def test_removed_keys_are_neither_written_nor_accepted():
     text = serialize_config(ExperimentConfig())
-    for key in ("shield.horizon", "shield.delta", "fe.sample_cap"):
+    for key in ("shield.horizon", "shield.delta", "fe.sample_cap", "train.epochs"):
         assert key not in text
         with pytest.raises(ConfigError):
             parse_config(f"{key} = 1\n")
@@ -495,6 +495,26 @@ def test_singular_online_solves_are_counted_not_fatal():
     assert run.episode_record(0, 0, rec)["fe_solve_failures"] == rec["fe_solve_failures"]
 
 
+def test_resume_rejects_a_different_config(tmp_path, capsys):
+    half = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
+    with pytest.raises(ValueError, match="seed = 3"):
+        run.train(tiny_config(seed=99, total_steps=200), resume=half)
+    cfg = tiny_config(seed=3, total_steps=200)
+    cfg.train = replace(cfg.train, alpha=0.5)
+    with pytest.raises(ValueError, match=r"train\.alpha = 0\.1") as exc:
+        run.train(cfg, resume=half)
+    assert "seed" not in str(exc.value) and "total_steps" not in str(exc.value)
+    # through the CLI the rejection is an error exit
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "seed=99"]) == 2
+    assert "seed = 3" in capsys.readouterr().err
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
 def test_resume_requires_a_training_checkpoint():
     ck = run.train(tiny_config(total_steps=100)).checkpoint
     ck = dict(ck, critics=None)
@@ -561,6 +581,50 @@ def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
     for name, b in (("memory.json", basis), ("loaded.json", loaded)):
         run.save_checkpoint(run.build_checkpoint(cfg, policy, basis=b), tmp_path / name)
     assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "loaded.json").read_bytes()
+
+
+MLP_KEYS = ["biases", "layer_sizes", "weights"]
+ADAM_KEYS = ["beta1", "beta2", "eps", "lr", "m_b", "m_w", "step", "v_b", "v_w"]
+ADAM_VECTOR_KEYS = ["beta1", "beta2", "eps", "lr", "m", "step", "v"]
+CHECKPOINT_LAYOUT = sorted(
+    ["basis", "config", "epoch", "episode_index", "format", "lambda", "steps_done", "version"]
+    + [f"policy.mean_net.{k}" for k in MLP_KEYS]
+    + ["policy.log_std", "policy.log_std_high", "policy.log_std_low"]
+    + [f"critics.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in MLP_KEYS]
+    + [f"policy_opt.mean_net.{k}" for k in ADAM_KEYS]
+    + [f"policy_opt.log_std.{k}" for k in ADAM_VECTOR_KEYS]
+    + [f"critic_opt.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in ADAM_KEYS]
+    + ["rng_states.env", "rng_states.qsafe", "rng_states.update"]
+)
+
+
+def key_paths(section, prefix=""):
+    """Dotted paths to the leaves of nested dicts; a numpy RNG state is a leaf."""
+    if not isinstance(section, dict) or "bit_generator" in section:
+        return [prefix[:-1]]
+    return [path for key, value in section.items() for path in key_paths(value, f"{prefix}{key}.")]
+
+
+def test_checkpoint_layout_is_pinned(tmp_path, capsys):
+    # A new field in a stored dataclass changes the file format: that takes a
+    # CHECKPOINT_VERSION bump and an edit of CHECKPOINT_LAYOUT.
+    path = tmp_path / "ck.json"
+    run.train(tiny_config(seed=13, total_steps=100), out_path=path)
+    ck = run.load_checkpoint(path)
+    assert sorted(key_paths(ck)) == CHECKPOINT_LAYOUT
+    assert ck["policy_opt"]["log_std"]["m"] is not None
+
+    extra = dict(ck, policy=dict(ck["policy"], temperature=1.0))
+    with pytest.raises(ValueError, match="unexpected keys \\['temperature'\\]"):
+        run.policy_from_checkpoint(extra)
+    optimizer = {name: dict(ck["critic_opt"][name]) for name in ("q_c", "v_c", "v_r")}
+    del optimizer["v_c"]["step"]
+    with pytest.raises(ValueError, match="missing keys \\['step'\\]"):
+        run.train(tiny_config(seed=13, total_steps=200), resume=dict(ck, critic_opt=optimizer))
+    bad = tmp_path / "bad.json"
+    run.save_checkpoint(extra, bad)
+    assert cli.main(["eval", "--ckpt", str(bad), "--episodes", "1"]) == 2
+    assert "GaussianPolicy section" in capsys.readouterr().err
 
 
 def test_version_1_checkpoint_is_rejected(tmp_path):
