@@ -25,6 +25,15 @@ Two tasks share the dynamics:
 The safety margin ``nu`` is a 1-Lipschitz function of the point's position
 with ``nu > 0`` exactly when the state is cost-free, which is what the
 runtime shield verifies against.
+
+A state is one read-only float64 vector of ``6 + 2M`` entries, everything
+the agent (and the shield) can see: the position, the velocity, the goal
+offset ``goal - position`` (zero for the circle task), then the obstacle
+offsets ``X_i - position`` sorted by ascending distance (``POSITION``,
+``VELOCITY``, ``GOAL_REL``, ``SENSOR``).  World coordinates of obstacles
+and goal are recoverable from the state, which keeps ``step`` a pure
+function.  Because the sensor is sorted and last, the first ``6 + 2m``
+entries are the state of the ``m`` nearest obstacles.
 """
 
 from __future__ import annotations
@@ -37,10 +46,6 @@ import numpy as np
 
 class PlacementError(RuntimeError):
     """Rejection sampling could not place the layout with enough clearance."""
-
-
-class EpisodeOverrunError(RuntimeError):
-    """``step`` was called on a state already at the episode horizon."""
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,6 @@ class HiddenParams:
         return np.array(
             [self.gravity_scale, self.mass_scale, self.damping_scale, self.friction_scale]
         )
-
-    @classmethod
-    def from_array(cls, arr) -> "HiddenParams":
-        g, m, c, f = (float(v) for v in arr)
-        return cls(g, m, c, f)
 
 
 # Number of hidden multipliers (a planar point mass has no rotational
@@ -117,80 +117,12 @@ class EnvConfig:
         return self.dt * self.v_max
 
 
-class EnvState:
-    """Observable state: everything the agent (and the shield) can see.
-
-    The state is one flat read-only vector, ``position ++ velocity ++
-    goal_rel ++ sensor``, plus the step index; the four named parts are
-    views into it.  ``sensor`` lists the obstacle offsets
-    ``X_i - position`` sorted by ascending distance, flattened to
-    ``2 * obstacle_count`` entries, and ``goal_rel`` is ``goal - position``
-    (zero for the circle task).  World coordinates of obstacles and goal
-    are recoverable from the state, which keeps ``step`` a pure function.
-    """
-
-    __slots__ = ("_vector", "step_index", "_goal_distance")
-
-    def __init__(self, vector: np.ndarray, step_index: int = 0) -> None:
-        vector.setflags(write=False)
-        self._vector = vector
-        self.step_index = step_index
-        # |goal_rel| as ``step`` measures it, kept by ``step`` for the next one.
-        self._goal_distance: float | None = None
-
-    @property
-    def position(self) -> np.ndarray:
-        return self._vector[0:2]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self._vector[2:4]
-
-    @property
-    def goal_rel(self) -> np.ndarray:
-        return self._vector[4:6]
-
-    @property
-    def sensor(self) -> np.ndarray:
-        return self._vector[6:]
-
-    def as_vector(self) -> np.ndarray:
-        """The stored vector itself (read-only), not a copy."""
-        return self._vector
-
-    def truncated(self, dim: int) -> "EnvState":
-        """This state cut to its first ``dim`` entries: the nearest obstacles.
-
-        The result shares this state's read-only vector (no copy); a state
-        already ``dim`` long is returned as is.
-        """
-        if self._vector.shape[0] == dim:
-            return self
-        view = EnvState.__new__(EnvState)
-        view._vector = self._vector[:dim]  # a view of a read-only array is read-only
-        view.step_index = self.step_index
-        view._goal_distance = self._goal_distance
-        return view
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, step_index: int = 0) -> "EnvState":
-        """A state holding a copy of ``vec``."""
-        vec = np.array(vec, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] < 6 or (vec.shape[0] - 6) % 2 != 0:
-            raise ValueError(f"state vector must have length 6 + 2M, got shape {vec.shape}")
-        return cls(vec, step_index)
-
-
-POSITION_SLICE = slice(0, 2)
-
-
-@dataclass
-class Transition:
-    state: EnvState
-    action: np.ndarray
-    next_state: EnvState
-    reward: float
-    cost: int
+# The state layout: slices of the state vector.
+POSITION = slice(0, 2)
+VELOCITY = slice(2, 4)
+GOAL_REL = slice(4, 6)
+SENSOR = slice(6, None)
+NEAREST_OBSTACLE = slice(6, 8)  # the sensor's first offset
 
 
 def sample_phi(
@@ -208,19 +140,11 @@ def sample_phi(
     for _ in range(PARAM_DIM):
         lo, hi = intervals[int(rng.integers(len(intervals)))]
         values.append(float(rng.uniform(lo, hi)))
-    return HiddenParams.from_array(values)
+    return HiddenParams(*values)
 
 
-def _sorted_sensor(obstacles: np.ndarray, position: np.ndarray) -> np.ndarray:
-    if obstacles.size == 0:
-        return np.zeros(0)
-    rel = obstacles - position
-    order = np.argsort(np.linalg.norm(rel, axis=1), kind="stable")
-    return rel[order].reshape(-1)
-
-
-def reset(config: EnvConfig, phi: HiddenParams, rng: np.random.Generator) -> EnvState:
-    """Place a fresh layout and return the initial state (zero velocity).
+def reset(config: EnvConfig, phi: HiddenParams, rng: np.random.Generator) -> np.ndarray:
+    """Place a fresh layout and return the initial state vector (zero velocity).
 
     Placements are rejection-sampled with pairwise clearance greater than
     ``2 * safe_distance`` so the start is always cost-free; more than 1000
@@ -262,35 +186,35 @@ def reset(config: EnvConfig, phi: HiddenParams, rng: np.random.Generator) -> Env
     for _ in range(config.obstacle_count):
         obstacles.append(place(placed))
         placed.append(obstacles[-1])
-    obstacle_arr = np.array(obstacles).reshape(-1, 2) if obstacles else np.zeros((0, 2))
-    return EnvState(
-        np.concatenate([agent, np.zeros(2), goal_rel, _sorted_sensor(obstacle_arr, agent)])
-    )
+    rel = np.array(obstacles).reshape(-1, 2) - agent
+    sensor = rel[np.argsort(np.linalg.norm(rel, axis=1), kind="stable")].reshape(-1)
+    state = np.concatenate([agent, np.zeros(2), goal_rel, sensor])
+    state.setflags(write=False)
+    return state
 
 
-def world_obstacles(state: EnvState) -> np.ndarray:
+def world_obstacles(state: np.ndarray) -> np.ndarray:
     """Absolute obstacle positions ``(M, 2)`` recovered from the sensor."""
-    if state.sensor.size == 0:
-        return np.zeros((0, 2))
-    return state.position + state.sensor.reshape(-1, 2)
+    return state[POSITION] + state[SENSOR].reshape(-1, 2)
 
 
 def step(
-    state: EnvState, action: np.ndarray, phi: HiddenParams, config: EnvConfig
-) -> Transition:
-    """Advance one control step.  Deterministic given (state, action, phi).
+    state: np.ndarray, action: np.ndarray, phi: HiddenParams, config: EnvConfig
+) -> tuple[np.ndarray, float, int]:
+    """Advance one control step; returns ``(next state, reward, cost)``.
 
-    Everything runs in Python float arithmetic, in the operation order of a
-    numpy evaluation of the equations above, so the result matches that
-    evaluation bit for bit.  ``np.tanh`` and ``ndarray.dot`` are kept where
-    the float equivalents could round differently.  Obstacle distances are
-    computed once: they order the sensor (ties by obstacle index, as a
-    stable ``argsort`` would) and give the navigation cost.
+    Deterministic given (state, action, phi); the next state is a new
+    read-only vector.  Everything runs in Python float arithmetic, in the
+    operation order of a numpy evaluation of the equations above, so the
+    result matches that evaluation bit for bit.  ``np.tanh`` and
+    ``ndarray.dot`` are kept where the float equivalents could round
+    differently.  Obstacle distances are computed once: they order the
+    sensor (ties by obstacle index, as a stable ``argsort`` would) and give
+    the navigation cost.
     """
-    if state.step_index >= config.horizon:
-        raise EpisodeOverrunError(
-            f"episode is over (step_index={state.step_index}, horizon={config.horizon})"
-        )
+    vec = np.asarray(state, dtype=np.float64)
+    if vec.ndim != 1 or vec.shape[0] < 6 or vec.shape[0] % 2:
+        raise ValueError(f"state must be a vector of length 6 + 2M, got shape {vec.shape}")
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (2,):
         raise ValueError(f"action must have shape (2,), got {a.shape}")
@@ -300,7 +224,6 @@ def step(
     ax = -1.0 if ax < -1.0 else 1.0 if ax > 1.0 else ax
     ay = -1.0 if ay < -1.0 else 1.0 if ay > 1.0 else ay
 
-    vec = state.as_vector()
     px, py, vx, vy, gx, gy, *sensor = vec.tolist()
     tx, ty = np.tanh([vx / config.v_eps, vy / config.v_eps]).tolist()
     mass = config.mass * phi.mass_scale
@@ -337,40 +260,38 @@ def step(
     for _, _, rx, ry in seen:
         values += (rx, ry)
     vec_next = np.array(values)
-    next_state = EnvState(vec_next, state.step_index + 1)
+    vec_next.setflags(write=False)
 
     if navigation:
         cost = int(seen[0][0] <= config.safe_distance) if seen else 0
-        dist_prev = state._goal_distance
-        if dist_prev is None:
-            goal_rel = state.goal_rel
-            dist_prev = math.sqrt(goal_rel.dot(goal_rel))
-        goal_rel_next = vec_next[4:6]
-        dist_next = next_state._goal_distance = math.sqrt(goal_rel_next.dot(goal_rel_next))
-        reward = dist_prev - dist_next
+        # |goal_rel| as numpy's norm computes it, through ndarray.dot.
+        goal_rel, goal_rel_next = vec[GOAL_REL], vec_next[GOAL_REL]
+        dist_next = math.sqrt(goal_rel_next.dot(goal_rel_next))
+        reward = math.sqrt(goal_rel.dot(goal_rel)) - dist_next
         if dist_next < config.goal_radius:
             reward += 1.0
     else:
-        radius = float(np.linalg.norm(next_state.position))
+        radius = float(np.linalg.norm(vec_next[POSITION]))
         if radius > 0.0:
             tangent = np.array([-pny, pnx]) / radius
-            tangential_speed = float(next_state.velocity @ tangent)
+            tangential_speed = float(vec_next[VELOCITY] @ tangent)
         else:
             tangential_speed = 0.0
         reward = tangential_speed - abs(radius - config.circle_radius)
-        cost = cost_fn(next_state, config)
-    return Transition(state, np.array([ax, ay]), next_state, float(reward), cost)
+        cost = cost_fn(vec_next, config)
+    return vec_next, float(reward), cost
 
 
-def cost_fn(state: EnvState, config: EnvConfig) -> int:
+def cost_fn(state: np.ndarray, config: EnvConfig) -> int:
     """Unsafe-step indicator, computable from the observable state alone."""
     if config.task == "navigation":
-        if state.sensor.size == 0:
+        sensor = state[SENSOR]
+        if sensor.size == 0:
             return 0
-        dists = np.linalg.norm(state.sensor.reshape(-1, 2), axis=1)
+        dists = np.linalg.norm(sensor.reshape(-1, 2), axis=1)
         return int(dists.min() <= config.safe_distance)
     return int(
-        np.linalg.norm(state.position) >= config.region_radius - config.region_margin
+        np.linalg.norm(state[POSITION]) >= config.region_radius - config.region_margin
     )
 
 

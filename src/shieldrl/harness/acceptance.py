@@ -251,24 +251,23 @@ def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
     stats = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
              "certified_collisions": 0}
     for _ in range(env_cfg.horizon):
-        mu = policy.mean_batch(np.concatenate([state.as_vector(), context])[None])[0]
+        mu = policy.mean_batch(np.concatenate([state, context])[None])[0]
         decision = shieldmod.select_action(
             lambda n: policy.sample_n(mu, n, rngs["rollout"]),
             state,
             sctx,
             shield_cfg,
         )
-        tr = envmod.step(state, decision.action, phi, env_cfg)
+        state, _, cost = envmod.step(state, decision.action, phi, env_cfg)
         stats["steps"] += 1
         stats["interventions"] += int(decision.intervened)
         stats["empty"] += int(decision.safe_set_empty)
-        if tr.cost:
+        if cost:
             stats["collisions"] += 1
             if not decision.safe_set_empty:
                 # Either the pre-check certified the state or a positive-score
                 # candidate was taken; with an exact model neither may collide.
                 stats["certified_collisions"] += 1
-        state = tr.next_state
     return stats
 
 

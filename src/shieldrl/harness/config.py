@@ -44,6 +44,8 @@ class FeSettings:
             raise ValueError("refresh_period must be >= 1")
         if self.pretrain_episodes < 3:  # at least one held-out and two fitted draws
             raise ValueError("pretrain_episodes must be >= 3")
+        if self.batch < 1 or self.context_samples < 1:
+            raise ValueError("batch and context_samples must be >= 1")
 
 
 @dataclass
@@ -60,6 +62,8 @@ class AcpSettings:
             raise ValueError("warmup_len must be >= 1")
         if self.min_scores < 1:
             raise ValueError("min_scores must be >= 1")
+        if not self.eta_scale > 0.0:  # a negative step reverses the adaptation, zero freezes it
+            raise ValueError(f"eta_scale must be positive, got {self.eta_scale}")
 
 
 @dataclass

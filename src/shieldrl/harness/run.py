@@ -31,6 +31,14 @@ from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
 CHECKPOINT_VERSION = 2
+# Top-level keys of a checkpoint besides format and version, and the JSON
+# types their values take (see ``build_checkpoint``).
+_SECTION = (dict, type(None))
+_CHECKPOINT_TYPES = {
+    "config": str, "epoch": int, "steps_done": int, "episode_index": int,
+    "lambda": (int, float), "policy": dict, "critics": _SECTION, "policy_opt": _SECTION,
+    "critic_opt": _SECTION, "rng_states": _SECTION, "basis": _SECTION,
+}
 
 # Fields excluded when comparing metric streams for determinism.
 NONDETERMINISTIC_FIELDS = ("wall_clock_seconds",)
@@ -100,8 +108,6 @@ def _state_view(vec: np.ndarray, view_dim: int) -> np.ndarray:
     obstacles and preserves the minimum-distance margin at the current
     position.  A shorter vector cannot be widened.
     """
-    if vec.shape[-1] == view_dim:
-        return vec
     if vec.shape[-1] < view_dim:
         raise ValueError(f"state dim {vec.shape[-1]} smaller than policy view {view_dim}")
     return vec[..., :view_dim]
@@ -138,6 +144,11 @@ def run_episode(
     refreshes every episode in one batched solve, and the conformal radii
     update together.  ``env.step`` and the shield's decision run per
     episode.
+
+    States are ``env``'s read-only vectors; ``env.step`` takes and returns
+    the full ones.  Their one truncation, :func:`_state_view`, makes the
+    ``(episodes, state)`` array ``S`` that the policy, the basis, the
+    conformal score and the shield (row ``S[j]``) all read.
 
     Resets draw each episode's hidden parameters and layout from
     ``env_rng`` in batch order; ``streams[i]`` holds episode ``i``'s own
@@ -209,7 +220,7 @@ def run_episode(
         return np.zeros((n, cfg.fe.k))
 
     horizon = env_cfg.horizon
-    S = _state_view(np.array([st.as_vector() for st in states]), view_dim)
+    S = _state_view(np.array(states), view_dim)
     returns, ep_costs = np.zeros(n), np.zeros(n)
     if record:
         inputs = np.empty((n, horizon, policy.mean_net.input_dim))
@@ -244,12 +255,10 @@ def run_episode(
                 for sctx, b in zip(shield_ctxs, b_seen):
                     sctx.predictor.b = b
             acts = []
-            rows = zip(shield_ctxs, gammas.tolist(), samplers, states)
+            rows = zip(shield_ctxs, gammas.tolist(), samplers, S)
             for j, (sctx, gamma, sample, state) in enumerate(rows):
                 sctx.gamma = gamma
-                decision = shieldmod.select_action(
-                    sample, state.truncated(view_dim), sctx, cfg.shield
-                )
+                decision = shieldmod.select_action(sample, state, sctx, cfg.shield)
                 acts.append(decision.action)
                 if decision.intervened:
                     triggers[j] += 1
@@ -260,11 +269,10 @@ def run_episode(
         if online is not None:
             predicted, basis_rows = shieldmod.FePredictor(basis, online.b).predict(S, actions)
 
-        steps = [envmod.step(st, a, phi, env_cfg) for st, a, phi in zip(states, acts, phis)]
-        states = [tr.next_state for tr in steps]
-        S_next = _state_view(np.array([st.as_vector() for st in states]), view_dim)
-        rewards = [tr.reward for tr in steps]
-        costs = [tr.cost for tr in steps]
+        states, rewards, costs = zip(
+            *[envmod.step(st, a, phi, env_cfg) for st, a, phi in zip(states, acts, phis)]
+        )
+        S_next = _state_view(np.array(states), view_dim)
         returns += rewards
         ep_costs += costs
 
@@ -313,11 +321,13 @@ def build_checkpoint(
     steps_done: int = 0,
     rngs: dict[str, np.random.Generator] | None = None,
     basis: fe.BasisSet | None = None,
+    episode_index: int = 0,
 ) -> dict:
     """The checkpoint dict of a policy and, from training, the rest of its state.
 
     Each training-state section is ``asdict`` of the object it stores (its
     fields, arrays copied); a section not given is ``None``.
+    ``episode_index`` is the index of the next episode training would run.
     """
 
     def section(obj) -> dict | None:
@@ -329,6 +339,7 @@ def build_checkpoint(
         "config": serialize_config(cfg),
         "epoch": epoch,
         "steps_done": steps_done,
+        "episode_index": episode_index,
         "lambda": lam,
         "policy": asdict(policy),
         "critics": section(critics),
@@ -385,14 +396,28 @@ def load_checkpoint(path: str | Path) -> dict:
     Arrays come back as read-only float64 arrays; restoring a section
     (:func:`policy_from_checkpoint`, ``train(resume=...)``) copies them.
     Files of any other format or version, including version 1 (arrays as
-    decimal lists), raise ``ValueError``.
+    decimal lists), and files that are not a JSON object, lack a key
+    :func:`build_checkpoint` writes or hold a value of another JSON type
+    there raise ``ValueError``.
     """
-    ck = json.loads(Path(path).read_text(), object_hook=_decode_array)
+    return _checked(json.loads(Path(path).read_text(), object_hook=_decode_array))
+
+
+def _checked(ck) -> dict:
+    """``ck`` if it is a checkpoint object of this version with every key; else ``ValueError``."""
+    if not isinstance(ck, dict):
+        raise ValueError(f"checkpoint is not a JSON object (got {type(ck).__name__})")
     if ck.get("format") != CHECKPOINT_FORMAT or ck.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint (format={ck.get('format')!r}, "
             f"version={ck.get('version')!r}); this release reads version {CHECKPOINT_VERSION}"
         )
+    missing = [key for key in _CHECKPOINT_TYPES if key not in ck]
+    if missing:
+        raise ValueError(f"checkpoint is missing keys {missing}")
+    wrong = [key for key, kind in _CHECKPOINT_TYPES.items() if not isinstance(ck[key], kind)]
+    if wrong:
+        raise ValueError(f"checkpoint values of the wrong JSON type: {wrong}")
     return ck
 
 
@@ -403,8 +428,10 @@ def _restore(cls, section: dict):
     restored the same way.  Values are deep copies, array fields float64
     arrays (a basis artifact holds decimal lists), so the object is
     writable and shares no memory with ``section``.  A missing or
-    unexpected key raises ``ValueError``.
+    unexpected key, or a section that is not an object, raises ``ValueError``.
     """
+    if not isinstance(section, dict):
+        raise ValueError(f"{cls.__name__} section is not a JSON object")
     names = {f.name for f in fields(cls)}
     if section.keys() != names:
         raise ValueError(
@@ -484,7 +511,7 @@ def train(
     rngs = {name: rng_for(cfg.seed, name) for name in _TRAIN_STREAMS}
 
     if resume is not None:
-        ck = resume if isinstance(resume, dict) else load_checkpoint(resume)
+        ck = _checked(resume) if isinstance(resume, dict) else load_checkpoint(resume)
         if any(ck[key] is None for key in ("critics", "policy_opt", "critic_opt", "rng_states")):
             raise ValueError("checkpoint was not saved from training; cannot resume")
         saved = serialize_config(parse_config(ck["config"])).splitlines()
@@ -501,7 +528,7 @@ def train(
         lam = float(ck["lambda"])
         start_epoch = int(ck["epoch"])
         steps_done = int(ck["steps_done"])
-        episode_index = int(ck.get("episode_index", 0))
+        episode_index = int(ck["episode_index"])
         for name in _TRAIN_STREAMS:
             rngs[name].bit_generator.state = ck["rng_states"][name]
     else:
@@ -524,20 +551,8 @@ def train(
     writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
 
     def checkpoint_now(epoch_done: int) -> dict:
-        ck = build_checkpoint(
-            cfg,
-            policy,
-            critics,
-            policy_opt,
-            critic_opt,
-            lam,
-            epoch_done,
-            steps_done,
-            rngs,
-            basis,
-        )
-        ck["episode_index"] = episode_index
-        return ck
+        return build_checkpoint(cfg, policy, critics, policy_opt, critic_opt, lam, epoch_done,
+                                steps_done, rngs, basis, episode_index)
 
     def save(ck: dict) -> None:
         if out_path is not None:
@@ -652,10 +667,10 @@ def evaluate(
     ``episodes``.  An episode whose layout cannot be placed is left out of
     the records and counted in the summary's ``placement_failures``.
     """
-    ck = ckpt if isinstance(ckpt, dict) else load_checkpoint(ckpt)
+    ck = _checked(ckpt) if isinstance(ckpt, dict) else load_checkpoint(ckpt)
     cfg = parse_config(ck["config"])
     policy = policy_from_checkpoint(ck)
-    basis = fe.basis_from_record(ck["basis"]) if ck.get("basis") else None
+    basis = fe.basis_from_record(ck["basis"]) if ck["basis"] else None
 
     if episodes is None:
         episodes = cfg.eval.episodes
@@ -809,20 +824,12 @@ def collect_random_episodes(
     datasets, draws = [], []
     for _ in range(episodes):
         phi = envmod.sample_phi(rng, intervals)
-        state = envmod.reset(env_cfg, phi, rng)
-        states, actions, nexts = [], [], []
+        states, actions = [envmod.reset(env_cfg, phi, rng)], []
         for _ in range(env_cfg.horizon):
-            a = rng.uniform(-1.0, 1.0, size=env_cfg.action_dim)
-            tr = envmod.step(state, a, phi, env_cfg)
-            states.append(state.as_vector())
-            actions.append(a)
-            nexts.append(tr.next_state.as_vector())
-            state = tr.next_state
-        datasets.append(
-            fe.TransitionDataset.from_arrays(
-                np.asarray(states), np.asarray(actions), np.asarray(nexts)
-            )
-        )
+            actions.append(rng.uniform(-1.0, 1.0, size=env_cfg.action_dim))
+            states.append(envmod.step(states[-1], actions[-1], phi, env_cfg)[0])
+        S = np.array(states)
+        datasets.append(fe.TransitionDataset.from_arrays(S[:-1], np.array(actions), S[1:]))
         draws.append(phi)
     return datasets, draws
 

@@ -17,6 +17,9 @@ Per decision the shield runs five steps:
      ``top_k`` best-scoring positive candidates; otherwise fall back to the
      least-unsafe candidate and flag the safe set as empty.
 
+A state is a state vector in ``env``'s layout, read through its slice
+names.  It may be cut to the nearest obstacles a policy was built for
+(``run._state_view``): the sorted sensor keeps the nearest obstacle first.
 The shield is stateless: everything episode-specific (predictor,
 conformal radius, RNG) arrives through a ``ShieldContext``.
 """
@@ -103,11 +106,9 @@ class GroundTruthPredictor:
     config: envmod.EnvConfig
 
     def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        out = np.empty_like(states)
-        for i in range(states.shape[0]):
-            st = envmod.EnvState.from_vector(states[i])
-            out[i] = envmod.step(st, actions[i], self.phi, self.config).next_state.as_vector()
-        return out
+        return np.array([
+            envmod.step(s, a, self.phi, self.config)[0] for s, a in zip(states, actions)
+        ])
 
 
 @dataclass
@@ -125,25 +126,25 @@ class ShieldContext:
 
 
 def pre_safety_check(
-    state: envmod.EnvState, config: ShieldConfig, env_config: envmod.EnvConfig
+    state: np.ndarray, config: ShieldConfig, env_config: envmod.EnvConfig
 ) -> bool:
     """True when the current margin certifies one-step safety for any action."""
     if env_config.task == "navigation":
         # The sensor is sorted by distance: its first offset is the nearest obstacle.
-        nearest = state.sensor[:2].tolist()
+        nearest = state[envmod.NEAREST_OBSTACLE].tolist()
         if not nearest:
             margin = math.inf
         else:
             x, y = nearest
             margin = math.sqrt(x * x + y * y) - env_config.safe_distance
     else:
-        margin = envmod.nu(state.position, envmod.world_obstacles(state), env_config)
+        margin = envmod.nu(state[envmod.POSITION], envmod.world_obstacles(state), env_config)
     return margin > config.l_nu * config.pre_safety_margin
 
 
 def select_action(
     policy_sampler: Callable[[int], np.ndarray],
-    state: envmod.EnvState,
+    state: np.ndarray,
     context: ShieldContext,
     config: ShieldConfig,
 ) -> ShieldDecision:
@@ -154,8 +155,6 @@ def select_action(
     always one of the sampled candidates; ranking ties are broken by
     candidate index so decisions are deterministic given the context RNG.
     """
-    if config.n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
     if pre_safety_check(state, config, context.env_config):
         return ShieldDecision(
             action=policy_sampler(1)[0],
@@ -169,10 +168,10 @@ def select_action(
             f"policy_sampler returned {candidates.shape[0]} candidates, expected {config.n_candidates}"
         )
     predicted = context.predictor.predict_batch(
-        np.repeat(state.as_vector()[None, :], config.n_candidates, axis=0), candidates
+        np.repeat(state[None, :], config.n_candidates, axis=0), candidates
     )
     margins = envmod.nu_batch(
-        predicted[:, envmod.POSITION_SLICE], envmod.world_obstacles(state), context.env_config
+        predicted[:, envmod.POSITION], envmod.world_obstacles(state), context.env_config
     )
     scores = margins - 2.0 * config.l_nu * context.gamma
     positive = np.flatnonzero(scores > 0.0)

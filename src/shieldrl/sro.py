@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError("minibatch and steps_per_epoch must be positive")
         if self.n_qsafe < 1:
             raise ValueError("n_qsafe must be >= 1")
+        if not (self.clip_ratio > 0.0 and self.eps_num > 0.0):
+            raise ValueError("clip_ratio and eps_num must be positive")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 

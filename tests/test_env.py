@@ -27,10 +27,8 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.0, 1.0), obstacles=()):
     rel = obs - p
     order = np.argsort(np.linalg.norm(rel, axis=1), kind="stable") if len(obs) else []
     sensor = rel[order].reshape(-1) if len(obs) else np.zeros(0)
-    return env.EnvState.from_vector(
-        np.concatenate([p, np.asarray(velocity, dtype=np.float64),
-                        np.asarray(goal, dtype=np.float64) - p, sensor])
-    )
+    return np.concatenate([p, np.asarray(velocity, dtype=np.float64),
+                           np.asarray(goal, dtype=np.float64) - p, sensor])
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +39,11 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.0, 1.0), obstacles=()):
 def test_equilibrium_zero_action_zero_velocity_holds_position():
     cfg = nav_config()
     state = make_state((0.3, -0.4), obstacles=[(1.5, 1.5)])
-    tr = env.step(state, np.zeros(2), unit_phi(), cfg)
-    np.testing.assert_array_equal(tr.next_state.position, state.position)
-    np.testing.assert_array_equal(tr.next_state.velocity, np.zeros(2))
+    nxt, _, _ = env.step(state, np.zeros(2), unit_phi(), cfg)
+    np.testing.assert_array_equal(nxt[env.POSITION], state[env.POSITION])
+    np.testing.assert_array_equal(nxt[env.VELOCITY], np.zeros(2))
     # static world, same position => identical sensor reading
-    np.testing.assert_array_equal(tr.next_state.sensor, state.sensor)
+    np.testing.assert_array_equal(nxt[env.SENSOR], state[env.SENSOR])
 
 
 def test_mass_scale_halves_initial_acceleration():
@@ -54,13 +52,13 @@ def test_mass_scale_halves_initial_acceleration():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.5, 1.5)])
     action = np.array([0.8, -0.6])
-    light = env.step(state, action, env.HiddenParams(1.0, 1.0, 1.0, 1.0), cfg)
-    heavy = env.step(state, action, env.HiddenParams(1.0, 2.0, 1.0, 1.0), cfg)
+    light = env.step(state, action, env.HiddenParams(1.0, 1.0, 1.0, 1.0), cfg)[0]
+    heavy = env.step(state, action, env.HiddenParams(1.0, 2.0, 1.0, 1.0), cfg)[0]
     np.testing.assert_allclose(
-        light.next_state.velocity, 2.0 * heavy.next_state.velocity, rtol=1e-15
+        light[env.VELOCITY], 2.0 * heavy[env.VELOCITY], rtol=1e-15
     )
     expected = cfg.dt * action / cfg.mass
-    np.testing.assert_allclose(light.next_state.velocity, expected, rtol=1e-15)
+    np.testing.assert_allclose(light[env.VELOCITY], expected, rtol=1e-15)
 
 
 def test_position_step_never_exceeds_velocity_cap():
@@ -74,10 +72,10 @@ def test_position_step_never_exceeds_velocity_cap():
         state = env.reset(cfg, phi, rng)
         for _ in range(cfg.horizon):
             action = rng.uniform(-3.0, 3.0, size=2)
-            tr = env.step(state, action, phi, cfg)
-            moved = float(np.linalg.norm(tr.next_state.position - state.position))
+            nxt, _, _ = env.step(state, action, phi, cfg)
+            moved = float(np.linalg.norm(nxt[env.POSITION] - state[env.POSITION]))
             worst = max(worst, moved)
-            state = tr.next_state
+            state = nxt
     assert worst <= bound + 1e-9
 
 
@@ -86,19 +84,17 @@ def test_speed_stays_capped_under_saturated_thrust():
     phi = env.HiddenParams(0.3, 0.3, 0.3, 0.3)  # light and slippery
     state = make_state((0.0, 0.0), obstacles=[(1.9, 1.9)])
     for _ in range(200):
-        state = env.step(state, np.array([1.0, 1.0]), phi, cfg).next_state
-        assert np.linalg.norm(state.velocity) <= cfg.v_max + 1e-12
+        state = env.step(state, np.array([1.0, 1.0]), phi, cfg)[0]
+        assert np.linalg.norm(state[env.VELOCITY]) <= cfg.v_max + 1e-12
 
 
-def test_transition_records_clipped_command():
+def test_step_clips_the_command():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.5, 0.0)])
     wild = env.step(state, np.array([5.0, -3.0]), unit_phi(), cfg)
-    np.testing.assert_array_equal(wild.action, np.array([1.0, -1.0]))
     tame = env.step(state, np.array([1.0, -1.0]), unit_phi(), cfg)
-    np.testing.assert_array_equal(
-        wild.next_state.as_vector(), tame.next_state.as_vector()
-    )
+    assert wild[0].tobytes() == tame[0].tobytes()
+    assert wild[1:] == tame[1:]
 
 
 def test_step_is_deterministic():
@@ -109,8 +105,8 @@ def test_step_is_deterministic():
     action = np.array([0.4, 0.9])
     a = env.step(state, action, phi, cfg)
     b = env.step(state, action, phi, cfg)
-    np.testing.assert_array_equal(a.next_state.as_vector(), b.next_state.as_vector())
-    assert a.reward == b.reward and a.cost == b.cost
+    np.testing.assert_array_equal(a[0], b[0])
+    assert a[1:] == b[1:]
 
 
 def test_step_rejects_bad_input():
@@ -120,9 +116,6 @@ def test_step_rejects_bad_input():
         env.step(state, np.zeros(3), unit_phi(), cfg)
     with pytest.raises(ValueError):
         env.step(state, np.array([np.nan, 0.0]), unit_phi(), cfg)
-    done = env.EnvState(np.zeros(6), step_index=cfg.horizon)
-    with pytest.raises(env.EpisodeOverrunError):
-        env.step(done, np.zeros(2), unit_phi(), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,7 @@ def test_margin_sign_matches_cost_indicator():
         obstacles = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 5)), 2))
         state = make_state(p, obstacles=obstacles)
         assert (env.nu(p, obstacles, nav) <= 0.0) == bool(env.cost_fn(state, nav))
-        ring_state = env.EnvState.from_vector(np.concatenate([p, np.zeros(4)]))
+        ring_state = np.concatenate([p, np.zeros(4)])
         assert (env.nu(p, obstacles, ring) <= 0.0) == bool(env.cost_fn(ring_state, ring))
 
 
@@ -239,25 +232,24 @@ def test_reset_layout_has_clearance():
     rng = np.random.default_rng(5)
     for _ in range(50):
         state = env.reset(cfg, env.sample_phi(rng, cfg.param_intervals), rng)
-        assert state.step_index == 0
-        np.testing.assert_array_equal(state.velocity, np.zeros(2))
+        np.testing.assert_array_equal(state[env.VELOCITY], np.zeros(2))
+        position = state[env.POSITION]
         points = np.vstack(
-            [state.position[None, :], (state.position + state.goal_rel)[None, :],
+            [position[None, :], (position + state[env.GOAL_REL])[None, :],
              env.world_obstacles(state)]
         )
         diffs = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
         off_diag = diffs[~np.eye(len(points), dtype=bool)]
         assert off_diag.min() > 2.0 * cfg.safe_distance
         assert env.cost_fn(state, cfg) == 0
-        dists = np.linalg.norm(state.sensor.reshape(-1, 2), axis=1)
+        dists = np.linalg.norm(state[env.SENSOR].reshape(-1, 2), axis=1)
         assert np.all(np.diff(dists) >= 0)  # sensor sorted nearest-first
 
 
 def test_reset_zero_obstacles():
     cfg = nav_config(obstacle_count=0)
     state = env.reset(cfg, unit_phi(), np.random.default_rng(6))
-    assert state.sensor.size == 0
-    assert state.as_vector().shape == (6,)
+    assert state.shape == (6,)
     assert env.cost_fn(state, cfg) == 0
 
 
@@ -265,9 +257,9 @@ def test_reset_is_reproducible():
     cfg = nav_config()
     a = env.reset(cfg, unit_phi(), np.random.default_rng(42))
     b = env.reset(cfg, unit_phi(), np.random.default_rng(42))
-    np.testing.assert_array_equal(a.as_vector(), b.as_vector())
+    np.testing.assert_array_equal(a, b)
     c = env.reset(cfg, unit_phi(), np.random.default_rng(43))
-    assert not np.array_equal(a.as_vector(), c.as_vector())
+    assert not np.array_equal(a, c)
 
 
 def test_reset_raises_when_arena_is_too_crowded():
@@ -282,7 +274,7 @@ def test_circle_reset_starts_safe():
     for _ in range(20):
         state = env.reset(cfg, unit_phi(), rng)
         assert env.cost_fn(state, cfg) == 0
-        assert np.linalg.norm(state.position) < cfg.region_radius - cfg.region_margin
+        assert np.linalg.norm(state[env.POSITION]) < cfg.region_radius - cfg.region_margin
 
 
 def test_sensor_stays_sorted_along_trajectory():
@@ -291,8 +283,8 @@ def test_sensor_stays_sorted_along_trajectory():
     phi = env.sample_phi(rng, cfg.param_intervals)
     state = env.reset(cfg, phi, rng)
     for _ in range(100):
-        state = env.step(state, rng.uniform(-1, 1, size=2), phi, cfg).next_state
-        dists = np.linalg.norm(state.sensor.reshape(-1, 2), axis=1)
+        state = env.step(state, rng.uniform(-1, 1, size=2), phi, cfg)[0]
+        dists = np.linalg.norm(state[env.SENSOR].reshape(-1, 2), axis=1)
         assert np.all(np.diff(dists) >= 0)
 
 
@@ -303,7 +295,7 @@ def test_world_obstacles_are_static_along_trajectory():
     state = env.reset(cfg, phi, rng)
     initial = np.sort(env.world_obstacles(state), axis=0)
     for _ in range(50):
-        state = env.step(state, rng.uniform(-1, 1, size=2), phi, cfg).next_state
+        state = env.step(state, rng.uniform(-1, 1, size=2), phi, cfg)[0]
         np.testing.assert_allclose(
             np.sort(env.world_obstacles(state), axis=0), initial, atol=1e-12
         )
@@ -320,26 +312,27 @@ def test_navigation_goal_bonus():
     far = make_state((0.0, 0.0), goal=(1.0, 0.0), obstacles=[(1.5, 1.5)])
     # zero action from rest holds position: progress term is 0 either way,
     # and only the near state sits inside the goal radius
-    assert env.step(near, np.zeros(2), unit_phi(), cfg).reward == 1.0
-    assert env.step(far, np.zeros(2), unit_phi(), cfg).reward == 0.0
+    assert env.step(near, np.zeros(2), unit_phi(), cfg)[1] == 1.0
+    assert env.step(far, np.zeros(2), unit_phi(), cfg)[1] == 0.0
 
 
 def test_navigation_reward_is_progress():
     cfg = nav_config()
     state = make_state((0.0, 0.0), velocity=(1.0, 0.0), goal=(2.0, 0.0), obstacles=[(0, 1.9)])
-    tr = env.step(state, np.zeros(2), unit_phi(), cfg)
-    dist_prev = np.linalg.norm(state.goal_rel)
-    dist_next = np.linalg.norm(state.position + state.goal_rel - tr.next_state.position)
-    assert tr.reward == pytest.approx(dist_prev - dist_next)
-    assert tr.reward > 0
+    nxt, reward, _ = env.step(state, np.zeros(2), unit_phi(), cfg)
+    goal = state[env.POSITION] + state[env.GOAL_REL]
+    dist_prev = np.linalg.norm(state[env.GOAL_REL])
+    dist_next = np.linalg.norm(goal - nxt[env.POSITION])
+    assert reward == pytest.approx(dist_prev - dist_next)
+    assert reward > 0
 
 
 def test_circle_reward_prefers_counterclockwise_motion():
     cfg = circle_config()
-    fwd = env.EnvState(np.array([1.0, 0.0, 0.0, 0.5, 0.0, 0.0]))
-    back = env.EnvState(np.array([1.0, 0.0, 0.0, -0.5, 0.0, 0.0]))
-    r_fwd = env.step(fwd, np.zeros(2), unit_phi(), cfg).reward
-    r_back = env.step(back, np.zeros(2), unit_phi(), cfg).reward
+    fwd = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+    back = np.array([1.0, 0.0, 0.0, -0.5, 0.0, 0.0])
+    r_fwd = env.step(fwd, np.zeros(2), unit_phi(), cfg)[1]
+    r_back = env.step(back, np.zeros(2), unit_phi(), cfg)[1]
     assert r_fwd > r_back
 
 
@@ -348,32 +341,26 @@ def test_circle_reward_prefers_counterclockwise_motion():
 # ---------------------------------------------------------------------------
 
 
-def test_state_vector_round_trip():
-    cfg = nav_config()
-    rng = np.random.default_rng(13)
-    state = env.reset(cfg, unit_phi(), rng)
-    again = env.EnvState.from_vector(state.as_vector(), step_index=state.step_index)
-    np.testing.assert_array_equal(again.as_vector(), state.as_vector())
-    with pytest.raises(ValueError):
-        env.EnvState.from_vector(np.zeros(5))
-    with pytest.raises(ValueError):
-        env.EnvState.from_vector(np.zeros(7))
+def test_step_rejects_a_malformed_state():
+    cfg = nav_config(obstacle_count=0)
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((1, 6))):
+        with pytest.raises(ValueError, match="6 \\+ 2M"):
+            env.step(bad, np.zeros(2), unit_phi(), cfg)
 
 
 def test_state_vector_is_stored_read_only():
+    cfg = nav_config(obstacle_count=2)
+    state = env.reset(cfg, unit_phi(), np.random.default_rng(14))
+    nxt, _, _ = env.step(state, np.zeros(2), unit_phi(), cfg)
+    for vec in (state, nxt):
+        assert vec.shape == (cfg.state_dim,) and vec.dtype == np.float64
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
     source = np.arange(10.0)
-    state = env.EnvState.from_vector(source)
-    vec = state.as_vector()
-    assert vec is state.as_vector()  # the stored vector, not a concatenated copy
-    assert not vec.flags.writeable
-    with pytest.raises(ValueError):
-        vec[0] = 1.0
-    for part in (state.position, state.velocity, state.goal_rel, state.sensor):
-        assert np.shares_memory(part, vec) and not part.flags.writeable
-    source[0] = 99.0  # from_vector copied its input
-    assert vec[0] == 0.0
-    nxt = env.step(state, np.zeros(2), unit_phi(), nav_config(obstacle_count=2)).next_state
-    assert not nxt.as_vector().flags.writeable
+    nxt, _, _ = env.step(source, np.zeros(2), unit_phi(), cfg)
+    np.testing.assert_array_equal(source, np.arange(10.0))  # the input is left alone
+    assert not nxt.flags.writeable
 
 
 def reference_step(state, action, phi, cfg):
@@ -382,8 +369,7 @@ def reference_step(state, action, phi, cfg):
     Returns ``(next state vector, reward, cost)``.
     """
     a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    vec = state.as_vector()
-    p, v, goal_rel, sensor = vec[0:2], vec[2:4], vec[4:6], vec[6:]
+    p, v, goal_rel, sensor = state[0:2], state[2:4], state[4:6], state[6:]
     mass = cfg.mass * phi.mass_scale
     damping = cfg.damping * phi.damping_scale
     friction = cfg.friction * phi.friction_scale * cfg.gravity * phi.gravity_scale
@@ -422,22 +408,22 @@ def test_step_matches_the_numpy_formulation_bit_for_bit(task, obstacles):
     for i in range(2000):
         phi = env.sample_phi(rng, ((0.15, 0.3), (0.3, 1.7), (1.7, 2.5)))
         # speeds from rest to past the cap, commands inside and outside the box
-        vec = np.concatenate([
+        state = np.concatenate([
             rng.uniform(-1.5, 1.5, 2),
             rng.uniform(-1.0, 1.0, 2) * rng.choice([0.01, 1.0, 2.5]),
             rng.uniform(-2.0, 2.0, 2) if task == "navigation" else np.zeros(2),
             rng.uniform(-2.0, 2.0, 2 * obstacles),
         ])
-        state = env.EnvState(vec, step_index=i % (cfg.horizon - 1))
         action = rng.uniform(-2.0, 2.0, 2)
-        # two chained steps: the second starts from a state ``step`` made
+        # two chained steps: the second starts from a state ``step`` made,
+        # whose goal distance ``step`` measures again
         for _ in range(2):
-            tr = env.step(state, action, phi, cfg)
-            expected, reward, cost = reference_step(state, action, phi, cfg)
-            np.testing.assert_array_equal(tr.next_state.as_vector(), expected)
-            assert tr.reward == reward and tr.cost == cost
-            clipped += np.linalg.norm(tr.next_state.velocity) == cfg.v_max
-            state = tr.next_state
+            nxt, reward, cost = env.step(state, action, phi, cfg)
+            expected, expected_reward, expected_cost = reference_step(state, action, phi, cfg)
+            np.testing.assert_array_equal(nxt, expected)
+            assert reward == expected_reward and cost == expected_cost
+            clipped += np.linalg.norm(nxt[env.VELOCITY]) == cfg.v_max
+            state = nxt
     assert clipped > 100  # the speed cap was active in many cases
 
 
@@ -448,12 +434,14 @@ def test_step_orders_equidistant_obstacles_by_index():
     offsets = [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)]
     for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
         sensor = np.array([offsets[i] for i in order]).reshape(-1)
-        state = env.EnvState(np.concatenate([[0.25, 0.5], np.zeros(2), [1.0, 1.0], sensor]))
-        tr = env.step(state, np.zeros(2), unit_phi(), cfg)
-        expected, reward, cost = reference_step(state, np.zeros(2), unit_phi(), cfg)
-        np.testing.assert_array_equal(tr.next_state.sensor, sensor)
-        np.testing.assert_array_equal(tr.next_state.as_vector(), expected)
-        assert tr.reward == reward and tr.cost == cost
+        state = np.concatenate([[0.25, 0.5], np.zeros(2), [1.0, 1.0], sensor])
+        nxt, reward, cost = env.step(state, np.zeros(2), unit_phi(), cfg)
+        np.testing.assert_array_equal(nxt[env.SENSOR], sensor)
+        expected, expected_reward, expected_cost = reference_step(
+            state, np.zeros(2), unit_phi(), cfg
+        )
+        np.testing.assert_array_equal(nxt, expected)
+        assert reward == expected_reward and cost == expected_cost
 
 
 def test_config_validation():

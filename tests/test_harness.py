@@ -109,6 +109,13 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("eval.ood_extra_obstacles", "-1"),
         ("fe.k", "0"),
         ("fe.pretrain_episodes", "2"),
+        ("fe.context_samples", "0"),
+        ("fe.batch", "0"),
+        ("acp.eta_scale", "0.0"),
+        ("acp.eta_scale", "-0.05"),
+        ("train.eps_num", "0.0"),
+        ("train.clip_ratio", "0.0"),
+        ("train.clip_ratio", "-0.2"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -635,6 +642,52 @@ def test_version_1_checkpoint_is_rejected(tmp_path):
         run.load_checkpoint(path)
 
 
+def test_a_checkpoint_section_that_is_not_an_object_is_an_error(tmp_path, capsys):
+    ck = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
+    with pytest.raises(ValueError, match="GaussianPolicy section is not a JSON object"):
+        run.policy_from_checkpoint(dict(ck, policy=[1, 2]))
+    with pytest.raises(ValueError, match="Mlp section is not a JSON object"):
+        run.policy_from_checkpoint(dict(ck, policy=dict(ck["policy"], mean_net=3)))
+    bad = tmp_path / "bad.json"
+    for key, value in (("policy", [1, 2]), ("config", 5), ("basis", [1]), ("rng_states", [1])):
+        run.save_checkpoint(dict(ck, **{key: value}), bad)
+        assert cli.main(["eval", "--ckpt", str(bad), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint values of the wrong JSON type: [{key!r}]"
+        )
+
+
+def test_a_checkpoint_file_that_is_not_an_object_is_an_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        run.load_checkpoint(path)
+    assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint is not a JSON object")
+
+
+def test_resume_from_a_checkpoint_without_critics_is_an_error(tmp_path, capsys):
+    cfg_path, ck_path = tmp_path / "exp.cfg", tmp_path / "ck.json"
+    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path)]
+    assert cli.main(args) == 0
+    ck = run.load_checkpoint(ck_path)
+    del ck["critics"]
+    run.save_checkpoint(ck, ck_path)
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint is missing keys ['critics']")
+
+
+def test_resume_from_a_checkpoint_without_episode_index_is_refused():
+    ck = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
+    assert ck["episode_index"] == 2  # two 50-step episodes per 100-step epoch
+    ck = {key: value for key, value in ck.items() if key != "episode_index"}
+    with pytest.raises(ValueError, match=re.escape("missing keys ['episode_index']")):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck)
+    policy = run.policy_from_checkpoint(ck)
+    assert run.build_checkpoint(tiny_config(), policy)["episode_index"] == 0
+
+
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
     cfg_full = tiny_config(seed=12, total_steps=200)
@@ -704,6 +757,22 @@ def test_evaluate_ood_widens_the_environment(trained_checkpoint):
 def test_evaluate_shield_override_requires_a_basis(trained_checkpoint):
     with pytest.raises(ValueError):
         run.evaluate(trained_checkpoint, episodes=1, shield=True)
+
+
+def test_shielded_circle_evaluation_runs_the_horizon():
+    cfg = tiny_config(seed=15, task="circle", shield_enabled=True, fe_context=True)
+    cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)  # consult the shield often
+    basis = run.pretrain_fe(cfg).basis
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(2)
+    )
+    ck = run.build_checkpoint(cfg, policy, basis=basis)
+    for ood in (False, True):  # OOD adds obstacles: the shield sees the truncated row
+        summary = run.evaluate(ck, episodes=2, ood=ood, seed=3)
+        assert summary["shield_enabled"] and summary["placement_failures"] == 0
+        records = summary["records"]
+        assert [r["steps"] for r in records] == [cfg.env.horizon] * 2
+        assert all(r["shield_trigger_rate"] > 0 for r in records)
 
 
 def test_directional_return_clause():

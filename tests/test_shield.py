@@ -24,10 +24,8 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.8, 1.8), obstacles=()):
     rel = obs - p
     order = np.argsort(np.linalg.norm(rel, axis=1), kind="stable") if len(obs) else []
     sensor = rel[order].reshape(-1) if len(obs) else np.zeros(0)
-    return env.EnvState.from_vector(
-        np.concatenate([p, np.asarray(velocity, dtype=np.float64),
-                        np.asarray(goal, dtype=np.float64) - p, sensor])
-    )
+    return np.concatenate([p, np.asarray(velocity, dtype=np.float64),
+                           np.asarray(goal, dtype=np.float64) - p, sensor])
 
 
 def truth_context(state_cfg, phi=None, gamma=0.0, seed=0):
@@ -72,10 +70,33 @@ def test_pre_safety_examples():
 def test_pre_safety_boundary_is_strict():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(0.6, 0.0)])
-    margin = env.nu(state.position, env.world_obstacles(state), cfg)
+    margin = env.nu(state[env.POSITION], env.world_obstacles(state), cfg)
     at = shield.ShieldConfig(pre_safety_margin=margin)
     below = shield.ShieldConfig(pre_safety_margin=np.nextafter(margin, 0.0))
     assert not shield.pre_safety_check(state, at, cfg)  # needs margin strictly above
+    assert shield.pre_safety_check(state, below, cfg)
+
+
+def circle_state(position, velocity=(0.0, 0.0), obstacles=()):
+    """Hand-built circle-task state: zero goal offset, obstacles in world coordinates."""
+    return make_state(position, velocity, goal=position, obstacles=obstacles)
+
+
+def test_circle_pre_safety_examples():
+    cfg = env.EnvConfig(task="circle")  # region_radius 1.5, region_margin 0.05
+    scfg = shield.ShieldConfig()  # passes above a margin of 0.275
+    # margin (1.5 - |p|) - 0.05: 0.45, 0.35, 0.25, 0.05, -0.05, -0.15
+    passes = [shield.pre_safety_check(circle_state((x, 0.0)), scfg, cfg)
+              for x in (1.0, 1.1, 1.2, 1.4, 1.5, 1.6)]
+    assert passes == [True, True, False, False, False, False]
+    # the circle margin ignores obstacles, however close
+    assert shield.pre_safety_check(circle_state((0.0, 1.0), obstacles=[(0.0, 1.05)]), scfg, cfg)
+    # strict at the boundary, as for navigation
+    state = circle_state((0.0, -1.1))
+    margin = env.nu(state[env.POSITION], env.world_obstacles(state), cfg)
+    at = shield.ShieldConfig(pre_safety_margin=margin)
+    below = shield.ShieldConfig(pre_safety_margin=np.nextafter(margin, 0.0))
+    assert not shield.pre_safety_check(state, at, cfg)
     assert shield.pre_safety_check(state, below, cfg)
 
 
@@ -101,6 +122,16 @@ def test_safety_score_frozen_example():
     assert got == pytest.approx(0.55, abs=1e-12)
 
 
+def test_circle_safety_score_frozen_example():
+    # from rest at (1, 0) the command (1, 0) gives v' = dt * a / m = 0.1 and
+    # p' = (1.01, 0): margin (1.5 - 1.01) - 0.05 = 0.44, score 0.44 - 2 * 0.1
+    cfg = env.EnvConfig(task="circle")
+    state = circle_state((1.0, 0.0), obstacles=[(1.05, 0.0)])
+    got = scored(np.array([1.0, 0.0]), state, truth_context(cfg, gamma=0.1),
+                 shield.ShieldConfig())
+    assert got == pytest.approx(0.24, abs=1e-12)
+
+
 def test_safety_score_decreases_linearly_with_radius():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
@@ -118,8 +149,8 @@ def test_zero_radius_exact_model_scores_true_margin():
         state = env.reset(cfg, phi, rng)
         action = rng.uniform(-1.0, 1.0, size=2)
         got = scored(action, state, truth_context(cfg, phi=phi), shield.ShieldConfig())
-        tr = env.step(state, action, phi, cfg)
-        true_margin = env.nu(tr.next_state.position, env.world_obstacles(state), cfg)
+        nxt, _, _ = env.step(state, action, phi, cfg)
+        true_margin = env.nu(nxt[env.POSITION], env.world_obstacles(state), cfg)
         assert got == true_margin
 
 
@@ -280,12 +311,11 @@ def test_certified_decisions_never_step_into_cost():
             decision = shield.select_action(
                 lambda n: rng.uniform(-1.5, 1.5, size=(n, 2)), state, ctx, scfg
             )
-            tr = env.step(state, decision.action, phi, cfg)
+            state, _, cost = env.step(state, decision.action, phi, cfg)
             certified = not decision.intervened or not decision.safe_set_empty
             if certified:
                 checked += 1
-                assert tr.cost == 0
-            state = tr.next_state
+                assert cost == 0
     assert checked > 1000  # the property must actually have been exercised
 
 
@@ -300,12 +330,8 @@ def test_ground_truth_predictor_matches_the_environment():
     phi = env.sample_phi(rng, cfg.param_intervals)
     state = env.reset(cfg, phi, rng)
     action = rng.uniform(-1, 1, size=2)
-    pred = shield.GroundTruthPredictor(phi, cfg).predict_batch(
-        state.as_vector()[None, :], action[None, :]
-    )
-    np.testing.assert_array_equal(
-        pred[0], env.step(state, action, phi, cfg).next_state.as_vector()
-    )
+    pred = shield.GroundTruthPredictor(phi, cfg).predict_batch(state[None, :], action[None, :])
+    np.testing.assert_array_equal(pred[0], env.step(state, action, phi, cfg)[0])
 
 
 def test_fe_predictor_clips_commands_like_the_environment():

@@ -1,0 +1,118 @@
+"""Print SHA-256 digests of shieldrl's seeded streams as one JSON object.
+
+Two checkouts whose digests match produce byte-identical streams for these
+runs, so a change that claims to move no stream can be checked by running
+this script on both and comparing the output:
+
+    python tools/stream_digest.py
+
+Every run uses the seed-0 config at the benchmark's set-up size (a basis
+pretrained on 16 random-action draws for 10 epochs):
+
+  * ``basis``: the bytes of that basis artifact;
+  * ``train_records`` and ``train_checkpoint``: ``canonical_records`` and
+    the checkpoint bytes of an 8,000-step full-method ``train`` on it;
+  * ``eval_ood_shielded``, ``eval_ood_unshielded``, ``eval_in_distribution``:
+    the records and summary of ``evaluate`` on that checkpoint (20 episodes
+    each), wall-clock fields removed;
+  * ``circle_train_records``: an 800-step circle-task ``train`` with the
+    shield and the FE context on, from a circle basis of the same size;
+  * ``random_episodes``: the transitions of 5 ``collect_random_episodes``;
+  * ``soundness_episodes``: 4 of acceptance criterion 4's shielded episodes
+    with the exact model, at its seed 404.
+
+Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
+thread before numpy loads.  It takes well under a minute on one core.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from shieldrl import env as envmod  # noqa: E402
+from shieldrl import shield as shieldmod  # noqa: E402
+from shieldrl import sro  # noqa: E402
+from shieldrl.harness import acceptance, run  # noqa: E402
+from shieldrl.harness.config import ExperimentConfig  # noqa: E402
+from shieldrl.seeding import rng_for  # noqa: E402
+
+
+def sha(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def setup_config(task: str = "navigation") -> ExperimentConfig:
+    cfg = ExperimentConfig(task=task, seed=0)
+    cfg.fe = replace(cfg.fe, pretrain_episodes=16, epochs=10)
+    return cfg.validate()
+
+
+def eval_digest(ck: dict, **kw) -> str:
+    summary = run.evaluate(ck, episodes=20, seed=0, **kw)
+    records = run.canonical_records(summary.pop("records"))
+    summary.pop("wall_clock_per_episode")
+    return sha("\n".join([*records, json.dumps(summary, sort_keys=True)]))
+
+
+def main() -> None:
+    out: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = setup_config()
+        basis = run.pretrain_fe(cfg, out_path=tmp / "basis.json").basis
+        out["basis"] = sha((tmp / "basis.json").read_bytes())
+
+        train_cfg = replace(cfg, total_steps=8000)
+        result = run.train(train_cfg, basis=basis, out_path=tmp / "ck.json")
+        out["train_records"] = sha("\n".join(run.canonical_records(result.records)))
+        out["train_checkpoint"] = sha((tmp / "ck.json").read_bytes())
+
+        ck = run.load_checkpoint(tmp / "ck.json")
+        out["eval_ood_shielded"] = eval_digest(ck, ood=True, shield=True)
+        out["eval_ood_unshielded"] = eval_digest(ck, ood=True, shield=False)
+        out["eval_in_distribution"] = eval_digest(ck)
+
+        circle = setup_config("circle")
+        circle_basis = run.pretrain_fe(circle).basis
+        circle = replace(circle, total_steps=800)
+        circle.train = replace(circle.train, steps_per_epoch=400)
+        records = run.train(circle.validate(), basis=circle_basis).records
+        out["circle_train_records"] = sha("\n".join(run.canonical_records(records)))
+
+    datasets, draws = run.collect_random_episodes(envmod.EnvConfig(), 5, np.random.default_rng(0))
+    out["random_episodes"] = sha(
+        b"".join(a.tobytes() for ds in datasets for a in (ds.inputs, ds.targets))
+        + np.array([phi.as_array() for phi in draws]).tobytes()
+    )
+
+    # Criterion 4's set-up (``acceptance.check_shield_soundness``), first episodes.
+    env_cfg = envmod.EnvConfig()
+    rngs = {name: rng_for(404, name) for name in ("env", "rollout", "shield")}
+    policy = sro.GaussianPolicy.create(
+        env_cfg.state_dim, 3, env_cfg.action_dim, (64, 64), rng_for(404, "init")
+    )
+    stats = [
+        acceptance._soundness_episode(policy, env_cfg, shieldmod.ShieldConfig(), rngs)
+        for _ in range(4)
+    ]
+    # The streams' final states pin every draw the episodes made.
+    streams = [rngs[name].bit_generator.state for name in sorted(rngs)]
+    out["soundness_episodes"] = sha(json.dumps([stats, streams], sort_keys=True))
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
