@@ -44,6 +44,7 @@ from .numerics import (
     Mlp,
     ShapeMismatchError,
     adam_step,
+    dense_layer,
     solve_ridge,
     solve_ridge_batch,
 )
@@ -147,14 +148,18 @@ class BasisSet:
                 f"BasisSet.evaluate input: expected shape (B, {self.input_dim}), got {X.shape}"
             )
         k, h, _ = self.weights[0].shape
-        Z = self.normalize(X) @ self.weights[0].reshape(k * h, -1).T + self.biases[0].reshape(-1)
-        if len(self.weights) == 1:
-            return Z.reshape(-1, k, h)
-        A = np.ascontiguousarray(np.tanh(Z).reshape(-1, k, h).transpose(1, 0, 2))
         last = len(self.weights) - 1
+        Z = dense_layer(
+            self.normalize(X), self.weights[0].reshape(k * h, -1).T, self.biases[0].reshape(-1),
+            tanh=last > 0,
+        )
+        if last == 0:
+            return Z.reshape(-1, k, h)
+        A = np.ascontiguousarray(Z.reshape(-1, k, h).transpose(1, 0, 2))
         for i in range(1, last + 1):
-            Z = A @ self.weights[i].transpose(0, 2, 1) + self.biases[i][:, None, :]
-            A = Z if i == last else np.tanh(Z)
+            A = dense_layer(
+                A, self.weights[i].transpose(0, 2, 1), self.biases[i][:, None, :], tanh=i != last
+            )
         return A.transpose(1, 0, 2)
 
 

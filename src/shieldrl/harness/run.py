@@ -487,7 +487,9 @@ def train(
     with the same BLAS thread count: OpenBLAS splits products between
     threads at count-dependent points, and the checkpoint does not record
     the count.  A checkpoint whose config differs from ``cfg`` in anything
-    but ``total_steps`` raises ``ValueError`` naming the differing keys.
+    but ``total_steps`` raises ``ValueError`` naming the differing keys,
+    and so does one whose ``rng_states`` is not exactly one generator state
+    per training stream.
     Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
@@ -529,8 +531,19 @@ def train(
         start_epoch = int(ck["epoch"])
         steps_done = int(ck["steps_done"])
         episode_index = int(ck["episode_index"])
+        states = ck["rng_states"]
+        if states.keys() != set(_TRAIN_STREAMS):
+            raise ValueError(
+                f"checkpoint rng_states must name exactly the streams {list(_TRAIN_STREAMS)}, "
+                f"got {sorted(states)}"
+            )
         for name in _TRAIN_STREAMS:
-            rngs[name].bit_generator.state = ck["rng_states"][name]
+            try:
+                rngs[name].bit_generator.state = states[name]
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"checkpoint rng_states[{name!r}] is not a generator state: {exc}"
+                ) from None
     else:
         init_rng = rng_for(cfg.seed, "init")
         policy = sro.GaussianPolicy.create(

@@ -11,6 +11,13 @@ Conventions:
   * Batches are row-major: ``X`` has shape ``(batch, input_dim)``.
   * ``Mlp.backward_cached`` returns gradients of ``sum(upstream * output)``
     with respect to every weight and bias, i.e. upstream is ``dL/dy``.
+  * Kernels write only into arrays they allocate, apart from the
+    parameters and moments that ``adam_step`` updates: never into an input
+    ``X``, an ``upstream`` argument, a cache they have returned, or any
+    other array of the caller's.  ``dense_layer`` allocates one array per
+    layer and finishes it in place (``Z = A @ W.T``, ``Z += b``, ``tanh``
+    into ``Z``), the same floating-point operations as the textbook
+    ``tanh(A @ W.T + b)``, so its results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,19 @@ class ShapeMismatchError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A linear system is singular (or too ill-conditioned to trust)."""
+
+
+def dense_layer(A: np.ndarray, W_T: np.ndarray, b: np.ndarray, *, tanh: bool) -> np.ndarray:
+    """``A @ W_T + b``, passed through ``tanh`` when ``tanh`` is set, as one new array.
+
+    ``W_T`` is the transposed weight (a view is fine); stacked ``(k, in,
+    out)`` weights with ``(k, 1, out)`` biases work the same way.
+    """
+    Z = A @ W_T
+    Z += b
+    if tanh:
+        np.tanh(Z, out=Z)
+    return Z
 
 
 def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -100,8 +120,7 @@ class Mlp:
         A = _as_batch(X, self.input_dim, "Mlp.forward input")
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            Z = A @ W.T + b
-            A = Z if i == last else np.tanh(Z)
+            A = dense_layer(A, W.T, b, tanh=i != last)
         return A
 
     def forward_cached(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -110,8 +129,7 @@ class Mlp:
         cache = [A]
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            Z = A @ W.T + b
-            A = Z if i == last else np.tanh(Z)
+            A = dense_layer(A, W.T, b, tanh=i != last)
             cache.append(A)
         return A, cache
 

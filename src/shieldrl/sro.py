@@ -290,7 +290,8 @@ class RolloutBuffer:
         again (the policy does not change between the two).  Each value
         head runs once over the epoch's rows plus the bootstrap rows;
         advantages run along each episode's row of the block.  Only the
-        reward advantage is normalized.
+        reward advantage is normalized.  The network passes run in row
+        blocks (see :func:`_in_row_blocks`).
         """
         n = len(self)
         if n == 0:
@@ -298,11 +299,11 @@ class RolloutBuffer:
         shape = self.rewards.shape
         self.X = self.inputs.reshape(n, -1)
         self.A = self.actions.reshape(n, -1)
-        self.means = policy.mean_batch(self.X)
+        self.means = _in_row_blocks(policy.mean_batch, self.X, np.empty((n, policy.action_dim)))
         self.log_probs = policy.log_prob_at(self.means, self.A)
         X_all = np.vstack([self.X, self.boot_inputs])
-        v_r = critics.v_r_values(X_all)
-        v_c = critics.v_c_values(X_all)
+        v_r = _in_row_blocks(critics.v_r_values, X_all, np.empty(len(X_all)))
+        v_c = _in_row_blocks(critics.v_c_values, X_all, np.empty(len(X_all)))
         adv_r, ret_r = gae(self.rewards, v_r[:n].reshape(shape), gamma, lam, v_r[n:])
         adv_c, ret_c = gae(self.costs, v_c[:n].reshape(shape), gamma, lam, v_c[n:])
         self.adv_r, self.ret_r = adv_r.reshape(n), ret_r.reshape(n)
@@ -321,9 +322,39 @@ class RolloutBuffer:
 # ---------------------------------------------------------------------------
 
 
-# Cost-critic rows per block in ``q_safe_batch``: about 1,000 perturbed
-# rows, whose 64-wide hidden activations (about 0.5 MB) stay in cache.
-_QSAFE_BLOCK_ROWS = 1000
+# Network input rows per block in every epoch-sized pass: ``finalize``'s
+# policy and value passes, ``policy_update``'s cost-value pass and
+# ``q_safe_batch``'s cost-critic pass over perturbed rows.  A pass then holds
+# one block's 64-wide hidden activations (about 0.5 MB a layer), not an
+# epoch's.  Keep it at 1,000: with the OpenBLAS that numpy 2.4 bundles, 250-
+# and 500-row blocks rounded differently from the one-pass product for some
+# layer shapes, while 1,000- and 2,000-row blocks matched it.
+_BLOCK_ROWS = 1000
+
+
+def _row_blocks(n: int, step: int):
+    """``(lo, hi)`` ranges of ``step`` rows covering ``n`` rows.
+
+    The last range takes the remainder, so it holds ``step`` to ``2 * step
+    - 1`` rows (all ``n`` when ``n < step``): a handful of rows would go
+    through BLAS's small-matrix paths, which round differently from the
+    one-pass product.
+    """
+    starts = range(0, max(n - step, 0) + 1, step)
+    return zip(starts, [*starts[1:], n])
+
+
+def _in_row_blocks(fn, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``fn(X)`` written into ``out``, with ``fn`` run on blocks of
+    ``_BLOCK_ROWS`` rows.
+
+    ``fn`` maps rows to rows independently (a network pass), so ``out``
+    holds what one pass over ``X`` would return, bit for bit, while no
+    epoch-sized activation is built.
+    """
+    for lo, hi in _row_blocks(X.shape[0], _BLOCK_ROWS):
+        out[lo:hi] = fn(X[lo:hi])
+    return out
 
 
 def q_safe_batch(
@@ -340,10 +371,12 @@ def q_safe_batch(
 
     ``means`` is ``policy.mean_batch(X)``; training passes the behaviour
     means that :meth:`RolloutBuffer.finalize` kept, so the policy does not
-    run again.  All ``n x n_qsafe`` perturbations are drawn up front in one
-    call; the cost critic then runs over blocks of whole rows, writing one
-    ``(n, n_qsafe)`` array, so no epoch-sized ``n x n_qsafe``-row input or
-    activation is ever built.  All inputs are constants for the policy
+    run again.  The work runs over blocks of whole rows: each block draws
+    its ``rows x n_qsafe`` perturbations, forms their density and runs the
+    cost critic over those perturbed rows (about ``_BLOCK_ROWS``), so
+    no epoch-sized ``n x n_qsafe`` array is ever built.  Consecutive draws
+    give the values, and leave ``rng`` in the state, of one draw of all
+    ``n x n_qsafe`` perturbations.  All inputs are constants for the policy
     update: the estimate never carries gradients.
     """
     n, da = actions.shape
@@ -353,22 +386,18 @@ def q_safe_batch(
             f"v_c_values {np.shape(v_c_values)}"
         )
     m, dx = cfg.n_qsafe, X.shape[1]
-    eps = cfg.sigma_qsafe * rng.standard_normal((n, m, da))
-    perturbed = actions[:, None, :] + eps
-    density = np.exp(policy.log_prob_at(means, perturbed))
-    # Whole buffer rows per block.  The last block takes a remainder shorter
-    # than a block: a handful of rows would go through BLAS's small-matrix
-    # paths, which round differently from the one-pass product.
-    step = max(1, _QSAFE_BLOCK_ROWS // m)
-    starts = range(0, max(n - step, 0) + 1, step)
-    q_vals = np.empty((n, m))
+    step = max(1, _BLOCK_ROWS // m)  # whole buffer rows per block
+    m_hat = np.empty(n)
     block = np.empty((min(n, 2 * step), m, dx + da))
-    for lo, hi in zip(starts, [*starts[1:], n]):
+    for lo, hi in _row_blocks(n, step):
+        eps = cfg.sigma_qsafe * rng.standard_normal((hi - lo, m, da))
+        perturbed = actions[lo:hi, None, :] + eps
+        density = np.exp(policy.log_prob_at(means[lo:hi], perturbed))
         rows = block[: hi - lo]
         rows[:, :, :dx] = X[lo:hi, None, :]
-        rows[:, :, dx:] = perturbed[lo:hi]
-        q_vals[lo:hi] = q_c_net.forward_batch(rows.reshape(-1, dx + da)).reshape(hi - lo, m)
-    m_hat = np.mean(density * np.maximum(q_vals, 0.0), axis=1)
+        rows[:, :, dx:] = perturbed
+        q_vals = q_c_net.forward_batch(rows.reshape(-1, dx + da)).reshape(hi - lo, m)
+        m_hat[lo:hi] = np.mean(density * np.maximum(q_vals, 0.0), axis=1)
     denom = np.maximum(v_c_values, 0.0) + cfg.eps_num
     return np.clip(-m_hat / denom, -1.0 + 1e-6, 0.0)
 
@@ -449,9 +478,8 @@ def policy_update(
     """
     X, A, logp_old = buffer.X, buffer.A, buffer.log_probs
     if sro_enabled and cfg.alpha > 0:
-        q_safe = q_safe_batch(
-            X, A, buffer.means, policy, critics.q_c, critics.v_c_values(X), cfg, rng
-        )
+        v_c = _in_row_blocks(critics.v_c_values, X, np.empty(len(X)))
+        q_safe = q_safe_batch(X, A, buffer.means, policy, critics.q_c, v_c, cfg, rng)
     else:
         q_safe = np.zeros(len(buffer))
     adv = augmented_advantage(buffer.adv_r_norm, q_safe, cfg.alpha) - lam * buffer.adv_c

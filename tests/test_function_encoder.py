@@ -148,6 +148,29 @@ def test_stacked_evaluate_matches_each_net(layer_sizes, rows):
     np.testing.assert_allclose(Phi, net_by_net(basis, X), rtol=1e-12, atol=1e-14)
 
 
+def textbook_evaluate(basis: fe.BasisSet, X: np.ndarray) -> np.ndarray:
+    """The stacked pass as textbook expressions: ``tanh(A @ W.T + b)`` per layer."""
+    k, h, _ = basis.weights[0].shape
+    Xn = (X - basis.norm_mean) / basis.norm_std
+    Z = Xn @ basis.weights[0].reshape(k * h, -1).T + basis.biases[0].reshape(-1)
+    A = np.ascontiguousarray(np.tanh(Z).reshape(-1, k, h).transpose(1, 0, 2))
+    last = len(basis.weights) - 1
+    for i in range(1, last + 1):
+        Z = A @ basis.weights[i].transpose(0, 2, 1) + basis.biases[i][:, None, :]
+        A = Z if i == last else np.tanh(Z)
+    return A.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("rows", [10, 50, 400])
+def test_evaluate_equals_its_textbook_expression_bit_for_bit(rows):
+    basis = random_basis([16, 64, 64, 14])
+    X = np.random.default_rng(rows).standard_normal((rows, 16))
+    X_in = X.copy()
+    X.flags.writeable = False  # evaluate must not write into its input
+    assert np.array_equal(basis.evaluate(X), textbook_evaluate(basis, X))
+    assert np.array_equal(X, X_in)
+
+
 def test_evaluate_rejects_a_wrong_input_width():
     basis = random_basis([5, 8, 4])
     with pytest.raises(ShapeMismatchError):

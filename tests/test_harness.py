@@ -678,6 +678,36 @@ def test_resume_from_a_checkpoint_without_critics_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: checkpoint is missing keys ['critics']")
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda states: dict(states, env=5), "rng_states['env'] is not a generator state"),
+        (
+            lambda states: dict(states, update={"bit_generator": "PCG64", "state": 5}),
+            "rng_states['update'] is not a generator state",
+        ),
+        (
+            lambda states: {k: v for k, v in states.items() if k != "qsafe"},
+            "rng_states must name exactly the streams ['env', 'update', 'qsafe'], "
+            "got ['env', 'update']",
+        ),
+    ],
+    ids=["number", "inner-number", "missing-stream"],
+)
+def test_resume_with_bad_rng_states_is_an_error(tmp_path, capsys, corrupt, message):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    ck = run.load_checkpoint(ck_path)
+    run.save_checkpoint(dict(ck, rng_states=corrupt(ck["rng_states"])), ck_path)
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and message in err
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
 def test_resume_from_a_checkpoint_without_episode_index_is_refused():
     ck = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
     assert ck["episode_index"] == 2  # two 50-step episodes per 100-step epoch

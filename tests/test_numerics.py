@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shieldrl.numerics import (
     AdamState,
     AdamVector,
+    Gradients,
     Mlp,
     ShapeMismatchError,
     SingularMatrixError,
@@ -193,6 +194,84 @@ def test_parameters_stay_finite_over_many_steps():
         grads = net.backward_cached(cache, 2.0 * (out - y) / 16)
         adam_step(net, opt, grads)
         assert all(np.all(np.isfinite(w)) for w in net.weights)
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their textbook expressions, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def textbook_forward(net: Mlp, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation: ``tanh(A @ W.T + b)``, linear at the output."""
+    acts, last = [X], len(net.weights) - 1
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        Z = acts[-1] @ W.T + b
+        acts.append(Z if i == last else np.tanh(Z))
+    return acts
+
+
+def textbook_backward(net: Mlp, acts: list[np.ndarray], upstream: np.ndarray):
+    """Weight and bias gradients with the derivative ``delta * (1.0 - c ** 2)``."""
+    dws, dbs = [None] * len(net.weights), [None] * len(net.biases)
+    delta, last = upstream, len(net.weights) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * (1.0 - acts[i + 1] ** 2)
+        dws[i] = delta.T @ acts[i]
+        dbs[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i]
+    return dws, dbs
+
+
+def textbook_adam(p, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The one-line Adam update: returns the new ``(p, m, v)``."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g**2
+    bc1, bc2 = 1.0 - beta1**step, 1.0 - beta2**step
+    return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps), m, v
+
+
+def all_equal(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("rows", [1, 10, 256, 400, 512])
+def test_kernels_equal_their_textbook_expressions_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    net = Mlp.create([16, 64, 64, 14], rng)
+    X = rng.standard_normal((rows, 16))
+    upstream = rng.standard_normal((rows, 14))
+    X_in, upstream_in = X.copy(), upstream.copy()
+
+    acts = textbook_forward(net, X)
+    assert np.array_equal(net.forward_batch(X), acts[-1])
+    out, cache = net.forward_cached(X)
+    assert np.array_equal(out, acts[-1]) and all_equal(cache, acts)
+
+    grads = net.backward_cached(cache, upstream)
+    dws, dbs = textbook_backward(net, acts, upstream)
+    assert all_equal(grads.weights, dws) and all_equal(grads.biases, dbs)
+
+    # Adam over three steps, from these gradients scaled differently each step
+    opt = AdamState.for_net(net, lr=1e-2)
+    params = [p.copy() for p in (*net.weights, *net.biases)]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    for step, scale in enumerate((1.0, -0.5, 2.0), start=1):
+        g = Gradients([w * scale for w in grads.weights], [b * scale for b in grads.biases])
+        g_in = [a.copy() for a in (*g.weights, *g.biases)]
+        adam_step(net, opt, g)
+        assert all_equal([*g.weights, *g.biases], g_in)  # the gradients are not written
+        for j, (p, gj) in enumerate(zip(params, g_in)):
+            params[j], m, v = textbook_adam(p, gj, *moments[j], step, lr=1e-2)
+            moments[j] = (m, v)
+        assert all_equal([*net.weights, *net.biases], params)
+        assert all_equal([*opt.m_w, *opt.m_b], [m for m, _ in moments])
+        assert all_equal([*opt.v_w, *opt.v_b], [v for _, v in moments])
+
+    # no kernel wrote into its input, its upstream or the cache it returned
+    assert np.array_equal(X, X_in) and np.array_equal(upstream, upstream_in)
+    assert all_equal(cache, acts)
 
 
 # ---------------------------------------------------------------------------

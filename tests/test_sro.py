@@ -362,7 +362,7 @@ def blocked_q_safe_mismatches():
     from :func:`unblocked_q_safe`, around one and two blocks of buffer rows."""
     found = []
     for n_qsafe in (10, 1):
-        block = sro._QSAFE_BLOCK_ROWS // n_qsafe
+        block = sro._BLOCK_ROWS // n_qsafe
         for n in (1, block - 1, block, block + 1, 2 * block + 3):
             policy, q_c, X, A, v_c, cfg = q_safe_case(n, n_qsafe, seed=n)
             want = unblocked_q_safe(X, A, policy, q_c, v_c, cfg, np.random.default_rng(7))
@@ -403,6 +403,118 @@ def test_q_safe_peak_memory_does_not_scale_with_the_perturbed_rows():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def epoch_case(episodes, horizon, seed=0):
+    """Policy, critics and a random ``(episodes, horizon)`` block at the training shapes."""
+    rng = np.random.default_rng(seed)
+    policy = sro.GaussianPolicy.create(16, 4, 2, (64, 64), rng)
+    critics = sro.CriticSet.create(16, 4, 2, (64, 64), rng)
+    buf = sro.RolloutBuffer(
+        rng.standard_normal((episodes, horizon, 20)),
+        0.3 * rng.standard_normal((episodes, horizon, 2)),
+        rng.standard_normal((episodes, horizon)),
+        rng.integers(0, 2, (episodes, horizon)).astype(np.float64),
+        rng.standard_normal((episodes, 20)),
+    )
+    return policy, critics, buf
+
+
+def blocked_pass_mismatches():
+    """``(rows, output)`` wherever an output of ``finalize``, or the cost
+    values ``policy_update`` scores with, differ from one pass over all rows."""
+    found = []
+    for episodes, horizon in ((27, 37), (10, 100), (7, 143), (1, 2003), (10, 401)):
+        policy, critics, buf = epoch_case(episodes, horizon, seed=horizon)
+        buf.finalize(policy, critics, 0.99, 0.95)
+        n = len(buf)
+        X_all = np.vstack([buf.X, buf.boot_inputs])
+        means = policy.mean_batch(buf.X)
+        v_r, v_c = critics.v_r_values(X_all), critics.v_c_values(X_all)
+        adv_r, ret_r = sro.gae(buf.rewards, v_r[:n].reshape(episodes, horizon), 0.99, 0.95, v_r[n:])
+        adv_c, ret_c = sro.gae(buf.costs, v_c[:n].reshape(episodes, horizon), 0.99, 0.95, v_c[n:])
+        adv_r = adv_r.reshape(n)
+        want = {
+            "means": means,
+            "log_probs": policy.log_prob_at(means, buf.A),
+            "adv_r": adv_r, "ret_r": ret_r.reshape(n),
+            "adv_c": adv_c.reshape(n), "ret_c": ret_c.reshape(n),
+            "adv_r_norm": (adv_r - adv_r.mean()) / (float(adv_r.std()) + 1e-8),
+        }
+        found += [(n, name) for name, value in want.items()
+                  if not np.array_equal(getattr(buf, name), value)]
+
+        seen = []
+
+        def scored(X, actions, means, policy, q_c_net, v_c_values, cfg, rng):
+            seen.append(v_c_values)
+            return np.zeros(len(X))
+
+        real, sro.q_safe_batch = sro.q_safe_batch, scored
+        try:
+            cfg = sro.TrainConfig(policy_iters=1)
+            sro.policy_update(buf, policy, critics, 0.0, cfg, np.random.default_rng(0),
+                              sro.PolicyOptimizer.create(policy, cfg.policy_lr))
+        finally:
+            sro.q_safe_batch = real
+        if not np.array_equal(seen[0], critics.v_c_values(buf.X)):
+            found.append((n, "policy_update v_c"))
+    return found
+
+
+def run_with_one_blas_thread(call: str) -> str:
+    """``print(call)`` with ``test_sro`` imported, in a child process with one
+    BLAS thread, as the benchmark runs.  With more, OpenBLAS splits a matrix
+    product's rows between threads at a point set by the row count, so the
+    one-pass formula itself can move a row by an ulp against any other
+    split of the same rows."""
+    here = Path(__file__).resolve().parent
+    code = (
+        f"import sys; sys.path[:0] = {[str(here.parent / 'src'), str(here)]!r}\n"
+        f"import test_sro; print({call})"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_blocked_epoch_passes_equal_one_pass_bit_for_bit():
+    # 999 to 4,010 rows: one block, exactly one, one plus a row, and several
+    # blocks whose last one takes the remainder.
+    assert run_with_one_blas_thread("test_sro.blocked_pass_mismatches()") == "[]"
+
+
+def test_q_safe_leaves_the_generator_where_one_draw_would():
+    # Each block draws its own perturbations; together they are one draw.
+    policy, q_c, X, A, v_c, cfg = q_safe_case(2003, 10)
+    rng, one_draw = np.random.default_rng(4), np.random.default_rng(4)
+    sro.q_safe_batch(X, A, policy.mean_batch(X), policy, q_c, v_c, cfg, rng)
+    one_draw.standard_normal((2003, 10, 2))
+    assert rng.bit_generator.state == one_draw.bit_generator.state
+
+
+def peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_epoch_passes_peak_memory_stays_block_sized():
+    # One-pass finalize and policy_update over a 4,000-step block peaked
+    # near 8.6 and 7.9 MB; blocked, they peak near 1.8 and 1.5 MB.
+    policy, critics, buf = epoch_case(10, 400)
+    assert peak_traced_bytes(lambda: buf.finalize(policy, critics, 0.99, 0.95)) < 3 * 2**20
+    cfg = sro.TrainConfig()
+    opt = sro.PolicyOptimizer.create(policy, cfg.policy_lr)
+    peak = peak_traced_bytes(
+        lambda: sro.policy_update(buf, policy, critics, 0.5, cfg, np.random.default_rng(1), opt)
+    )
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(
