@@ -16,6 +16,7 @@ import math
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,50 @@ def _episode_streams(
     ]
 
 
+# Rows of action noise an episode draws from its rollout stream at a time.
+# Any length gives the same actions; a short block keeps a rollout's memory flat.
+_NOISE_BLOCK = 64
+
+
+class _ActionNoise:
+    """Standard-normal action noise, drawn from each episode's rollout stream in blocks.
+
+    A rollout reads its rollout streams only through
+    ``Generator.standard_normal``, which fills values one after another: a
+    block of rows holds exactly the values that one draw per sample would
+    give, in the same order.  Keep those streams to that one method, or the
+    block length starts to matter.  ``cursor[j]`` is episode ``j``'s next
+    unused row.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], action_dim: int):
+        self.rngs = rngs
+        self.block = np.empty((len(rngs), _NOISE_BLOCK, action_dim))
+        self.cursor = np.full(len(rngs), _NOISE_BLOCK)
+        self.episodes = np.arange(len(rngs))
+
+    def head(self) -> np.ndarray:
+        """Every episode's next row, ``(episodes, action_dim)``, without consuming it."""
+        for j in np.flatnonzero(self.cursor == self.block.shape[1]):
+            self.rngs[j].standard_normal(out=self.block[j])
+            self.cursor[j] = 0
+        return self.block[self.episodes, self.cursor]
+
+    def take(self, j: int, m: int) -> np.ndarray:
+        """Episode ``j``'s next ``m`` rows, the first being its :meth:`head` row.
+
+        Rows past the end of the block come straight from the stream; the
+        next :meth:`head` then starts a new block.
+        """
+        start = self.cursor[j]
+        rows = self.block[j, start : start + m]
+        if rows.shape[0] < m:
+            extra = self.rngs[j].standard_normal((m - rows.shape[0], self.block.shape[2]))
+            rows = np.concatenate([rows, extra])
+        self.cursor[j] = min(start + m, self.block.shape[1])
+        return rows
+
+
 def run_episode(
     policy: sro.GaussianPolicy,
     cfg: ExperimentConfig,
@@ -144,6 +189,12 @@ def run_episode(
     refreshes every episode in one batched solve, and the conformal radii
     update together.  ``env.step`` and the shield's decision run per
     episode.
+
+    Actions are ``mu + std * noise``, formed for all episodes in one vector
+    operation per step from block-drawn noise (:class:`_ActionNoise`), with
+    the values of one draw per sample.  When the shield scores candidates,
+    the first uses the noise row of the unshielded action.  A non-finite
+    policy mean raises ``ValueError``.
 
     States are ``env``'s read-only vectors; ``env.step`` takes and returns
     the full ones.  Their one truncation, :func:`_state_view`, makes the
@@ -228,22 +279,35 @@ def run_episode(
         step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
     triggers, empties = [0] * n, [0] * n
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
+    # The policy is frozen during a rollout.
+    std = np.exp(policy.log_std)
+    noise = _ActionNoise(rollout_rngs, env_cfg.action_dim)
     if shield_on:
         # Each episode's shield context and sampler are built once.  A step
         # sets the context's radius (and its coefficients after a refresh),
-        # and the sampler reads that step's policy mean.
+        # and the sampler reads that step's policy means and default actions.
         shield_ctxs = [
             shieldmod.ShieldContext(shieldmod.FePredictor(basis, b), env_cfg, 0.0, rng)
             for b, rng in zip(online.b, shield_rngs)
         ]
-        samplers = [
-            lambda m, j=j, rng=rng: policy.sample_n(mu[j], m, rng)
-            for j, rng in enumerate(rollout_rngs)
-        ]
+
+        def draw(j: int, m: int) -> np.ndarray:
+            if m == 1:
+                noise.cursor[j] += 1
+                return default[j : j + 1]
+            return mu[j] + std * noise.take(j, m)
+
+        samplers = [partial(draw, j) for j in range(n)]
         b_seen = online.b
     for t in range(horizon):
         X = np.hstack([S, contexts()])
         mu = policy.mean_batch(X)
+        if not np.isfinite(mu).all():
+            bad = np.argmin(np.isfinite(mu).all(axis=1))
+            raise ValueError(f"policy mean is not finite: {mu[bad]}")
+        # Every episode's policy sample from its next noise row: the action
+        # when the shield is off or passes the step, else its first candidate.
+        default = mu + std * noise.head()
 
         if shield_on:
             gammas = np.broadcast_to(conformal.current_gamma(acp), (n,))
@@ -263,9 +327,10 @@ def run_episode(
                 if decision.intervened:
                     triggers[j] += 1
                     empties[j] += decision.safe_set_empty
+            actions = np.array(acts)
         else:
-            acts = [policy.sample_n(mu[j], 1, rng)[0] for j, rng in enumerate(rollout_rngs)]
-        actions = np.array(acts)
+            acts = actions = default
+            noise.cursor += 1
         if online is not None:
             predicted, basis_rows = shieldmod.FePredictor(basis, online.b).predict(S, actions)
 
@@ -679,6 +744,8 @@ def evaluate(
     shield choices from its own streams, so its record does not depend on
     ``episodes``.  An episode whose layout cannot be placed is left out of
     the records and counted in the summary's ``placement_failures``.
+    ``metrics_path`` is opened only after the rollout, so an evaluation that
+    raises leaves an existing file as it was.
     """
     ck = _checked(ckpt) if isinstance(ckpt, dict) else load_checkpoint(ckpt)
     cfg = parse_config(ck["config"])
@@ -704,7 +771,6 @@ def evaluate(
     else:
         env_cfg = cfg.env
 
-    writer = MetricsWriter(metrics_path)
     outcomes, _ = run_episode(
         policy,
         cfg,
@@ -715,6 +781,8 @@ def evaluate(
         shield_on=shield_on,
     )
     results = [rec for rec in outcomes if rec is not None]
+    # Opened once the rollout is done: a failed one leaves the file alone.
+    writer = MetricsWriter(metrics_path)
     for i, rec in enumerate(outcomes):
         if rec is not None:
             writer.write(episode_record(i, 0, rec))

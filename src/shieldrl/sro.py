@@ -20,8 +20,10 @@ Cost pressure enters twice: the multiplier ``lambda`` scales the raw
 observed episode costs against the cost limit.
 
 The policy and the critics stay frozen while an epoch's episodes are rolled
-out.  A rollout therefore only samples actions and hands the epoch over as
-one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
+out.  A rollout therefore only samples actions, as ``mu + std * noise``
+over all of its episodes at once with ``std`` computed once and each
+episode's noise drawn from its own stream in blocks, and hands the epoch
+over as one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
 ``RolloutBuffer.finalize`` evaluates the behaviour means, log-probabilities
 and value estimates in one batch per epoch, runs GAE along each episode's
 row, and the critic and policy updates read the flattened arrays; the
@@ -120,14 +122,14 @@ class GaussianPolicy:
         """``n`` i.i.d. samples around the policy mean ``mu`` at one state.
 
         The mean is a row of :meth:`mean_batch`, so sampling never
-        re-evaluates the network.
+        re-evaluates the network.  Acceptance criterion 4's shielded
+        episodes and the tests sample here; a rollout forms the same
+        ``mu + std * noise`` for all of its episodes at once from block-drawn
+        noise (``run._ActionNoise``).
         """
         if not all(map(math.isfinite, mu.tolist())):
             raise ValueError(f"policy mean is not finite: {mu}")
-        std = np.exp(self.log_std)
-        if n == 1:  # the common case; 1-D operands skip numpy's broadcasting
-            return (mu + std * rng.standard_normal(mu.shape[0]))[None]
-        return mu + std * rng.standard_normal((n, mu.shape[0]))
+        return mu + np.exp(self.log_std) * rng.standard_normal((n, mu.shape[0]))
 
     def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Log-density of actions ``A`` at the ``n`` inputs ``X``."""

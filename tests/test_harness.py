@@ -3,7 +3,7 @@
 import json
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -327,11 +327,17 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
             assert rows == [episodes] * horizon and scored == []
 
 
-def test_episode_records_do_not_depend_on_the_batch_size():
+@pytest.fixture(scope="module")
+def shielded_setup():
+    """A shielded config that often scores candidates, with its basis."""
     cfg = tiny_config(seed=6, shield_enabled=True, fe_context=True)
     cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
     cfg.acp = replace(cfg.acp, warmup_len=20)
-    basis = run.pretrain_fe(cfg).basis
+    return cfg, run.pretrain_fe(cfg).basis
+
+
+def test_episode_records_do_not_depend_on_the_batch_size(shielded_setup):
+    cfg, basis = shielded_setup
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
     )
@@ -346,6 +352,37 @@ def test_episode_records_do_not_depend_on_the_batch_size():
         assert {key: a[key] for key in exact} == {key: b[key] for key in exact}
         assert a["return"] == pytest.approx(b["return"], rel=1e-9)
         assert a["mean_gamma"] == pytest.approx(b["mean_gamma"], rel=1e-9)
+
+
+def test_action_noise_block_length_changes_nothing(monkeypatch, shielded_setup):
+    # 7 divides neither the horizon nor the candidate count, and a 1-row
+    # block sends every candidate draw past a block's end
+    cfg, basis = shielded_setup
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
+    )
+    ck = run.build_checkpoint(cfg, policy, basis=basis)
+    actions = []
+
+    def finalize(self, *args, _fn=sro.RolloutBuffer.finalize):
+        actions.append(self.actions.copy())
+        return _fn(self, *args)
+
+    monkeypatch.setattr(sro.RolloutBuffer, "finalize", finalize)
+    outputs = []
+    for block in (1, 7, run._NOISE_BLOCK):
+        monkeypatch.setattr(run, "_NOISE_BLOCK", block)
+        shielded = run.evaluate(ck, episodes=3, ood=True, seed=5)
+        unshielded = run.evaluate(ck, episodes=3, ood=True, seed=5, shield=False)
+        run.train(cfg, basis=basis)
+        assert sum(r["shield_trigger_rate"] for r in shielded["records"]) > 0
+        outputs.append((
+            run.canonical_records(shielded["records"]),
+            run.canonical_records(unshielded["records"]),
+            [epoch.tobytes() for epoch in actions],
+        ))
+        actions.clear()
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_resume_continues_bit_for_bit(tmp_path):
@@ -445,6 +482,41 @@ def test_abort_checkpoint_holds_the_last_epoch_boundary(tmp_path, monkeypatch, f
     resumed = run.train(cfg, resume=ck)
     later = [r for r in non_header(full.records) if r["epoch"] >= failing_epoch]
     assert run.canonical_records(non_header(resumed.records)) == run.canonical_records(later)
+
+
+def with_nan_policy_weight(ck: dict) -> dict:
+    """``ck`` with one policy weight set to NaN: every policy mean is NaN."""
+    policy = run.policy_from_checkpoint(ck)
+    policy.mean_net.weights[0][0, 0] = np.nan
+    return dict(ck, policy=asdict(policy))
+
+
+def test_non_finite_policy_mean_aborts_training_at_the_epoch_boundary(tmp_path):
+    half = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
+    bad = with_nan_policy_weight(half)
+    cfg = tiny_config(seed=3, total_steps=200)
+    out, metrics = tmp_path / "ck.json", tmp_path / "m.jsonl"
+    with pytest.raises(ValueError, match="policy mean is not finite"):
+        run.train(cfg, out_path=out, metrics_path=metrics, resume=bad)
+    records = [json.loads(line) for line in metrics.read_text().splitlines()]
+    assert [r["kind"] for r in records] == ["header", "abort"]
+    assert records[-1]["epoch"] == 1
+    assert records[-1]["reason"].startswith("policy mean is not finite")
+    # the saved checkpoint is the resumed state, NaN weight included
+    expected = tmp_path / "expected.json"
+    run.save_checkpoint(dict(bad, config=serialize_config(cfg)), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_failed_evaluation_leaves_the_metrics_file_alone(tmp_path, capsys):
+    ck = with_nan_policy_weight(run.train(tiny_config(seed=3, total_steps=100)).checkpoint)
+    ck_path, metrics = tmp_path / "ck.json", tmp_path / "m.jsonl"
+    run.save_checkpoint(ck, ck_path)
+    metrics.write_text('{"kind": "summary"}\n')
+    args = ["eval", "--ckpt", str(ck_path), "--episodes", "2", "--metrics", str(metrics)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: policy mean is not finite")
+    assert metrics.read_bytes() == b'{"kind": "summary"}\n'
 
 
 def test_recorded_block_has_one_row_per_placed_episode():
