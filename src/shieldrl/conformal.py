@@ -1,6 +1,6 @@
 """Adaptive conformal radius for one-step prediction error.
 
-Tracks a scalar radius ``gamma`` such that the event
+Tracks a radius ``gamma`` such that the event
 ``||s_next - predicted|| > gamma`` (a *miss*) occurs at a target rate
 ``delta`` in the long run, without distributional assumptions:
 
@@ -15,12 +15,12 @@ Tracks a scalar radius ``gamma`` such that the event
 Before the warm-up completes the radius is the running quantile of the
 scores seen so far, or ``+inf`` while fewer than ``min_scores`` are
 available -- maximally conservative defaults for consumers that cannot wait.
-Calibration is episode-scoped: each episode starts from a fresh ``AcpState``.
+Calibration is episode-scoped: each episode starts from a fresh radius.
 
-Every quantity broadcasts.  Fed one score per step, a state tracks one
-radius; fed an array of scores, one per episode of a batch rolled out in
-lockstep, it tracks one radius per episode.  The episodes of a batch reach
-each stage on the same step, so the stage bookkeeping is shared.
+An ``AcpState`` calibrates a batch of episodes rolled out in lockstep: it
+takes one score per episode per step and keeps one radius per episode (a
+single stream is a batch of one).  The episodes of a batch reach each stage
+on the same step, so the stage bookkeeping is shared.
 """
 
 from __future__ import annotations
@@ -31,21 +31,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class NotWarmedUpError(RuntimeError):
-    """``acp_update`` was called before the warm-up calibration finished."""
+@dataclass
+class AcpConfig:
+    """Calibration settings: target miss rate, step scale and warm-up lengths."""
+
+    delta: float = 0.02
+    eta_scale: float = 0.05
+    warmup_len: int = 100
+    min_scores: int = 5
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.warmup_len < 1:
+            raise ValueError("warmup_len must be >= 1")
+        if self.min_scores < 1:
+            raise ValueError("min_scores must be >= 1")
+        if not self.eta_scale > 0.0:  # a negative step reverses the adaptation, zero freezes it
+            raise ValueError(f"eta_scale must be positive, got {self.eta_scale}")
 
 
-def score(prediction: np.ndarray, actual: np.ndarray):
+def score(prediction: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Nonconformity score: Euclidean norm of the prediction error (last axis)."""
-    p = np.asarray(prediction, dtype=np.float64)
-    a = np.asarray(actual, dtype=np.float64)
-    if p.shape != a.shape:
-        raise ValueError(f"shape mismatch: prediction {p.shape} vs actual {a.shape}")
-    return np.linalg.norm(a - p, axis=-1)
+    if prediction.shape != actual.shape:
+        raise ValueError(f"shape mismatch: prediction {prediction.shape} vs actual {actual.shape}")
+    return np.linalg.norm(actual - prediction, axis=-1)
 
 
 def warmup_quantile(scores, delta: float):
-    """Conservative split-conformal quantile of a finite calibration set.
+    """Conservative split-conformal quantile of a non-empty calibration set.
 
     Returns the ``q``-th order statistic with ``q = ceil((n+1)(1-delta))``
     clamped to ``n``, so small calibration sets err on the large side.
@@ -54,78 +68,63 @@ def warmup_quantile(scores, delta: float):
     """
     values = np.sort(np.asarray(list(scores), dtype=np.float64), axis=0)
     n = values.shape[0]
-    if n == 0:
-        raise ValueError("need at least one score")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     q = min(n, math.ceil((n + 1) * (1.0 - delta)))
     return values[q - 1]
 
 
 @dataclass
 class AcpState:
-    """Radius, calibration buffer, and miss bookkeeping for one episode or a batch.
+    """Per-episode radii and miss counts, and the batch's shared warm-up bookkeeping.
 
-    ``gamma``, ``eta`` and ``miss_count`` become per-episode arrays once a
-    batch's scores arrive; ``update_count`` counts steps and is shared.
+    ``gamma`` (the radius in use, ``+inf`` at first), ``eta`` and
+    ``miss_count`` are ``(episodes,)`` arrays; ``calibration`` holds one
+    ``(episodes,)`` score array per warm-up step.  Updates replace these
+    arrays rather than write into them, so a caller may hold one across an
+    :func:`observe`.
     """
 
-    delta: float = 0.02
-    eta: float | np.ndarray | None = None  # derived from the warm-up quantile when None
-    eta_scale: float = 0.05
-    warmup_len: int = 100
-    min_scores: int = 5
-    gamma: float | np.ndarray = 0.0
-    warmed_up: bool = False
-    calibration: list = field(default_factory=list)
-    miss_count: int | np.ndarray = 0
-    update_count: int = 0
+    config: AcpConfig
+    episodes: int
+    gamma: np.ndarray = field(init=False)
+    eta: np.ndarray = field(init=False)  # eta_scale times the warm-up radius
+    miss_count: np.ndarray = field(init=False)
+    warmed_up: bool = field(init=False, default=False)
+    calibration: list = field(init=False, default_factory=list)
+    update_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.warmup_len < 1:
-            raise ValueError("warmup_len must be >= 1")
-
-    @property
-    def miss_rate(self):
-        return self.miss_count / self.update_count if self.update_count else 0.0
+        self.gamma = np.full(self.episodes, math.inf)
+        self.eta = np.zeros(self.episodes)
+        self.miss_count = np.zeros(self.episodes, dtype=np.int64)
 
 
-def current_gamma(state: AcpState):
-    """Radius to use right now (finite only once enough evidence exists)."""
-    if state.warmed_up:
-        return state.gamma
-    if len(state.calibration) >= state.min_scores:
-        return warmup_quantile(state.calibration, state.delta)
-    return math.inf
+def current_gamma(state: AcpState) -> np.ndarray:
+    """Every episode's radius to use right now (finite only once enough evidence exists)."""
+    return state.gamma
 
 
-def acp_update(state: AcpState, new_score) -> AcpState:
-    """One online radius update; the miss is judged against the current radius."""
-    if not state.warmed_up:
-        raise NotWarmedUpError("adaptive updates require a completed warm-up")
-    miss = np.greater(new_score, state.gamma)
-    state.gamma = np.maximum(0.0, state.gamma + state.eta * (miss - state.delta))
-    state.miss_count = state.miss_count + miss.astype(np.int64)
-    state.update_count += 1
-    return state
+def observe(state: AcpState, scores) -> None:
+    """Feed one score per episode: calibrates during warm-up, adapts afterwards.
 
-
-def observe(state: AcpState, new_score) -> AcpState:
-    """Feed one score (or one per batch episode): calibrates during warm-up,
-    adapts afterwards.
-
-    Completing the warm-up seeds ``gamma`` with the calibration quantile and,
-    if ``eta`` was not set explicitly, scales the step size to the data as
+    During warm-up the radius is the quantile of the scores so far once
+    ``min_scores`` have arrived.  Completing the warm-up seeds ``gamma``
+    with the calibration quantile and scales the step size to the data as
     ``eta = eta_scale * gamma`` (so adaptation speed is unit-free).
+    Afterwards each score is judged against the current radius: a miss
+    grows it, a covered score shrinks it.
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    cfg = state.config
     if state.warmed_up:
-        return acp_update(state, new_score)
-    state.calibration.append(np.asarray(new_score, dtype=np.float64))
-    if len(state.calibration) >= state.warmup_len:
-        state.gamma = warmup_quantile(state.calibration, state.delta)
-        if state.eta is None:
-            state.eta = state.eta_scale * state.gamma
+        miss = scores > state.gamma
+        state.gamma = np.maximum(0.0, state.gamma + state.eta * (miss - cfg.delta))
+        state.miss_count = state.miss_count + miss
+        state.update_count += 1
+        return
+    state.calibration.append(scores)
+    seen = len(state.calibration)
+    if seen >= min(cfg.min_scores, cfg.warmup_len):
+        state.gamma = warmup_quantile(state.calibration, cfg.delta)
+    if seen >= cfg.warmup_len:
+        state.eta = cfg.eta_scale * state.gamma
         state.warmed_up = True
-    return state

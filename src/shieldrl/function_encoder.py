@@ -336,10 +336,10 @@ class OnlineCoefficients:
     """
 
     basis: BasisSet
-    episodes: int = 1
+    episodes: int
     refresh_period: int = 10
     ridge: float = 1e-6
-    b: np.ndarray = None  # type: ignore[assignment]  # (episodes, k)
+    b: np.ndarray = field(init=False)  # (episodes, k)
     solve_failures: np.ndarray = field(init=False)  # (episodes,)
     # n * G and n * y over the transitions summed so far; n counts every observed step.
     _gram: np.ndarray = field(init=False, repr=False)
@@ -354,8 +354,7 @@ class OnlineCoefficients:
         if self.refresh_period < 1:
             raise ValueError("refresh_period must be >= 1")
         k = self.basis.k
-        if self.b is None:
-            self.b = np.zeros((self.episodes, k))
+        self.b = np.zeros((self.episodes, k))
         self.solve_failures = np.zeros(self.episodes, dtype=np.int64)
         self._gram = np.zeros((self.episodes, k, k))
         self._proj = np.zeros((self.episodes, k))

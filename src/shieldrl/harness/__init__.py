@@ -1,14 +1,12 @@
 """Experiment harness: configs, training/eval loops, CLI, acceptance suites."""
 
 from .config import (
-    AcpSettings,
     ConfigError,
     EvalSettings,
     ExperimentConfig,
     FeSettings,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from .run import (
@@ -22,7 +20,6 @@ from .run import (
 )
 
 __all__ = [
-    "AcpSettings",
     "ConfigError",
     "EvalSettings",
     "ExperimentConfig",
@@ -35,7 +32,6 @@ __all__ = [
     "pretrain_fe",
     "run_episode",
     "save_checkpoint",
-    "save_config",
     "serialize_config",
     "train",
 ]

@@ -200,24 +200,24 @@ def check_reward_consistency(ws: Workspace) -> CriterionResult:
 
 def check_conformal(ws: Workspace) -> CriterionResult:
     rng = rng_for(333, "eval")
-    delta = 0.05
+    acp = conformal.AcpConfig(delta=0.05, warmup_len=100)
 
-    st = conformal.AcpState(delta=delta, warmup_len=100)
+    st = conformal.AcpState(acp, 1)  # one stream: a batch of one episode
     for _ in range(100):
-        conformal.observe(st, float(rng.uniform(0.0, 1.0)))
+        conformal.observe(st, [rng.uniform(0.0, 1.0)])
     for _ in range(10_000):
-        conformal.observe(st, float(rng.uniform(0.0, 1.0)))
-    stationary_miss = st.miss_rate
+        conformal.observe(st, [rng.uniform(0.0, 1.0)])
+    stationary_miss = st.miss_count[0] / st.update_count
 
-    st2 = conformal.AcpState(delta=delta, warmup_len=100)
+    st2 = conformal.AcpState(acp, 1)
     shift_at, total, window_start = 5000, 10_000, 7000
     window_miss = window_n = 0
     for i in range(total):
         scale = 1.0 if i < shift_at else 2.0
         before = st2.miss_count
-        conformal.observe(st2, float(rng.uniform(0.0, scale)))
+        conformal.observe(st2, [rng.uniform(0.0, scale)])
         if i >= window_start and st2.warmed_up:
-            window_miss += st2.miss_count - before
+            window_miss += st2.miss_count[0] - before[0]
             window_n += 1
     drift_miss = window_miss / window_n
 
@@ -447,30 +447,28 @@ def check_function_encoder(ws: Workspace) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _fd_relative_error(net: Mlp, X: np.ndarray, R: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients of sum(out*R)."""
-    _, cache = net.forward_cached(X)
-    grads = net.backward_cached(cache, R)
+def _fd_max_rel_error(pairs, loss, step: float, floor: float) -> float:
+    """Max relative error of analytic gradients against central differences of ``loss``.
 
-    def loss() -> float:
-        return float(np.sum(net.forward_batch(X) * R))
-
+    ``pairs`` holds ``(param, grad)`` arrays; each entry of ``param`` is
+    perturbed in place and restored.  Entries whose larger gradient
+    magnitude is at most ``floor`` are skipped.
+    """
     worst = 0.0
-    for params, analytic in ((net.weights, grads.weights), (net.biases, grads.biases)):
-        for arr, g in zip(params, analytic):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                up = loss()
-                arr[idx] = orig - step
-                down = loss()
-                arr[idx] = orig
-                fd = (up - down) / (2 * step)
-                denom = max(abs(fd), abs(g[idx]))
-                if denom > 1e-7:
-                    worst = max(worst, abs(fd - g[idx]) / denom)
+    for arr, g in pairs:
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + step
+            up = loss()
+            arr[idx] = orig - step
+            down = loss()
+            arr[idx] = orig
+            fd = (up - down) / (2 * step)
+            denom = max(abs(fd), abs(g[idx]))
+            if denom > floor:
+                worst = max(worst, abs(fd - g[idx]) / denom)
     return worst
 
 
@@ -491,7 +489,14 @@ def check_gradients(ws: Workspace) -> CriterionResult:
         net = Mlp.create(sizes, rng)
         X = rng.standard_normal((3, sizes[0]))
         R = rng.standard_normal((3, sizes[-1]))
-        worst_net = max(worst_net, _fd_relative_error(net, X, R))
+        _, cache = net.forward_cached(X)
+        grads = net.backward_cached(cache, R)
+        pairs = (*zip(net.weights, grads.weights), *zip(net.biases, grads.biases))
+
+        def loss() -> float:
+            return float(np.sum(net.forward_batch(X) * R))
+
+        worst_net = max(worst_net, _fd_max_rel_error(pairs, loss, 1e-5, 1e-7))
 
     # Clipped-surrogate gradient, checked away from the clip kinks.
     policy = sro.GaussianPolicy.create(5, 2, 2, (8, 8), rng)
@@ -501,31 +506,17 @@ def check_gradients(ws: Workspace) -> CriterionResult:
     logp_old = policy.log_prob_batch(X, A) + rng.uniform(-0.05, 0.05, size=n)
     adv = rng.standard_normal(n)
     _, grads, grad_ls, _, _ = sro.surrogate_loss_and_grads(policy, X, A, logp_old, adv, 0.2)
-    step = 1e-6
 
     def surrogate() -> float:
         loss, *_ = sro.surrogate_loss_and_grads(policy, X, A, logp_old, adv, 0.2)
         return loss
 
-    worst_pol = 0.0
-    for arr, g in (
+    pairs = (
         *zip(policy.mean_net.weights, grads.weights),
         *zip(policy.mean_net.biases, grads.biases),
         (policy.log_std, grad_ls),
-    ):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            up = surrogate()
-            arr[idx] = orig - step
-            down = surrogate()
-            arr[idx] = orig
-            fd = (up - down) / (2 * step)
-            denom = max(abs(fd), abs(g[idx]))
-            if denom > 1e-6:
-                worst_pol = max(worst_pol, abs(fd - g[idx]) / denom)
+    )
+    worst_pol = _fd_max_rel_error(pairs, surrogate, 1e-6, 1e-6)
 
     worst_gae = 0.0
     for _ in range(20):

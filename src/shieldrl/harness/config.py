@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from ..conformal import AcpConfig
 from ..env import EnvConfig
 from ..shield import ShieldConfig
 from ..sro import TrainConfig
@@ -49,24 +50,6 @@ class FeSettings:
 
 
 @dataclass
-class AcpSettings:
-    delta: float = 0.02
-    eta_scale: float = 0.05
-    warmup_len: int = 100
-    min_scores: int = 5
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.warmup_len < 1:
-            raise ValueError("warmup_len must be >= 1")
-        if self.min_scores < 1:
-            raise ValueError("min_scores must be >= 1")
-        if not self.eta_scale > 0.0:  # a negative step reverses the adaptation, zero freezes it
-            raise ValueError(f"eta_scale must be positive, got {self.eta_scale}")
-
-
-@dataclass
 class EvalSettings:
     episodes: int = 100
     ood_intervals: tuple[tuple[float, float], ...] = ((0.15, 0.3), (1.7, 2.5))
@@ -90,7 +73,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     shield: ShieldConfig = field(default_factory=ShieldConfig)
     fe: FeSettings = field(default_factory=FeSettings)
-    acp: AcpSettings = field(default_factory=AcpSettings)
+    acp: AcpConfig = field(default_factory=AcpConfig)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     @property
@@ -242,7 +225,3 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(cfg))

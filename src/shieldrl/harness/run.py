@@ -250,16 +250,7 @@ def run_episode(
         if track_context
         else None
     )
-    acp = (
-        conformal.AcpState(
-            delta=cfg.acp.delta,
-            eta_scale=cfg.acp.eta_scale,
-            warmup_len=cfg.acp.warmup_len,
-            min_scores=cfg.acp.min_scores,
-        )
-        if shield_on
-        else None
-    )
+    acp = conformal.AcpState(cfg.acp, n)  # observed only when shielded
 
     oracle = np.array([phi.as_array() for phi in phis]) if cfg.oracle_phi else None
 
@@ -310,7 +301,7 @@ def run_episode(
         default = mu + std * noise.head()
 
         if shield_on:
-            gammas = np.broadcast_to(conformal.current_gamma(acp), (n,))
+            gammas = conformal.current_gamma(acp)
             finite = np.isfinite(gammas)
             gamma_sum[finite] += gammas[finite]
             gamma_count += finite
@@ -353,8 +344,7 @@ def run_episode(
     boot = np.hstack([S, contexts()])
     buffer = sro.RolloutBuffer(inputs, taken, step_rewards, step_costs, boot) if record else None
     wall = (time.perf_counter() - t0) / n
-    updates = acp.update_count if shield_on else 0
-    misses = np.broadcast_to(acp.miss_count, (n,)) if shield_on else np.zeros(n, dtype=np.int64)
+    miss_rates = acp.miss_count / max(acp.update_count, 1)  # 0 before any update
     for j, i in enumerate(live):
         records[i] = {
             "steps": horizon,
@@ -362,7 +352,7 @@ def run_episode(
             "cost_rate": float(ep_costs[j]) / horizon,
             "shield_trigger_rate": triggers[j] / horizon,
             "safe_set_empty_rate": empties[j] / horizon,
-            "acp_miss_rate": int(misses[j]) / updates if updates else 0.0,
+            "acp_miss_rate": float(miss_rates[j]),
             "mean_gamma": float(gamma_sum[j]) / int(gamma_count[j]) if gamma_count[j] else 0.0,
             "fe_solve_failures": int(online.solve_failures[j]) if online is not None else 0,
             "wall_clock_seconds": wall,
@@ -554,7 +544,8 @@ def train(
     the count.  A checkpoint whose config differs from ``cfg`` in anything
     but ``total_steps`` raises ``ValueError`` naming the differing keys,
     and so does one whose ``rng_states`` is not exactly one generator state
-    per training stream.
+    per training stream, whose ``lambda`` is not a finite number >= 0, or
+    whose ``epoch``, ``steps_done`` or ``episode_index`` is negative.
     Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
@@ -588,6 +579,11 @@ def train(
         ]
         if changed:
             raise ValueError(f"checkpoint config differs from this run's: {', '.join(changed)}")
+        if not (math.isfinite(ck["lambda"]) and ck["lambda"] >= 0):
+            raise ValueError(f"checkpoint lambda must be a finite number >= 0, got {ck['lambda']}")
+        for key in ("epoch", "steps_done", "episode_index"):
+            if ck[key] < 0:
+                raise ValueError(f"checkpoint {key} must be >= 0, got {ck[key]}")
         policy = policy_from_checkpoint(ck)
         critics = _restore(sro.CriticSet, ck["critics"])
         policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"])

@@ -311,7 +311,8 @@ def test_online_singular_solve_keeps_the_previous_coefficients():
     # Gram matrix at ridge 0, while its batch neighbour's system is regular
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
     prior = np.array([[0.5, 0.5], [0.5, 0.5]])
-    online = fe.OnlineCoefficients(basis, episodes=2, refresh_period=2, ridge=0.0, b=prior)
+    online = fe.OnlineCoefficients(basis, episodes=2, refresh_period=2, ridge=0.0)
+    online.b = prior
     rng = np.random.default_rng(11)
     for _ in range(6):
         s = rng.standard_normal((2, 1))
@@ -368,7 +369,7 @@ def test_online_running_sums_match_batch_identification():
 def test_online_rejects_bad_refresh_period():
     basis = plain_basis([linear_net([[1.0, 0.0]])])
     with pytest.raises(ValueError):
-        fe.OnlineCoefficients(basis, refresh_period=0)
+        fe.OnlineCoefficients(basis, 1, refresh_period=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Harness tests: config files, training loop, evaluation, CLI."""
 
+import copy
 import json
 import re
 from collections import Counter
@@ -17,7 +18,6 @@ from shieldrl.harness.config import (
     apply_overrides,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from shieldrl.numerics import Mlp
@@ -43,6 +43,11 @@ def tiny_config(seed=3, total_steps=200, **flags):
     )
     cfg.validate()
     return cfg
+
+
+def write_config(cfg, path):
+    """Write ``cfg`` as a config file, in its canonical text form."""
+    path.write_text(serialize_config(cfg))
 
 
 def non_header(records):
@@ -72,7 +77,7 @@ def test_config_round_trip_is_identity():
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "exp.cfg"
     cfg = ExperimentConfig(seed=5)
-    save_config(cfg, path)
+    write_config(cfg, path)
     assert load_config(path) == cfg
     # the format is one key per line
     assert "seed = 5" in path.read_text()
@@ -585,7 +590,7 @@ def test_resume_rejects_a_different_config(tmp_path, capsys):
     assert "seed" not in str(exc.value) and "total_steps" not in str(exc.value)
     # through the CLI the rejection is an error exit
     cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
-    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
     args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
     assert cli.main(args) == 0
     before = ck_path.read_bytes(), metrics.read_bytes()
@@ -740,7 +745,7 @@ def test_a_checkpoint_file_that_is_not_an_object_is_an_error(tmp_path, capsys):
 
 def test_resume_from_a_checkpoint_without_critics_is_an_error(tmp_path, capsys):
     cfg_path, ck_path = tmp_path / "exp.cfg", tmp_path / "ck.json"
-    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
     args = ["train", "--config", str(cfg_path), "--out", str(ck_path)]
     assert cli.main(args) == 0
     ck = run.load_checkpoint(ck_path)
@@ -768,7 +773,7 @@ def test_resume_from_a_checkpoint_without_critics_is_an_error(tmp_path, capsys):
 )
 def test_resume_with_bad_rng_states_is_an_error(tmp_path, capsys, corrupt, message):
     cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
-    save_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
     args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
     assert cli.main(args) == 0
     ck = run.load_checkpoint(ck_path)
@@ -777,6 +782,33 @@ def test_resume_with_bad_rng_states_is_an_error(tmp_path, capsys, corrupt, messa
     assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint ") and message in err
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("lambda", float("nan"), "lambda must be a finite number >= 0, got nan"),
+        ("lambda", float("inf"), "lambda must be a finite number >= 0, got inf"),
+        ("lambda", -1, "lambda must be a finite number >= 0, got -1"),
+        ("epoch", -1, "epoch must be >= 0, got -1"),
+        ("steps_done", -400, "steps_done must be >= 0, got -400"),
+        ("episode_index", -1, "episode_index must be >= 0, got -1"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "lambda-negative", "epoch", "steps-done", "episode-index"],
+)
+def test_resume_with_bad_lambda_or_counters_is_an_error(tmp_path, capsys, key, value, message):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    ck = dict(run.load_checkpoint(ck_path), **{key: value})
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {message}")):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck)
+    run.save_checkpoint(ck, ck_path)
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {message}")
     assert (ck_path.read_bytes(), metrics.read_bytes()) == before
 
 
@@ -877,6 +909,43 @@ def test_shielded_circle_evaluation_runs_the_horizon():
         assert all(r["shield_trigger_rate"] > 0 for r in records)
 
 
+def test_oracle_context_is_each_episodes_hidden_parameters():
+    cfg = tiny_config(seed=4, oracle_phi=True)
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
+    )
+    env_rng = np.random.default_rng(1)
+    replay = copy.deepcopy(env_rng)  # the rollout's resets, drawn again in batch order
+    phis = []
+    for _ in range(3):
+        phi = env.sample_phi(replay, cfg.env.param_intervals)
+        env.reset(cfg.env, phi, replay)
+        phis.append(phi.as_array())
+    records, buffer = run.run_episode(
+        policy, cfg, cfg.env, env_rng, episode_streams(3), record=True
+    )
+    assert None not in records and len({tuple(phi) for phi in phis}) == 3
+    contexts = buffer.inputs[:, :, cfg.env.state_dim :]
+    assert contexts.shape == (3, cfg.env.horizon, env.PARAM_DIM)
+    np.testing.assert_array_equal(contexts, np.repeat(np.array(phis)[:, None], cfg.env.horizon, 1))
+    np.testing.assert_array_equal(buffer.boot_inputs[:, cfg.env.state_dim :], phis)
+
+
+def test_shielded_oracle_evaluation_runs_the_horizon_deterministically(shielded_setup):
+    cfg, basis = shielded_setup
+    cfg = replace(cfg, oracle_phi=True, fe_context=False).validate()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(2)
+    )
+    ck = run.build_checkpoint(cfg, policy, basis=basis)
+    first, again = (run.evaluate(ck, episodes=3, ood=True, seed=5) for _ in range(2))
+    records = first["records"]
+    assert first["shield_enabled"] and first["placement_failures"] == 0
+    assert [r["steps"] for r in records] == [cfg.env.horizon] * 3
+    assert sum(r["shield_trigger_rate"] for r in records) > 0
+    assert run.canonical_records(records) == run.canonical_records(again["records"])
+
+
 def test_directional_return_clause():
     # criterion 8: for a negative plain return the full method must still beat it
     assert not acceptance._return_kept(-0.5, -0.776)
@@ -915,7 +984,7 @@ def test_cli_pipeline(tmp_path):
     cfg = replace(cfg, env=replace(cfg.env, horizon=40),
                   train=replace(cfg.train, steps_per_epoch=80))
     cfg_path = tmp_path / "exp.cfg"
-    save_config(cfg, cfg_path)
+    write_config(cfg, cfg_path)
 
     basis_path = tmp_path / "basis.json"
     assert cli.main(["pretrain-fe", "--config", str(cfg_path), "--out", str(basis_path)]) == 0
@@ -956,7 +1025,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     out = tmp_path / "ck.json"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     # a value the first episode would reject stops pretraining before any work
-    save_config(tiny_config(), cfg_path)
+    write_config(tiny_config(), cfg_path)
     basis = tmp_path / "basis.json"
     rc = cli.main(["pretrain-fe", "--config", str(cfg_path), "--out", str(basis),
                    "--set", "fe.refresh_period=0"])
@@ -969,7 +1038,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
 
 def test_cli_reports_placement_errors(tmp_path, capsys):
     cfg_path = tmp_path / "crowded.cfg"
-    save_config(crowded_config(steps_per_epoch=400), cfg_path)
+    write_config(crowded_config(steps_per_epoch=400), cfg_path)
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "ck.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: could not place layout")

@@ -19,7 +19,9 @@ pretrained on 16 random-action draws for 10 epochs):
     shield and the FE context on, from a circle basis of the same size;
   * ``random_episodes``: the transitions of 5 ``collect_random_episodes``;
   * ``soundness_episodes``: 4 of acceptance criterion 4's shielded episodes
-    with the exact model, at its seed 404.
+    with the exact model, at its seed 404;
+  * ``acceptance_3_7``: the ``measured`` values of acceptance criteria 3
+    (conformal coverage) and 7 (gradient checks), as sorted JSON.
 
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
@@ -111,6 +113,12 @@ def main() -> None:
     # The streams' final states pin every draw the episodes made.
     streams = [rngs[name].bit_generator.state for name in sorted(rngs)]
     out["soundness_episodes"] = sha(json.dumps([stats, streams], sort_keys=True))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = acceptance.Workspace(tmp)
+        checks = (acceptance.check_conformal, acceptance.check_gradients)
+        measured = [check(ws).measured for check in checks]
+    out["acceptance_3_7"] = sha(json.dumps(measured, sort_keys=True))
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
