@@ -295,19 +295,14 @@ def cost_fn(state: np.ndarray, config: EnvConfig) -> int:
     )
 
 
-def nu(features: np.ndarray, env_features: np.ndarray, config: EnvConfig) -> float:
-    """Signed safety margin of a position; positive exactly when cost-free.
-
-    ``features`` is the point's position and ``env_features`` the absolute
-    obstacle positions ``(M, 2)`` (ignored by the circle task).  The margin
-    is 1-Lipschitz in the position, which bounds how much a position error
-    of size ``r`` can change it.
-    """
-    return float(nu_batch(np.asarray(features, dtype=np.float64)[None, :], env_features, config)[0])
-
-
 def nu_batch(positions: np.ndarray, env_features: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Vectorized ``nu`` over ``(B, 2)`` candidate positions."""
+    """Signed safety margins ``nu`` of ``(B, 2)`` positions; positive exactly when cost-free.
+
+    ``env_features`` holds the absolute obstacle positions ``(M, 2)``
+    (ignored by the circle task).  Each margin is 1-Lipschitz in its
+    position, which bounds how much a position error of size ``r`` can
+    change it.
+    """
     P = np.asarray(positions, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != 2:
         raise ValueError(f"positions must have shape (B, 2), got {P.shape}")

@@ -200,20 +200,9 @@ def combine(b: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return np.einsum("k,nko->no", b, Phi)
 
 
-def predict_delta_batch(basis: BasisSet, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return combine(b, basis.evaluate(X))
-
-
-def predict_next_batch(
-    basis: BasisSet, b: np.ndarray, states: np.ndarray, actions: np.ndarray
-) -> np.ndarray:
-    X = np.hstack([states, actions])
-    return states + predict_delta_batch(basis, b, X)
-
-
 def dataset_mse(basis: BasisSet, b: np.ndarray, ds: TransitionDataset) -> float:
     """Mean squared one-step delta error on a dataset for fixed coefficients."""
-    pred = predict_delta_batch(basis, b, ds.inputs)
+    pred = combine(b, basis.evaluate(ds.inputs))
     return float(np.mean(np.sum((pred - ds.targets) ** 2, axis=1)))
 
 

@@ -246,7 +246,6 @@ def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
     phi = envmod.sample_phi(rngs["env"], env_cfg.param_intervals)
     state = envmod.reset(env_cfg, phi, rngs["env"])
     predictor = shieldmod.GroundTruthPredictor(phi, env_cfg)
-    sctx = shieldmod.ShieldContext(predictor, env_cfg, 0.0, rngs["shield"])
     context = np.zeros(k_ctx)
     stats = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
              "certified_collisions": 0}
@@ -254,9 +253,7 @@ def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
         mu = policy.mean_batch(np.concatenate([state, context])[None])[0]
         decision = shieldmod.select_action(
             lambda n: policy.sample_n(mu, n, rngs["rollout"]),
-            state,
-            sctx,
-            shield_cfg,
+            state, predictor, 0.0, rngs["shield"], shield_cfg, env_cfg,
         )
         state, _, cost = envmod.step(state, decision.action, phi, env_cfg)
         stats["steps"] += 1

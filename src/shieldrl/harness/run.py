@@ -175,9 +175,9 @@ def run_episode(
     env_rng: np.random.Generator,
     streams: list[tuple[np.random.Generator, np.random.Generator]],
     *,
+    shield_on: bool,
     basis: fe.BasisSet | None = None,
     record: bool = False,
-    shield_on: bool | None = None,
 ) -> tuple[list[dict | None], sro.RolloutBuffer | None]:
     """Roll a batch of full episodes in lockstep, one per entry of ``streams``.
 
@@ -188,7 +188,8 @@ def run_episode(
     score, their basis rows the online identification), the identification
     refreshes every episode in one batched solve, and the conformal radii
     update together.  ``env.step`` and the shield's decision run per
-    episode.
+    episode; a decision reads the episode's row of the batch coefficients,
+    its current radius and its own shield stream.
 
     Actions are ``mu + std * noise``, formed for all episodes in one vector
     operation per step from block-drawn noise (:class:`_ActionNoise`), with
@@ -208,10 +209,12 @@ def run_episode(
     episode of a non-empty batch can be placed, the last
     ``env.PlacementError`` propagates.
 
-    A fresh hidden-parameter draw, layout, online coefficient estimate, and
-    conformal radius are used for every episode.  ``env_cfg`` may carry more
-    obstacles than the policy was trained with; all learned components then
-    operate on the truncated nearest-obstacle view of the state.
+    ``shield_on`` runs every step through the shield, which needs ``basis``
+    (``ValueError`` without it).  A fresh hidden-parameter draw, layout,
+    online coefficient estimate, and conformal radius are used for every
+    episode.  ``env_cfg`` may carry more obstacles than the policy was
+    trained with; all learned components then operate on the truncated
+    nearest-obstacle view of the state.
 
     Returns ``(records, buffer)``.  ``records[i]`` holds episode ``i``'s
     record fields (see :func:`episode_record`), or ``None`` for a dropped
@@ -219,11 +222,10 @@ def run_episode(
     ``(episodes, horizon)`` :class:`sro.RolloutBuffer` block, in batch
     order; otherwise ``buffer`` is ``None``.
     """
+    if shield_on and basis is None:
+        raise ValueError("a shielded rollout requires a basis")
     t0 = time.perf_counter()
     view_dim = cfg.env.state_dim
-    if shield_on is None:
-        shield_on = cfg.shield_enabled
-    shield_on = shield_on and basis is not None
     track_context = basis is not None and (shield_on or cfg.fe_context)
 
     records: list[dict | None] = [None] * len(streams)
@@ -274,22 +276,13 @@ def run_episode(
     std = np.exp(policy.log_std)
     noise = _ActionNoise(rollout_rngs, env_cfg.action_dim)
     if shield_on:
-        # Each episode's shield context and sampler are built once.  A step
-        # sets the context's radius (and its coefficients after a refresh),
-        # and the sampler reads that step's policy means and default actions.
-        shield_ctxs = [
-            shieldmod.ShieldContext(shieldmod.FePredictor(basis, b), env_cfg, 0.0, rng)
-            for b, rng in zip(online.b, shield_rngs)
-        ]
-
+        # Episode j's policy sampler: reads the step's policy means and default actions.
         def draw(j: int, m: int) -> np.ndarray:
             if m == 1:
                 noise.cursor[j] += 1
                 return default[j : j + 1]
             return mu[j] + std * noise.take(j, m)
 
-        samplers = [partial(draw, j) for j in range(n)]
-        b_seen = online.b
     for t in range(horizon):
         X = np.hstack([S, contexts()])
         mu = policy.mean_batch(X)
@@ -305,15 +298,13 @@ def run_episode(
             finite = np.isfinite(gammas)
             gamma_sum[finite] += gammas[finite]
             gamma_count += finite
-            if online.b is not b_seen:
-                b_seen = online.b
-                for sctx, b in zip(shield_ctxs, b_seen):
-                    sctx.predictor.b = b
             acts = []
-            rows = zip(shield_ctxs, gammas.tolist(), samplers, S)
-            for j, (sctx, gamma, sample, state) in enumerate(rows):
-                sctx.gamma = gamma
-                decision = shieldmod.select_action(sample, state, sctx, cfg.shield)
+            rows = zip(S, online.b, gammas.tolist(), shield_rngs)
+            for j, (state, b, gamma, rng) in enumerate(rows):
+                decision = shieldmod.select_action(
+                    partial(draw, j), state, shieldmod.FePredictor(basis, b), gamma, rng,
+                    cfg.shield, env_cfg,
+                )
                 acts.append(decision.action)
                 if decision.intervened:
                     triggers[j] += 1
@@ -453,7 +444,7 @@ def load_checkpoint(path: str | Path) -> dict:
     Files of any other format or version, including version 1 (arrays as
     decimal lists), and files that are not a JSON object, lack a key
     :func:`build_checkpoint` writes or hold a value of another JSON type
-    there raise ``ValueError``.
+    there (``true`` and ``false`` are not numbers) raise ``ValueError``.
     """
     return _checked(json.loads(Path(path).read_text(), object_hook=_decode_array))
 
@@ -470,7 +461,9 @@ def _checked(ck) -> dict:
     missing = [key for key in _CHECKPOINT_TYPES if key not in ck]
     if missing:
         raise ValueError(f"checkpoint is missing keys {missing}")
-    wrong = [key for key, kind in _CHECKPOINT_TYPES.items() if not isinstance(ck[key], kind)]
+    # ``bool`` is an ``int`` to ``isinstance``: JSON true/false would pass as numbers.
+    wrong = [key for key, kind in _CHECKPOINT_TYPES.items()
+             if isinstance(ck[key], bool) or not isinstance(ck[key], kind)]
     if wrong:
         raise ValueError(f"checkpoint values of the wrong JSON type: {wrong}")
     return ck
@@ -511,6 +504,17 @@ def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
     return _restore(sro.GaussianPolicy, ck["policy"])
 
 
+def _basis_bits(basis: fe.BasisSet | None) -> list | None:
+    """The layout, shapes and bytes of a basis's networks and normalization.
+
+    ``meta`` is left out: :func:`fe.load_basis` keeps the pooled baseline there as lists.
+    """
+    if basis is None:
+        return None
+    arrays = (basis.norm_mean, basis.norm_std, *basis.weights, *basis.biases)
+    return [basis.layer_sizes, *((a.shape, a.tobytes()) for a in arrays)]
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -543,9 +547,11 @@ def train(
     threads at count-dependent points, and the checkpoint does not record
     the count.  A checkpoint whose config differs from ``cfg`` in anything
     but ``total_steps`` raises ``ValueError`` naming the differing keys,
-    and so does one whose ``rng_states`` is not exactly one generator state
-    per training stream, whose ``lambda`` is not a finite number >= 0, or
-    whose ``epoch``, ``steps_done`` or ``episode_index`` is negative.
+    and so does one whose basis differs from ``basis`` in its networks or
+    normalization, bit for bit (no basis matches only no basis), whose
+    ``rng_states`` is not exactly one generator state per training stream,
+    whose ``lambda`` is not a finite number >= 0, or whose ``epoch``,
+    ``steps_done`` or ``episode_index`` is negative.
     Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
@@ -579,6 +585,9 @@ def train(
         ]
         if changed:
             raise ValueError(f"checkpoint config differs from this run's: {', '.join(changed)}")
+        ck_basis = fe.basis_from_record(ck["basis"]) if ck["basis"] else None
+        if _basis_bits(basis) != _basis_bits(ck_basis):
+            raise ValueError("basis differs from the checkpoint's (networks or normalization)")
         if not (math.isfinite(ck["lambda"]) and ck["lambda"] >= 0):
             raise ValueError(f"checkpoint lambda must be a finite number >= 0, got {ck['lambda']}")
         for key in ("epoch", "steps_done", "episode_index"):
@@ -643,7 +652,8 @@ def train(
                 cfg.seed, ("rollout", 0), ("shield", 0), episode_index, batch
             )
             results, buffer = run_episode(
-                policy, cfg, env_cfg, rngs["env"], streams, basis=basis, record=True
+                policy, cfg, env_cfg, rngs["env"], streams,
+                shield_on=cfg.shield_enabled, basis=basis, record=True,
             )
             ran = [(episode_index + i, rec) for i, rec in enumerate(results) if rec is not None]
             for index, rec in ran:
@@ -832,11 +842,8 @@ class PooledRegressor:
     norm_mean: np.ndarray
     norm_std: np.ndarray
 
-    def predict_delta_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.net.forward_batch((X - self.norm_mean) / self.norm_std)
-
     def dataset_mse(self, ds: fe.TransitionDataset) -> float:
-        err = self.predict_delta_batch(ds.inputs) - ds.targets
+        err = self.net.forward_batch((ds.inputs - self.norm_mean) / self.norm_std) - ds.targets
         return float(np.mean(np.sum(err**2, axis=1)))
 
 

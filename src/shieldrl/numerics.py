@@ -208,7 +208,7 @@ def adam_step(net: Mlp, state: AdamState, grads: Gradients) -> None:
         _adam_update(p, g, m, v, state, bc1, bc2)
 
 
-def _adam_update(p, g, m, v, state: AdamState, bc1: float, bc2: float) -> None:
+def _adam_update(p, g, m, v, state: AdamState | AdamVector, bc1: float, bc2: float) -> None:
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
@@ -229,15 +229,14 @@ class AdamVector:
     v: np.ndarray | None = None
 
     def apply(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """One Adam update of ``param`` in place; the moments start at zero on the first."""
         if self.m is None:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.step += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * np.square(grad)
-        m_hat = self.m / (1.0 - self.beta1**self.step)
-        v_hat = self.v / (1.0 - self.beta2**self.step)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        bc1 = 1.0 - self.beta1**self.step
+        bc2 = 1.0 - self.beta2**self.step
+        _adam_update(param, grad, self.m, self.v, self, bc1, bc2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Per decision the shield runs five steps:
 A state is a state vector in ``env``'s layout, read through its slice
 names.  It may be cut to the nearest obstacles a policy was built for
 (``run._state_view``): the sorted sensor keeps the nearest obstacle first.
-The shield is stateless: everything episode-specific (predictor,
-conformal radius, RNG) arrives through a ``ShieldContext``.
+The shield is stateless: an episode's inputs (its predictor, conformal
+radius and RNG) arrive as arguments of each decision.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class FePredictor:
     b: np.ndarray
 
     def predict_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return fe.predict_next_batch(self.basis, self.b, states, np.clip(actions, -1.0, 1.0))
+        X = np.hstack([states, np.clip(actions, -1.0, 1.0)])
+        return states + fe.combine(self.b, self.basis.evaluate(X))
 
     def predict(self, states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Next states of executed steps, and the basis rows they were built from.
@@ -111,20 +112,6 @@ class GroundTruthPredictor:
         ])
 
 
-@dataclass
-class ShieldContext:
-    """Episode-scoped inputs: model, radius, randomness.
-
-    A rollout builds one per episode and updates ``gamma`` (and the
-    predictor's coefficients) in place as the episode runs.
-    """
-
-    predictor: Predictor
-    env_config: envmod.EnvConfig
-    gamma: float
-    rng: np.random.Generator
-
-
 def pre_safety_check(
     state: np.ndarray, config: ShieldConfig, env_config: envmod.EnvConfig
 ) -> bool:
@@ -138,24 +125,30 @@ def pre_safety_check(
             x, y = nearest
             margin = math.sqrt(x * x + y * y) - env_config.safe_distance
     else:
-        margin = envmod.nu(state[envmod.POSITION], envmod.world_obstacles(state), env_config)
+        position = state[None, envmod.POSITION]
+        margin = float(envmod.nu_batch(position, envmod.world_obstacles(state), env_config)[0])
     return margin > config.l_nu * config.pre_safety_margin
 
 
 def select_action(
     policy_sampler: Callable[[int], np.ndarray],
     state: np.ndarray,
-    context: ShieldContext,
+    predictor: Predictor,
+    gamma: float,
+    rng: np.random.Generator,
     config: ShieldConfig,
+    env_config: envmod.EnvConfig,
 ) -> ShieldDecision:
-    """Full shield decision for one step.
+    """Full shield decision for one step of an episode.
 
     ``policy_sampler(n)`` must return ``n`` i.i.d. policy samples as an
-    ``(n, action_dim)`` array.  When intervening, the returned action is
-    always one of the sampled candidates; ranking ties are broken by
-    candidate index so decisions are deterministic given the context RNG.
+    ``(n, action_dim)`` array; ``predictor``, ``gamma`` and ``rng`` are the
+    episode's dynamics model, conformal radius and shield stream.  When
+    intervening, the returned action is always one of the sampled
+    candidates; ranking ties are broken by candidate index so decisions are
+    deterministic given ``rng``.
     """
-    if pre_safety_check(state, config, context.env_config):
+    if pre_safety_check(state, config, env_config):
         return ShieldDecision(
             action=policy_sampler(1)[0],
             intervened=False,
@@ -167,19 +160,19 @@ def select_action(
         raise ValueError(
             f"policy_sampler returned {candidates.shape[0]} candidates, expected {config.n_candidates}"
         )
-    predicted = context.predictor.predict_batch(
+    predicted = predictor.predict_batch(
         np.repeat(state[None, :], config.n_candidates, axis=0), candidates
     )
     margins = envmod.nu_batch(
-        predicted[:, envmod.POSITION], envmod.world_obstacles(state), context.env_config
+        predicted[:, envmod.POSITION], envmod.world_obstacles(state), env_config
     )
-    scores = margins - 2.0 * config.l_nu * context.gamma
+    scores = margins - 2.0 * config.l_nu * gamma
     positive = np.flatnonzero(scores > 0.0)
     if positive.size > 0:
         # Rank positives by descending score, ties by candidate index.
         ranked = positive[np.lexsort((positive, -scores[positive]))]
         pool = ranked[: config.top_k]
-        chosen = int(pool[int(context.rng.integers(pool.size))])
+        chosen = int(pool[int(rng.integers(pool.size))])
         empty = False
     else:
         # Least-unsafe fallback: the raw margin ranking equals the score

@@ -165,14 +165,19 @@ def test_cost_frozen_examples():
     assert env.cost_fn(make_state((0.0, 0.0), obstacles=[]), cfg) == 0
 
 
+def margin_at(position, obstacles, cfg):
+    """The safety margin of one position."""
+    return float(env.nu_batch(np.asarray(position)[None], obstacles, cfg)[0])
+
+
 def test_margin_frozen_examples():
     cfg = nav_config()
     wall = np.array([[1.0, 0.0]])
-    assert env.nu(np.array([0.0, 0.0]), wall, cfg) == 0.75
-    assert env.nu(np.array([1.0, 0.0]), wall, cfg) == -0.25
+    assert margin_at(np.array([0.0, 0.0]), wall, cfg) == 0.75
+    assert margin_at(np.array([1.0, 0.0]), wall, cfg) == -0.25
     ring = circle_config()  # region_radius 1.5, region_margin 0.05
-    assert env.nu(np.array([0.0, 0.0]), np.zeros((0, 2)), ring) == pytest.approx(1.45)
-    assert env.nu(np.array([1.6, 0.0]), np.zeros((0, 2)), ring) < 0.0
+    assert margin_at(np.array([0.0, 0.0]), np.zeros((0, 2)), ring) == pytest.approx(1.45)
+    assert margin_at(np.array([1.6, 0.0]), np.zeros((0, 2)), ring) < 0.0
 
 
 def test_margin_sign_matches_cost_indicator():
@@ -183,9 +188,9 @@ def test_margin_sign_matches_cost_indicator():
         p = rng.uniform(-2.0, 2.0, size=2)
         obstacles = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 5)), 2))
         state = make_state(p, obstacles=obstacles)
-        assert (env.nu(p, obstacles, nav) <= 0.0) == bool(env.cost_fn(state, nav))
+        assert (margin_at(p, obstacles, nav) <= 0.0) == bool(env.cost_fn(state, nav))
         ring_state = np.concatenate([p, np.zeros(4)])
-        assert (env.nu(p, obstacles, ring) <= 0.0) == bool(env.cost_fn(ring_state, ring))
+        assert (margin_at(p, obstacles, ring) <= 0.0) == bool(env.cost_fn(ring_state, ring))
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +205,7 @@ def test_margin_is_lipschitz_in_position(px, py, dx, dy, seed, task):
     obstacles = np.random.default_rng(seed).uniform(-2, 2, size=(3, 2))
     p = np.array([px, py])
     d = np.array([dx, dy])
-    gap = abs(env.nu(p + d, obstacles, cfg) - env.nu(p, obstacles, cfg))
+    gap = abs(margin_at(p + d, obstacles, cfg) - margin_at(p, obstacles, cfg))
     assert gap <= np.linalg.norm(d) + 1e-9
 
 
@@ -210,8 +215,8 @@ def test_nu_batch_matches_scalar():
     P = rng.uniform(-2, 2, size=(64, 2))
     obstacles = rng.uniform(-2, 2, size=(4, 2))
     batch = env.nu_batch(P, obstacles, cfg)
-    for i in range(P.shape[0]):
-        assert batch[i] == env.nu(P[i], obstacles, cfg)
+    for i in range(P.shape[0]):  # each row's margin, as if it were the only row
+        assert batch[i] == env.nu_batch(P[i : i + 1], obstacles, cfg)[0]
     with pytest.raises(ValueError):
         env.nu_batch(P.reshape(-1), obstacles, cfg)
 

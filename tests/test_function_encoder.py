@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from shieldrl import function_encoder as fe
 from shieldrl.numerics import Mlp, ShapeMismatchError
+from shieldrl.shield import FePredictor
 
 
 def linear_net(rows) -> Mlp:
@@ -96,20 +97,25 @@ def test_coefficients_are_permutation_invariant():
 def test_predict_next_state_arithmetic():
     # state_dim 1, action_dim 1: g1 = s, g2 = a; delta = 2 s - 0.5 a
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
-    b = np.array([2.0, -0.5])
-    out = fe.predict_next_batch(basis, b, np.array([[3.0]]), np.array([[4.0]]))
-    np.testing.assert_allclose(out, [[3.0 + 2.0 * 3.0 - 0.5 * 4.0]])
+    predictor = FePredictor(basis, np.array([2.0, -0.5]))
+    out = predictor.predict_batch(np.array([[3.0]]), np.array([[0.4]]))
+    np.testing.assert_allclose(out, [[3.0 + 2.0 * 3.0 - 0.5 * 0.4]])
     with pytest.raises(ValueError):
-        fe.predict_next_batch(basis, b, np.array([[3.0, 1.0]]), np.array([[4.0]]))
+        predictor.predict_batch(np.array([[3.0, 1.0]]), np.array([[0.4]]))
 
 
-def test_predict_next_batch_matches_scalar():
+def test_fe_predictor_rows_match_each_row_alone():
     basis = plain_basis([linear_net([[1.0, 0.0]]), linear_net([[0.0, 1.0]])])
     rng = np.random.default_rng(3)
-    S, A = rng.standard_normal((16, 1)), rng.standard_normal((16, 1))
-    batch = fe.predict_next_batch(basis, np.array([1.5, 0.25]), S, A)
+    S, A = rng.standard_normal((16, 1)), rng.uniform(-1.0, 1.0, (16, 1))
+    b, per_row = np.array([1.5, 0.25]), rng.standard_normal((16, 2))
+    shared = FePredictor(basis, b).predict_batch(S, A)
+    own = FePredictor(basis, per_row).predict_batch(S, A)
     for i in range(16):
-        np.testing.assert_allclose(batch[i], S[i] + 1.5 * S[i] + 0.25 * A[i])
+        np.testing.assert_allclose(shared[i], S[i] + 1.5 * S[i] + 0.25 * A[i])
+        row = slice(i, i + 1)
+        assert shared[i] == FePredictor(basis, b).predict_batch(S[row], A[row])[0]
+        assert own[i] == FePredictor(basis, per_row[i]).predict_batch(S[row], A[row])[0]
 
 
 def random_basis(layer_sizes, k=3, seed=20) -> fe.BasisSet:
@@ -284,7 +290,7 @@ def test_online_prior_predicts_no_motion():
     np.testing.assert_array_equal(online.solve_failures, [0, 0])
     states = np.array([[0.7], [-0.2]])
     np.testing.assert_array_equal(
-        fe.predict_next_batch(basis, online.b, states, np.array([[0.3], [0.1]])), states
+        FePredictor(basis, online.b).predict_batch(states, np.array([[0.3], [0.1]])), states
     )
 
 

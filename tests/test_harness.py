@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from shieldrl import env, sro
+from shieldrl import conformal, env, sro
 from shieldrl import function_encoder as fe
 from shieldrl.harness import acceptance, cli, run
 from shieldrl.harness.config import (
@@ -341,6 +341,53 @@ def shielded_setup():
     return cfg, run.pretrain_fe(cfg).basis
 
 
+def test_each_decision_gets_its_episodes_current_coefficients_and_radius(
+    monkeypatch, shielded_setup
+):
+    cfg, basis = shielded_setup
+    episodes, horizon, period = 3, cfg.env.horizon, cfg.fe.refresh_period
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
+    )
+    built = {}
+    for module, name in ((fe, "OnlineCoefficients"), (conformal, "AcpState")):
+        def build(*args, _name=name, _cls=getattr(module, name), **kwargs):
+            built[_name] = _cls(*args, **kwargs)
+            return built[_name]
+
+        monkeypatch.setattr(module, name, build)
+    streams = episode_streams(episodes)
+    seen = []
+
+    def recorded(sampler, state, predictor, gamma, rng, *rest, _fn=run.shieldmod.select_action):
+        # read when the decision is made: a stale hand-off shows here
+        j = len(seen) % episodes
+        np.testing.assert_array_equal(predictor.b, built["OnlineCoefficients"].b[j])
+        assert gamma == built["AcpState"].gamma[j] and rng is streams[j][1]
+        seen.append(predictor.b.copy())
+        return _fn(sampler, state, predictor, gamma, rng, *rest)
+
+    monkeypatch.setattr(run.shieldmod, "select_action", recorded)
+    run.run_episode(
+        policy, cfg, cfg.env, np.random.default_rng(0), streams, shield_on=True, basis=basis
+    )
+    assert len(seen) == episodes * horizon
+    bs = np.array(seen).reshape(horizon, episodes, -1)
+    assert not bs[:period].any()  # zero until the first refresh
+    assert (bs[period] != bs[period - 1]).any(axis=1).all()  # then each episode's own solve
+
+
+def test_a_shielded_rollout_requires_a_basis():
+    cfg = tiny_config()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
+    )
+    with pytest.raises(ValueError, match="shielded rollout requires a basis"):
+        run.run_episode(
+            policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), shield_on=True
+        )
+
+
 def test_episode_records_do_not_depend_on_the_batch_size(shielded_setup):
     cfg, basis = shielded_setup
     policy = sro.GaussianPolicy.create(
@@ -530,7 +577,8 @@ def test_recorded_block_has_one_row_per_placed_episode():
         cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
     )
     records, buffer = run.run_episode(
-        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6), record=True
+        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6), shield_on=False,
+        record=True,
     )
     placed = [rec for rec in records if rec is not None]
     assert 0 < len(placed) < len(records)
@@ -544,7 +592,7 @@ def test_recorded_block_has_one_row_per_placed_episode():
         assert buffer.costs[row].mean() == rec["cost_rate"]
     assert sum(rec["cost_rate"] for rec in placed) > 0
     _, unrecorded = run.run_episode(
-        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6)
+        policy, cfg, cfg.env, np.random.default_rng(1), episode_streams(6), shield_on=False
     )
     assert unrecorded is None
 
@@ -572,7 +620,8 @@ def test_singular_online_solves_are_counted_not_fatal():
     rng = np.random.default_rng(0)
     policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
     (rec,), _ = run.run_episode(
-        policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), basis=basis
+        policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), shield_on=False,
+        basis=basis,
     )
     assert rec["steps"] == cfg.env.horizon
     assert rec["fe_solve_failures"] == cfg.env.horizon // cfg.fe.refresh_period
@@ -794,8 +843,13 @@ def test_resume_with_bad_rng_states_is_an_error(tmp_path, capsys, corrupt, messa
         ("epoch", -1, "epoch must be >= 0, got -1"),
         ("steps_done", -400, "steps_done must be >= 0, got -400"),
         ("episode_index", -1, "episode_index must be >= 0, got -1"),
+        ("lambda", True, "values of the wrong JSON type: ['lambda']"),
+        ("epoch", False, "values of the wrong JSON type: ['epoch']"),
+        ("steps_done", False, "values of the wrong JSON type: ['steps_done']"),
+        ("episode_index", True, "values of the wrong JSON type: ['episode_index']"),
     ],
-    ids=["lambda-nan", "lambda-inf", "lambda-negative", "epoch", "steps-done", "episode-index"],
+    ids=["lambda-nan", "lambda-inf", "lambda-negative", "epoch", "steps-done", "episode-index",
+         "lambda-true", "epoch-false", "steps-done-false", "episode-index-true"],
 )
 def test_resume_with_bad_lambda_or_counters_is_an_error(tmp_path, capsys, key, value, message):
     cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
@@ -809,6 +863,57 @@ def test_resume_with_bad_lambda_or_counters_is_an_error(tmp_path, capsys, key, v
     before = ck_path.read_bytes(), metrics.read_bytes()
     assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
     assert capsys.readouterr().err.startswith(f"error: checkpoint {message}")
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epoch", True), ("steps_done", False), ("episode_index", False), ("lambda", True),
+])
+def test_a_boolean_counter_or_lambda_does_not_load(tmp_path, key, value):
+    # the resume and the CLI refuse it too (test_resume_with_bad_lambda_or_counters_is_an_error)
+    ck = dict(run.train(tiny_config(seed=3, total_steps=100)).checkpoint, **{key: value})
+    path = tmp_path / "ck.json"
+    run.save_checkpoint(ck, path)
+    message = re.escape(f"checkpoint values of the wrong JSON type: [{key!r}]")
+    with pytest.raises(ValueError, match=message):
+        run.load_checkpoint(path)
+    with pytest.raises(ValueError, match=message):
+        run.evaluate(ck, episodes=1)
+
+
+def test_resume_refuses_another_basis(tmp_path):
+    cfg = tiny_config(seed=3, total_steps=100, shield_enabled=True)
+    basis_a = run.pretrain_fe(cfg, out_path=tmp_path / "a.json").basis
+    basis_b = run.pretrain_fe(replace(cfg, seed=4)).basis
+    half = run.train(cfg, basis=basis_a).checkpoint
+    longer = replace(cfg, total_steps=200)
+    with pytest.raises(ValueError, match="basis differs from the checkpoint's"):
+        run.train(longer, basis=basis_b, resume=half)
+    # the same networks loaded from the artifact resume, whatever their meta holds
+    for loaded in (fe.load_basis(tmp_path / "a.json"), run.load_training_basis(tmp_path / "a.json")):
+        assert run.train(longer, basis=loaded, resume=half).epochs_run == 1
+    # no basis matches only no basis
+    plain = tiny_config(seed=3, total_steps=100)
+    with pytest.raises(ValueError, match="basis differs from the checkpoint's"):
+        run.train(replace(plain, total_steps=200), basis=basis_a, resume=run.train(plain).checkpoint)
+    with pytest.raises(ValueError, match="basis differs from the checkpoint's"):
+        run.train(replace(plain, total_steps=200), resume=run.train(plain, basis=basis_a).checkpoint)
+
+
+def test_cli_resume_refuses_another_basis(tmp_path, capsys):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100, shield_enabled=True), cfg_path)
+    for name, seed in (("a.json", 3), ("b.json", 4)):
+        out = str(tmp_path / name)
+        assert cli.main(["pretrain-fe", "--config", str(cfg_path), "--out", out,
+                         "--set", f"seed={seed}"]) == 0
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main([*args, "--basis", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    resume = ["--resume", str(ck_path), "--set", "total_steps=200"]
+    assert cli.main([*args, "--basis", str(tmp_path / "b.json"), *resume]) == 2
+    assert capsys.readouterr().err.startswith("error: basis differs from the checkpoint's")
     assert (ck_path.read_bytes(), metrics.read_bytes()) == before
 
 
@@ -922,7 +1027,7 @@ def test_oracle_context_is_each_episodes_hidden_parameters():
         env.reset(cfg.env, phi, replay)
         phis.append(phi.as_array())
     records, buffer = run.run_episode(
-        policy, cfg, cfg.env, env_rng, episode_streams(3), record=True
+        policy, cfg, cfg.env, env_rng, episode_streams(3), shield_on=False, record=True
     )
     assert None not in records and len({tuple(phi) for phi in phis}) == 3
     contexts = buffer.inputs[:, :, cfg.env.state_dim :]

@@ -170,9 +170,10 @@ def test_adam_moves_against_gradient():
 
 
 def test_adam_vector_matches_adam_net_on_same_stream():
-    # Scalar parameter updated through both implementations must agree.
+    # One update rule: a scalar parameter updated both ways agrees bit for bit.
     vec = np.array([0.7])
     av = AdamVector(lr=0.05)
+    assert av.m is None and av.v is None  # moments start at the first update
     net = Mlp([1, 1], [np.array([[0.7]])], [np.zeros(1)])
     opt = AdamState.for_net(net, lr=0.05)
     for g in (0.3, -0.2, 0.05):
@@ -180,7 +181,8 @@ def test_adam_vector_matches_adam_net_on_same_stream():
         grads = net.zero_gradients()
         grads.weights[0][0, 0] = g
         adam_step(net, opt, grads)
-    assert np.allclose(vec[0], net.weights[0][0, 0], atol=1e-12)
+        assert vec[0] == net.weights[0][0, 0]
+        assert (av.m[0], av.v[0], av.step) == (opt.m_w[0][0, 0], opt.v_w[0][0, 0], opt.step)
 
 
 def test_parameters_stay_finite_over_many_steps():

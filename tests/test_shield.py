@@ -28,12 +28,21 @@ def make_state(position, velocity=(0.0, 0.0), goal=(1.8, 1.8), obstacles=()):
                            np.asarray(goal, dtype=np.float64) - p, sensor])
 
 
-def truth_context(state_cfg, phi=None, gamma=0.0, seed=0):
-    return shield.ShieldContext(
-        predictor=shield.GroundTruthPredictor(phi or unit_phi(), state_cfg),
-        env_config=state_cfg,
-        gamma=gamma,
-        rng=np.random.default_rng(seed),
+def margin_at(position, obstacles, cfg):
+    """The safety margin of one position."""
+    return float(env.nu_batch(np.asarray(position)[None], obstacles, cfg)[0])
+
+
+def decide(sampler, state, cfg, scfg=None, gamma=0.0, phi=None, rng=None):
+    """A decision with the exact model of ``phi`` (unit parameters by default)."""
+    return shield.select_action(
+        sampler,
+        state,
+        shield.GroundTruthPredictor(phi or unit_phi(), cfg),
+        gamma,
+        np.random.default_rng(0) if rng is None else rng,
+        scfg or shield.ShieldConfig(),
+        cfg,
     )
 
 
@@ -47,10 +56,10 @@ def fixed_sampler(candidates):
     return sampler
 
 
-def scored(action, state, ctx, scfg):
+def scored(action, state, cfg, scfg, gamma=0.0, phi=None):
     """Score of one candidate, from a decision forced past the pre-safety gate."""
     forced = replace(scfg, n_candidates=1, top_k=1, pre_safety_margin=np.inf)
-    return shield.select_action(fixed_sampler([action]), state, ctx, forced).scores[0]
+    return decide(fixed_sampler([action]), state, cfg, forced, gamma, phi).scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +79,7 @@ def test_pre_safety_examples():
 def test_pre_safety_boundary_is_strict():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(0.6, 0.0)])
-    margin = env.nu(state[env.POSITION], env.world_obstacles(state), cfg)
+    margin = margin_at(state[env.POSITION], env.world_obstacles(state), cfg)
     at = shield.ShieldConfig(pre_safety_margin=margin)
     below = shield.ShieldConfig(pre_safety_margin=np.nextafter(margin, 0.0))
     assert not shield.pre_safety_check(state, at, cfg)  # needs margin strictly above
@@ -93,7 +102,7 @@ def test_circle_pre_safety_examples():
     assert shield.pre_safety_check(circle_state((0.0, 1.0), obstacles=[(0.0, 1.05)]), scfg, cfg)
     # strict at the boundary, as for navigation
     state = circle_state((0.0, -1.1))
-    margin = env.nu(state[env.POSITION], env.world_obstacles(state), cfg)
+    margin = margin_at(state[env.POSITION], env.world_obstacles(state), cfg)
     at = shield.ShieldConfig(pre_safety_margin=margin)
     below = shield.ShieldConfig(pre_safety_margin=np.nextafter(margin, 0.0))
     assert not shield.pre_safety_check(state, at, cfg)
@@ -117,8 +126,7 @@ def test_safety_score_frozen_example():
     # score = (1.0 - 0.25) - 2 * 1.0 * 0.1 = 0.55
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
-    ctx = truth_context(cfg, gamma=0.1)
-    got = scored(np.zeros(2), state, ctx, shield.ShieldConfig())
+    got = scored(np.zeros(2), state, cfg, shield.ShieldConfig(), gamma=0.1)
     assert got == pytest.approx(0.55, abs=1e-12)
 
 
@@ -127,8 +135,7 @@ def test_circle_safety_score_frozen_example():
     # p' = (1.01, 0): margin (1.5 - 1.01) - 0.05 = 0.44, score 0.44 - 2 * 0.1
     cfg = env.EnvConfig(task="circle")
     state = circle_state((1.0, 0.0), obstacles=[(1.05, 0.0)])
-    got = scored(np.array([1.0, 0.0]), state, truth_context(cfg, gamma=0.1),
-                 shield.ShieldConfig())
+    got = scored(np.array([1.0, 0.0]), state, cfg, shield.ShieldConfig(), gamma=0.1)
     assert got == pytest.approx(0.24, abs=1e-12)
 
 
@@ -136,8 +143,8 @@ def test_safety_score_decreases_linearly_with_radius():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.0, 0.0)])
     scfg = shield.ShieldConfig(l_nu=1.5)
-    a = scored(np.zeros(2), state, truth_context(cfg, gamma=0.0), scfg)
-    b = scored(np.zeros(2), state, truth_context(cfg, gamma=0.3), scfg)
+    a = scored(np.zeros(2), state, cfg, scfg, gamma=0.0)
+    b = scored(np.zeros(2), state, cfg, scfg, gamma=0.3)
     assert a - b == pytest.approx(2.0 * 1.5 * 0.3, abs=1e-12)
 
 
@@ -148,9 +155,9 @@ def test_zero_radius_exact_model_scores_true_margin():
     for _ in range(50):
         state = env.reset(cfg, phi, rng)
         action = rng.uniform(-1.0, 1.0, size=2)
-        got = scored(action, state, truth_context(cfg, phi=phi), shield.ShieldConfig())
+        got = scored(action, state, cfg, shield.ShieldConfig(), phi=phi)
         nxt, _, _ = env.step(state, action, phi, cfg)
-        true_margin = env.nu(nxt[env.POSITION], env.world_obstacles(state), cfg)
+        true_margin = margin_at(nxt[env.POSITION], env.world_obstacles(state), cfg)
         assert got == true_margin
 
 
@@ -168,9 +175,7 @@ def test_pre_safety_pass_returns_the_policy_sample():
     cfg = nav_config()
     state = make_state((0.0, 0.0), obstacles=[(1.5, 0.0)])
     sample = np.array([[0.33, -0.66]])
-    decision = shield.select_action(
-        fixed_sampler(sample), state, truth_context(cfg), shield.ShieldConfig()
-    )
+    decision = decide(fixed_sampler(sample), state, cfg)
     assert not decision.intervened and not decision.safe_set_empty
     assert decision.scores is None and decision.chosen_index is None
     np.testing.assert_array_equal(decision.action, sample[0])
@@ -183,9 +188,8 @@ def test_single_positive_candidate_is_always_chosen():
     # obstacle (margin 0.14); the radius puts the bar between the two
     candidates = np.array([[1.0, 0.0]] * 9 + [[-1.0, 0.0]])
     for seed in range(5):
-        ctx = truth_context(cfg, gamma=0.072, seed=seed)
-        decision = shield.select_action(
-            fixed_sampler(candidates), state, ctx, shield.ShieldConfig()
+        decision = decide(
+            fixed_sampler(candidates), state, cfg, gamma=0.072, rng=np.random.default_rng(seed)
         )
         assert decision.intervened
         assert decision.chosen_index == 9
@@ -200,9 +204,8 @@ def test_top_one_selection_is_argmax():
     candidates = rng.uniform(-1, 1, size=(10, 2))
     scfg = shield.ShieldConfig(top_k=1)
     for seed in range(5):
-        decision = shield.select_action(
-            fixed_sampler(candidates), state, truth_context(cfg, seed=seed), scfg
-        )
+        decision = decide(fixed_sampler(candidates), state, cfg, scfg,
+                          rng=np.random.default_rng(seed))
         if decision.safe_set_empty:
             pytest.skip("layout produced no positive candidate")
         assert decision.chosen_index == int(np.argmax(decision.scores))
@@ -214,25 +217,13 @@ def test_intervention_picks_uniformly_among_the_best():
     # all ten candidates are safe with distinct margins: the top five are
     # the strongest retreats, and each should be picked about equally often
     candidates = np.stack([np.linspace(-1.0, -0.1, 10), np.zeros(10)], axis=1)
-    ctx_rng = np.random.default_rng(4)
-    scores0 = shield.select_action(
-        fixed_sampler(candidates),
-        state,
-        shield.ShieldContext(
-            shield.GroundTruthPredictor(unit_phi(), cfg), cfg, 0.0, np.random.default_rng(0)
-        ),
-        shield.ShieldConfig(),
-    ).scores
+    rng = np.random.default_rng(4)
+    scores0 = decide(fixed_sampler(candidates), state, cfg).scores
     top5 = set(np.argsort(-scores0)[:5].tolist())
 
     counts = np.zeros(10)
     for _ in range(2000):
-        ctx = shield.ShieldContext(
-            shield.GroundTruthPredictor(unit_phi(), cfg), cfg, 0.0, ctx_rng
-        )
-        d = shield.select_action(
-            fixed_sampler(candidates), state, ctx, shield.ShieldConfig()
-        )
+        d = decide(fixed_sampler(candidates), state, cfg, rng=rng)
         counts[d.chosen_index] += 1
     assert set(np.flatnonzero(counts).tolist()) == top5
     assert np.all((counts[list(top5)] / 2000 > 0.1) & (counts[list(top5)] / 2000 < 0.3))
@@ -244,10 +235,7 @@ def test_empty_safe_set_falls_back_to_least_unsafe():
     rng = np.random.default_rng(5)
     candidates = rng.uniform(-1, 1, size=(10, 2))
     # an enormous radius disqualifies everything
-    ctx = truth_context(cfg, gamma=100.0)
-    decision = shield.select_action(
-        fixed_sampler(candidates), state, ctx, shield.ShieldConfig()
-    )
+    decision = decide(fixed_sampler(candidates), state, cfg, gamma=100.0)
     assert decision.intervened and decision.safe_set_empty
     assert np.all(decision.scores <= 0.0)
     margins = decision.scores + 2.0 * 100.0  # undo the radius discount
@@ -259,10 +247,7 @@ def test_fallback_stays_well_defined_at_infinite_radius():
     cfg = nav_config()
     state = close_call_state()
     candidates = np.array([[1.0, 0.0]] * 9 + [[-1.0, 0.0]])
-    ctx = truth_context(cfg, gamma=np.inf)
-    decision = shield.select_action(
-        fixed_sampler(candidates), state, ctx, shield.ShieldConfig()
-    )
+    decision = decide(fixed_sampler(candidates), state, cfg, gamma=np.inf)
     assert decision.safe_set_empty
     assert decision.chosen_index == 9  # still the least-unsafe candidate
 
@@ -273,10 +258,7 @@ def test_intervention_returns_a_sampled_candidate():
     rng = np.random.default_rng(6)
     for seed in range(10):
         candidates = rng.uniform(-1, 1, size=(10, 2))
-        decision = shield.select_action(
-            fixed_sampler(candidates), state, truth_context(cfg, seed=seed),
-            shield.ShieldConfig(),
-        )
+        decision = decide(fixed_sampler(candidates), state, cfg, rng=np.random.default_rng(seed))
         assert decision.intervened
         assert any(np.array_equal(decision.action, c) for c in candidates)
         assert decision.scores.shape == (10,)
@@ -286,9 +268,7 @@ def test_sampler_size_is_checked():
     cfg = nav_config()
     state = close_call_state()
     with pytest.raises(ValueError):
-        shield.select_action(
-            lambda n: np.zeros((3, 2)), state, truth_context(cfg), shield.ShieldConfig()
-        )
+        decide(lambda n: np.zeros((3, 2)), state, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +284,9 @@ def test_certified_decisions_never_step_into_cost():
     for _ in range(80):
         phi = env.sample_phi(rng, ((0.15, 0.3), (0.3, 1.7), (1.7, 2.5)))
         state = env.reset(cfg, phi, rng)
-        ctx = shield.ShieldContext(
-            shield.GroundTruthPredictor(phi, cfg), cfg, 0.0, rng
-        )
         for _ in range(cfg.horizon):
-            decision = shield.select_action(
-                lambda n: rng.uniform(-1.5, 1.5, size=(n, 2)), state, ctx, scfg
+            decision = decide(
+                lambda n: rng.uniform(-1.5, 1.5, size=(n, 2)), state, cfg, scfg, phi=phi, rng=rng
             )
             state, _, cost = env.step(state, decision.action, phi, cfg)
             certified = not decision.intervened or not decision.safe_set_empty

@@ -21,7 +21,12 @@ pretrained on 16 random-action draws for 10 epochs):
   * ``soundness_episodes``: 4 of acceptance criterion 4's shielded episodes
     with the exact model, at its seed 404;
   * ``acceptance_3_7``: the ``measured`` values of acceptance criteria 3
-    (conformal coverage) and 7 (gradient checks), as sorted JSON.
+    (conformal coverage) and 7 (gradient checks), as sorted JSON;
+  * ``shield_decisions``: every ``shield.select_action`` decision of the
+    ``eval_ood_shielded`` and ``soundness_episodes`` runs, in call order:
+    its action and score bytes, its two flags and its chosen index.  The
+    wrapper passes its arguments through unchanged, so the digest compares
+    trees whose ``select_action`` signatures differ.
 
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
@@ -33,6 +38,7 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -69,8 +75,28 @@ def eval_digest(ck: dict, **kw) -> str:
     return sha("\n".join([*records, json.dumps(summary, sort_keys=True)]))
 
 
+@contextlib.contextmanager
+def decisions_into(hasher):
+    """Feed every decision ``shield.select_action`` returns into ``hasher``."""
+    select = shieldmod.select_action
+
+    def recorded(*args, **kwargs):
+        d = select(*args, **kwargs)
+        hasher.update(np.asarray(d.action, dtype=np.float64).tobytes())
+        hasher.update(json.dumps([d.intervened, d.safe_set_empty, d.chosen_index]).encode())
+        hasher.update(b"-" if d.scores is None else d.scores.tobytes())
+        return d
+
+    shieldmod.select_action = recorded
+    try:
+        yield
+    finally:
+        shieldmod.select_action = select
+
+
 def main() -> None:
     out: dict[str, str] = {}
+    decisions = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = setup_config()
@@ -83,7 +109,8 @@ def main() -> None:
         out["train_checkpoint"] = sha((tmp / "ck.json").read_bytes())
 
         ck = run.load_checkpoint(tmp / "ck.json")
-        out["eval_ood_shielded"] = eval_digest(ck, ood=True, shield=True)
+        with decisions_into(decisions):
+            out["eval_ood_shielded"] = eval_digest(ck, ood=True, shield=True)
         out["eval_ood_unshielded"] = eval_digest(ck, ood=True, shield=False)
         out["eval_in_distribution"] = eval_digest(ck)
 
@@ -106,13 +133,15 @@ def main() -> None:
     policy = sro.GaussianPolicy.create(
         env_cfg.state_dim, 3, env_cfg.action_dim, (64, 64), rng_for(404, "init")
     )
-    stats = [
-        acceptance._soundness_episode(policy, env_cfg, shieldmod.ShieldConfig(), rngs)
-        for _ in range(4)
-    ]
+    with decisions_into(decisions):
+        stats = [
+            acceptance._soundness_episode(policy, env_cfg, shieldmod.ShieldConfig(), rngs)
+            for _ in range(4)
+        ]
     # The streams' final states pin every draw the episodes made.
     streams = [rngs[name].bit_generator.state for name in sorted(rngs)]
     out["soundness_episodes"] = sha(json.dumps([stats, streams], sort_keys=True))
+    out["shield_decisions"] = decisions.hexdigest()
 
     with tempfile.TemporaryDirectory() as tmp:
         ws = acceptance.Workspace(tmp)
