@@ -45,6 +45,7 @@ from .numerics import (
     ShapeMismatchError,
     adam_step,
     dense_layer,
+    normalization_stats,
     solve_ridge,
     solve_ridge_batch,
 )
@@ -249,9 +250,7 @@ def train_basis(
         if ds.inputs.shape[1] != input_dim or ds.targets.shape[1] != output_dim:
             raise ValueError("all datasets must share input/target dimensions")
 
-    all_inputs = np.vstack([ds.inputs for ds in datasets])
-    norm_mean = all_inputs.mean(axis=0)
-    norm_std = np.maximum(all_inputs.std(axis=0), 1e-8)
+    norm_mean, norm_std = normalization_stats(np.vstack([ds.inputs for ds in datasets]))
 
     layer_sizes = [input_dim, *hidden, output_dim]
     nets = [Mlp.create(layer_sizes, rng) for _ in range(k)]
@@ -405,22 +404,77 @@ def basis_to_record(basis: BasisSet) -> dict:
     }
 
 
+def _record_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value``, nested lists of numbers or a float64 array, as a float64
+    array of ``shape``; else ``ValueError`` naming ``name``."""
+    if isinstance(value, np.ndarray):
+        typed, got = value.dtype == np.float64, value.shape
+    else:
+        cells = np.array(value, dtype=object)
+        # Exact types: JSON true/false are ``bool``, which ``isinstance`` counts as ``int``.
+        typed = isinstance(value, list) and set(map(type, cells.flat)) <= {int, float}
+        got = cells.shape
+    if not typed:
+        raise ValueError(f"basis {name} must be a list of numbers or a float64 array")
+    if got != shape:
+        raise ValueError(f"basis {name} has shape {got}, expected {shape} from layer_sizes")
+    return np.asarray(value, dtype=np.float64)
+
+
 def basis_from_record(data: dict) -> BasisSet:
-    if data.get("format") != BASIS_FORMAT or data.get("version") != BASIS_VERSION:
+    """The basis set of a record from :func:`basis_to_record` or an artifact.
+
+    Arrays may be decimal lists or float64 arrays.  A record of another
+    format or version, or one that lacks a key, holds a value of another
+    JSON type there (``true`` and ``false`` are not numbers), has network
+    or normalization arrays whose shapes do not match ``layer_sizes``, or a
+    ``norm_std`` entry that is not finite and > 0, raises ``ValueError``
+    naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"basis record is not a JSON object (got {type(data).__name__})")
+    version = data.get("version")
+    if data.get("format") != BASIS_FORMAT or isinstance(version, bool) or version != BASIS_VERSION:
         raise ValueError(
             f"unsupported basis artifact (format={data.get('format')!r}, "
             f"version={data.get('version')!r})"
         )
-    layer_sizes = list(data["layer_sizes"])
-    nets = [
-        Mlp(
+    missing = [key for key in ("layer_sizes", "nets", "norm_mean", "norm_std") if key not in data]
+    if missing:
+        raise ValueError(f"basis record is missing keys {missing}")
+    layer_sizes = data["layer_sizes"]
+    if not (
+        isinstance(layer_sizes, list) and len(layer_sizes) >= 2
+        and all(type(size) is int and size > 0 for size in layer_sizes)
+    ):
+        raise ValueError(f"basis layer_sizes must list >= 2 positive integers, got {layer_sizes!r}")
+    if not (isinstance(data["nets"], list) and data["nets"]):
+        raise ValueError("basis nets must be a non-empty list")
+    if not isinstance(data.get("meta", {}), dict):
+        raise ValueError("basis meta must be a JSON object")
+    layers = list(zip(layer_sizes[1:], layer_sizes[:-1]))
+    nets = []
+    for i, entry in enumerate(data["nets"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"basis nets[{i}] is not a JSON object")
+        for key in ("weights", "biases"):
+            if not (isinstance(entry.get(key), list) and len(entry[key]) == len(layers)):
+                raise ValueError(
+                    f"basis nets[{i}].{key} must be a list of {len(layers)} arrays"
+                )
+        nets.append(Mlp(
             layer_sizes,
-            [np.asarray(w, dtype=np.float64) for w in entry["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in entry["biases"]],
-        )
-        for entry in data["nets"]
-    ]
-    return BasisSet.from_nets(nets, data["norm_mean"], data["norm_std"], data.get("meta", {}))
+            [_record_array(w, shape, f"nets[{i}].weights[{j}]")
+             for j, (w, shape) in enumerate(zip(entry["weights"], layers))],
+            [_record_array(b, shape[:1], f"nets[{i}].biases[{j}]")
+             for j, (b, shape) in enumerate(zip(entry["biases"], layers))],
+        ))
+    width = (layer_sizes[0],)
+    norm_mean = _record_array(data["norm_mean"], width, "norm_mean")
+    norm_std = _record_array(data["norm_std"], width, "norm_std")
+    if not np.all(np.isfinite(norm_std) & (norm_std > 0)):
+        raise ValueError("basis norm_std entries must be finite and > 0")
+    return BasisSet.from_nets(nets, norm_mean, norm_std, data.get("meta", {}))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

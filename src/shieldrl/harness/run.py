@@ -26,7 +26,7 @@ from .. import env as envmod
 from .. import function_encoder as fe
 from .. import shield as shieldmod
 from .. import sro
-from ..numerics import AdamState, Mlp, adam_step
+from ..numerics import AdamState, Mlp, adam_step, normalization_stats
 from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
@@ -855,13 +855,17 @@ def train_pooled(
     batch: int,
     rng: np.random.Generator,
 ) -> PooledRegressor:
-    """Fit one regression network on the pooled transitions of all draws."""
-    inputs = np.vstack([ds.inputs for ds in datasets])
+    """Fit one regression network on the pooled transitions of all draws.
+
+    The stacked inputs are normalized in place, and the targets are stacked
+    only after that, so the fit holds one copy of the inputs.
+    """
+    Xn = np.vstack([ds.inputs for ds in datasets])
+    norm_mean, norm_std = normalization_stats(Xn)
+    Xn -= norm_mean
+    Xn /= norm_std
     targets = np.vstack([ds.targets for ds in datasets])
-    norm_mean = inputs.mean(axis=0)
-    norm_std = np.maximum(inputs.std(axis=0), 1e-8)
-    Xn = (inputs - norm_mean) / norm_std
-    net = Mlp.create([inputs.shape[1], *hidden, targets.shape[1]], rng)
+    net = Mlp.create([Xn.shape[1], *hidden, targets.shape[1]], rng)
     opt = AdamState.for_net(net, lr)
     n = Xn.shape[0]
     for _ in range(epochs):
@@ -908,12 +912,13 @@ def collect_random_episodes(
     datasets, draws = [], []
     for _ in range(episodes):
         phi = envmod.sample_phi(rng, intervals)
-        states, actions = [envmod.reset(env_cfg, phi, rng)], []
-        for _ in range(env_cfg.horizon):
-            actions.append(rng.uniform(-1.0, 1.0, size=env_cfg.action_dim))
-            states.append(envmod.step(states[-1], actions[-1], phi, env_cfg)[0])
-        S = np.array(states)
-        datasets.append(fe.TransitionDataset.from_arrays(S[:-1], np.array(actions), S[1:]))
+        S = np.empty((env_cfg.horizon + 1, env_cfg.state_dim))
+        S[0] = envmod.reset(env_cfg, phi, rng)
+        # Stepping draws nothing, so one draw gives every step's action.
+        A = rng.uniform(-1.0, 1.0, size=(env_cfg.horizon, env_cfg.action_dim))
+        for t in range(env_cfg.horizon):
+            S[t + 1] = envmod.step(S[t], A[t], phi, env_cfg)[0]
+        datasets.append(fe.TransitionDataset.from_arrays(S[:-1], A, S[1:]))
         draws.append(phi)
     return datasets, draws
 

@@ -48,6 +48,15 @@ def dense_layer(A: np.ndarray, W_T: np.ndarray, b: np.ndarray, *, tanh: bool) ->
     return Z
 
 
+def normalization_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation of ``X``, the deviation floored at 1e-8.
+
+    A network fit on ``X`` sees ``(X - mean) / std``, so a constant column
+    maps to zero instead of dividing by zero.
+    """
+    return X.mean(axis=0), np.maximum(X.std(axis=0), 1e-8)
+
+
 def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
     """``X`` as a float ``(batch, dim)`` array, validating its shape."""
     arr = np.asarray(X, dtype=np.float64)

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -1079,6 +1080,25 @@ def test_pretrain_artifact_bytes_are_reproducible(tmp_path):
     assert result.basis.k == 2
 
 
+def test_pooled_fit_holds_one_stacked_copy_of_its_inputs():
+    # Normalized in place, with the targets stacked after the statistics,
+    # the fit stays below two stacked input copies plus the stacked targets.
+    # A normalized copy beside the raw stack peaked near 2.45 MB here.
+    rng = np.random.default_rng(21)
+    datasets = [
+        fe.TransitionDataset(rng.standard_normal((400, 16)), rng.standard_normal((400, 14)))
+        for _ in range(12)
+    ]
+    bound = sum(2 * ds.inputs.nbytes + ds.targets.nbytes for ds in datasets)
+    tracemalloc.start()
+    try:
+        run.train_pooled(datasets, (64, 64), 1, 1e-3, 32, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -1154,3 +1174,84 @@ def test_state_view_truncates_to_the_nearest_obstacles():
     out = run._state_view(vec, 10)
     np.testing.assert_array_equal(out, vec[:10])
     np.testing.assert_array_equal(run._state_view(vec, 12), vec)
+
+
+# ---------------------------------------------------------------------------
+# Malformed basis records
+# ---------------------------------------------------------------------------
+
+
+def _first_set(values, first):
+    """``values`` with its first entry replaced, in its own form: a list or a float64 array."""
+    out = np.array(values, dtype=np.float64)
+    out[0] = first
+    return out if isinstance(values, np.ndarray) else out.tolist()
+
+
+# (mutation of a valid basis record, the text its error names)
+MALFORMED_BASES = {
+    "only-format-and-version": (
+        lambda r: {"format": r["format"], "version": r["version"]}, "missing keys"),
+    "no-norm-std": (lambda r: {k: v for k, v in r.items() if k != "norm_std"}, "norm_std"),
+    "nets-a-number": (lambda r: dict(r, nets=5), "nets"),
+    "layer-sizes-null": (lambda r: dict(r, layer_sizes=None), "layer_sizes"),
+    "layer-sizes-boolean": (lambda r: dict(r, layer_sizes=[True, *r["layer_sizes"][1:]]),
+                            "layer_sizes"),
+    "version-boolean": (lambda r: dict(r, version=True), "version"),
+    "norm-mean-boolean": (
+        lambda r: dict(r, norm_mean=[True, *np.asarray(r["norm_mean"])[1:].tolist()]),
+        "norm_mean"),
+    "net-without-biases": (
+        lambda r: dict(r, nets=[{"weights": r["nets"][0]["weights"]}, *r["nets"][1:]]),
+        "nets[0].biases"),
+    "weights-shape": (
+        lambda r: dict(r, nets=[dict(r["nets"][0], weights=[
+            r["nets"][0]["weights"][0][:-1], *r["nets"][0]["weights"][1:]])]),
+        "nets[0].weights[0]"),
+    "biases-shape": (
+        lambda r: dict(r, nets=[*r["nets"][:-1], dict(r["nets"][-1], biases=[
+            *r["nets"][-1]["biases"][:-1], r["nets"][-1]["biases"][-1][1:]])]),
+        "biases[1]"),
+    "norm-mean-length": (lambda r: dict(r, norm_mean=r["norm_mean"][:-1]), "norm_mean"),
+    "norm-std-zero": (lambda r: dict(r, norm_std=_first_set(r["norm_std"], 0.0)), "norm_std"),
+    "norm-std-infinite": (lambda r: dict(r, norm_std=_first_set(r["norm_std"], np.inf)),
+                          "norm_std"),
+}
+
+
+@pytest.fixture(scope="module")
+def basis_files(tmp_path_factory):
+    """A config file, a basis artifact and a checkpoint trained on that basis."""
+    root = tmp_path_factory.mktemp("basis_files")
+    cfg = tiny_config(seed=3, total_steps=100, shield_enabled=True)
+    write_config(cfg, root / "exp.cfg")
+    basis = run.pretrain_fe(cfg, out_path=root / "basis.json").basis
+    return root, run.train(cfg, basis=basis).checkpoint
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BASES))
+def test_a_malformed_basis_is_refused_with_its_key_named(tmp_path, basis_files, case, capsys):
+    mutate, named = MALFORMED_BASES[case]
+    root, ck = basis_files
+    artifact = json.loads((root / "basis.json").read_text())  # arrays as decimal lists
+    for record in (artifact, ck["basis"]):  # ... and as float64 arrays
+        with pytest.raises(ValueError, match=re.escape(named)):
+            fe.basis_from_record(mutate(copy.deepcopy(record)))
+
+    bad_basis, bad_ck = tmp_path / "basis.json", tmp_path / "ck.json"
+    bad_basis.write_text(json.dumps(mutate(artifact), sort_keys=True))
+    run.save_checkpoint(dict(ck, basis=mutate(copy.deepcopy(ck["basis"]))), bad_ck)
+    metrics = tmp_path / "m.jsonl"
+    metrics.write_text('{"kind": "summary"}\n')
+    train = ["train", "--config", str(root / "exp.cfg"), "--metrics", str(metrics),
+             "--out", str(tmp_path / "out.json")]
+    for argv in (
+        ["eval", "--ckpt", str(bad_ck), "--episodes", "1", "--metrics", str(metrics)],
+        [*train, "--basis", str(bad_basis)],
+        [*train, "--basis", str(root / "basis.json"), "--resume", str(bad_ck),
+         "--set", "total_steps=200"],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, (argv, err)
+        assert metrics.read_text() == '{"kind": "summary"}\n'

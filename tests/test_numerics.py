@@ -13,6 +13,7 @@ from shieldrl.numerics import (
     ShapeMismatchError,
     SingularMatrixError,
     adam_step,
+    normalization_stats,
     solve_ridge,
 )
 
@@ -324,3 +325,16 @@ def test_solve_ridge_rejects_bad_shapes():
         solve_ridge(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ShapeMismatchError):
         solve_ridge(np.eye(2), np.ones(3))
+
+
+def test_normalization_stats_are_the_fits_expressions_bit_for_bit():
+    X = np.random.default_rng(17).standard_normal((300, 5)) * [1.0, 3.0, 1e-3, 7.0, 1.0]
+    X[:, 4] = 0.25  # a constant column takes the 1e-8 floor
+    mean, std = normalization_stats(X)
+    assert mean.tobytes() == X.mean(axis=0).tobytes()
+    assert std.tobytes() == np.maximum(X.std(axis=0), 1e-8).tobytes()
+    assert std[4] == 1e-8
+    Xn = X.copy()
+    Xn -= mean
+    Xn /= std
+    assert Xn.tobytes() == ((X - mean) / std).tobytes()

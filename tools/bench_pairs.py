@@ -15,7 +15,15 @@ result, is read: nothing under ``perfbench/`` is imported.
 
 For every end-to-end metric the script prints each side's median and
 quartiles, the ratio of the medians and how many pairs each side read
-lower in.  With ``--out`` it also writes the comparison as a ``BENCH_*.json``
+lower in, and applies two rules, with the ``better`` direction and
+``bound`` of that metric in the change's ``BENCHMARK.json``:
+
+  * ``claim_rule_met``: the change is better in at least 9 of every 10
+    pairs (a tie counts for neither side), and its median is better than
+    the parent's by more than the parent's interquartile range;
+  * ``within_bound``: the change's median is no worse than the parent's
+    by more than ``bound``, a fraction of the parent's median.
+  With ``--out`` it also writes the comparison as a ``BENCH_*.json``
 file, labelled by its name (``BENCH_<label>.json``): one entry per
 ``(workload, seed)`` under ``workloads``, with every
 run's value, the median and the quartiles (``statistics.quantiles``,
@@ -84,9 +92,24 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": [round(v, 4) for v in values]}
 
 
-def compare(results: dict[str, list[dict]]) -> tuple[dict, dict]:
+def rules(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """``claim_rule_met`` and ``within_bound`` (see the module docstring) for
+    one metric's paired runs; ``better`` is ``"lower"`` or ``"higher"``."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    p, c = summary(parent), summary(change)
+    gap = sign * (p["median"] - c["median"])
+    return {
+        "claim_rule_met": 10 * wins >= 9 * len(parent) and gap > p["q3"] - p["q1"],
+        "within_bound": -gap <= bound * abs(p["median"]),
+    }
+
+
+def compare(results: dict[str, list[dict]], end_to_end: dict[str, dict]) -> tuple[dict, dict]:
     """The metrics entry of one workload from both sides' run results, and
-    the number of pairs in which the parent read lower, per metric."""
+    the number of pairs in which the parent read lower, per metric.
+    ``end_to_end`` maps a metric's name to its ``BENCHMARK.json`` entry; the
+    metrics it names also get the results of :func:`rules`."""
     pairs = len(results["parent"])
     metrics, parent_lower = {}, {}
     for name, first in results["parent"][0]["metrics"].items():
@@ -95,6 +118,9 @@ def compare(results: dict[str, list[dict]]) -> tuple[dict, dict]:
         entry["ratio_of_medians"] = entry["change"]["median"] / entry["parent"]["median"]
         lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
         entry["change_lower_in_pairs"] = f"{lower}/{pairs}"
+        if name in end_to_end:
+            spec = end_to_end[name]
+            entry.update(rules(values["parent"], values["change"], spec["better"], spec["bound"]))
         metrics[name] = entry
         parent_lower[name] = sum(p < c for p, c in zip(values["parent"], values["change"]))
     return metrics, parent_lower
@@ -148,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
             shown = "  ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1}/{args.pairs} {side:6s} {shown}", file=sys.stderr, flush=True)
 
-    metrics, parent_lower = compare(results)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, parent_lower = compare(results, {m["name"]: m for m in spec["end_to_end"]})
     print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs  --seconds {args.seconds:g}")
     for name, m in metrics.items():
         p, c = m["parent"], m["change"]
@@ -159,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
             f"  lower in pairs: change {m['change_lower_in_pairs']},"
             f" parent {parent_lower[name]}/{args.pairs}"
         )
+        if "claim_rule_met" in m:
+            print(f"  {'':12s} claim rule met: {m['claim_rule_met']}"
+                  f"  within bound: {m['within_bound']}")
     operations = {
         side: {key: sum(r[key] for r in results[side]) for key in ("attempted", "failed")}
         for side in SIDES
