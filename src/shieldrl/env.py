@@ -93,8 +93,8 @@ class EnvConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.obstacle_count < 0:
             raise ValueError("obstacle_count must be >= 0")
-        if self.dt <= 0 or self.horizon <= 0 or self.v_max <= 0 or self.v_eps <= 0:
-            raise ValueError("dt, horizon, v_max and v_eps must be positive")
+        if min(self.dt, self.horizon, self.mass, self.v_max, self.v_eps) <= 0:
+            raise ValueError("dt, horizon, mass, v_max and v_eps must be positive")
         if self.safe_distance <= 0 or self.arena_half <= 0:
             raise ValueError("safe_distance and arena_half must be positive")
         self.param_intervals = tuple(

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import conformal
-from .. import env as envmod
 from .. import function_encoder as fe
 from .. import shield as shieldmod
 from .. import sro
@@ -25,6 +24,7 @@ from ..seeding import rng_for
 from .config import ExperimentConfig, FeSettings
 from .run import (
     PooledRegressor,
+    _episode_streams,
     _restore,
     build_checkpoint,
     canonical_records,
@@ -32,6 +32,7 @@ from .run import (
     evaluate,
     load_training_basis,
     pretrain_fe,
+    run_episode,
     score_heldout,
     train,
     train_pooled,
@@ -241,69 +242,55 @@ def check_conformal(ws: Workspace) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _soundness_episode(policy, env_cfg, shield_cfg, rngs, k_ctx=3):
-    """One shielded episode with ground-truth predictions and zero radius."""
-    phi = envmod.sample_phi(rngs["env"], env_cfg.param_intervals)
-    state = envmod.reset(env_cfg, phi, rngs["env"])
-    predictor = shieldmod.GroundTruthPredictor(phi, env_cfg)
-    context = np.zeros(k_ctx)
-    stats = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
-             "certified_collisions": 0}
-    for _ in range(env_cfg.horizon):
-        mu = policy.mean_batch(np.concatenate([state, context])[None])[0]
-        decision = shieldmod.select_action(
-            lambda n: policy.sample_n(mu, n, rngs["rollout"]),
-            state, predictor, 0.0, rngs["shield"], shield_cfg, env_cfg,
-        )
-        state, _, cost = envmod.step(state, decision.action, phi, env_cfg)
-        stats["steps"] += 1
-        stats["interventions"] += int(decision.intervened)
-        stats["empty"] += int(decision.safe_set_empty)
-        if cost:
-            stats["collisions"] += 1
-            if not decision.safe_set_empty:
-                # Either the pre-check certified the state or a positive-score
-                # candidate was taken; with an exact model neither may collide.
-                stats["certified_collisions"] += 1
-    return stats
+def _soundness_episodes(count: int):
+    """Criterion 4's first ``count`` episodes: shielded with the exact model, at seed 404.
+
+    The radius is conformal's warm-up on exact scores: ``+inf`` for the
+    first ``acp.min_scores`` steps (a triggered decision then falls back),
+    then exactly 0.  Returns the records and the episodes' streams.
+    """
+    cfg = ExperimentConfig(seed=404, sro_enabled=False, fe_context=False).validate()
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (64, 64), rng_for(404, "init")
+    )
+    streams = _episode_streams(404, ("rollout", 0), ("shield", 0), 0, count)
+    records, _ = run_episode(
+        policy, cfg, cfg.env, rng_for(404, "env"), streams,
+        shield_on=True, dynamics=shieldmod.ExactModel,
+    )
+    return records, streams
 
 
 def check_shield_soundness(ws: Workspace) -> CriterionResult:
-    env_cfg = envmod.EnvConfig()
-    shield_cfg = shieldmod.ShieldConfig()
-    rngs = {
-        "env": rng_for(404, "env"),
-        "rollout": rng_for(404, "rollout"),
-        "shield": rng_for(404, "shield"),
-    }
-    policy = sro.GaussianPolicy.create(
-        env_cfg.state_dim, 3, env_cfg.action_dim, (64, 64), rng_for(404, "init")
-    )
     episodes = 250  # 1e5 shielded steps in total
-    qualified = qualified_collisions = 0
-    totals = {"steps": 0, "interventions": 0, "empty": 0, "collisions": 0,
-              "certified_collisions": 0}
-    for _ in range(episodes):
-        stats = _soundness_episode(policy, env_cfg, shield_cfg, rngs)
-        for key in totals:
-            totals[key] += stats[key]
-        if stats["empty"] == 0:
-            qualified += 1
-            qualified_collisions += stats["collisions"]
-    ok = (
-        qualified >= 100
-        and qualified_collisions == 0
-        and totals["certified_collisions"] == 0
-        and totals["steps"] >= 100_000
-    )
+    placed = [rec for rec in _soundness_episodes(episodes)[0] if rec is not None]
+    qualified = [rec for rec in placed if rec["safe_set_empty_rate"] == 0]
+
+    def total(records: list[dict], key: str) -> int:
+        return sum(round(rec[key] * rec["steps"]) for rec in records)
+
+    measured = {
+        "steps": sum(rec["steps"] for rec in placed),
+        "interventions": total(placed, "shield_trigger_rate"),
+        "empty": total(placed, "safe_set_empty_rate"),
+        "collisions": total(placed, "cost_rate"),
+        "certified_collisions": sum(rec["certified_collisions"] for rec in placed),
+        "episodes": episodes,
+        "qualified_episodes": len(qualified),
+        "qualified_collisions": total(qualified, "cost_rate"),
+    }
     return CriterionResult(
         criterion=4,
         suite="shield-soundness",
-        passed=ok,
+        passed=(
+            measured["qualified_episodes"] >= 100
+            and measured["qualified_collisions"] == 0
+            and measured["certified_collisions"] == 0
+            and measured["steps"] >= 100_000
+        ),
         threshold=">= 100 episodes with never-empty safe sets and 0 collisions; "
         "0 collisions after any certified step over >= 1e5 steps",
-        measured={**totals, "episodes": episodes, "qualified_episodes": qualified,
-                  "qualified_collisions": qualified_collisions},
+        measured=measured,
     )
 
 

@@ -9,6 +9,7 @@ rejected, values are typed from the dataclass defaults, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -47,6 +48,10 @@ class FeSettings:
             raise ValueError("pretrain_episodes must be >= 3")
         if self.batch < 1 or self.context_samples < 1:
             raise ValueError("batch and context_samples must be >= 1")
+        if self.epochs < 0 or self.ridge < 0:
+            raise ValueError("epochs and ridge must be >= 0")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden layer sizes must be >= 1")
 
 
 @dataclass
@@ -127,7 +132,16 @@ def _format_value(value) -> str:
     raise ConfigError(f"cannot serialize value {value!r}")
 
 
+def _float(text: str) -> float:
+    """A float that is a number: infinities parse, NaN does not."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("NaN is not allowed")
+    return value
+
+
 def _parse_value(key: str, template, text: str):
+    """``text`` as a value of ``template``'s type; an interval key takes ``lo:hi`` pairs."""
     text = text.strip()
     try:
         if isinstance(template, bool):
@@ -137,16 +151,15 @@ def _parse_value(key: str, template, text: str):
         if isinstance(template, int):
             return int(text)
         if isinstance(template, float):
-            return float(text)
+            return _float(text)
         if isinstance(template, str):
             return text
         if isinstance(template, tuple):
-            if ":" in text:
-                pairs = []
-                for part in text.split(","):
-                    lo, hi = part.split(":")
-                    pairs.append((float(lo), float(hi)))
-                return tuple(pairs)
+            if template and isinstance(template[0], tuple):
+                pairs = [part.split(":") for part in text.split(",")]
+                if any(len(pair) != 2 for pair in pairs):
+                    raise ValueError("expected comma-separated lo:hi pairs")
+                return tuple((_float(lo), _float(hi)) for lo, hi in pairs)
             return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc

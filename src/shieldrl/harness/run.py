@@ -153,19 +153,36 @@ class _ActionNoise:
             self.cursor[j] = 0
         return self.block[self.episodes, self.cursor]
 
-    def take(self, j: int, m: int) -> np.ndarray:
-        """Episode ``j``'s next ``m`` rows, the first being its :meth:`head` row.
 
-        Rows past the end of the block come straight from the stream; the
-        next :meth:`head` then starts a new block.
-        """
-        start = self.cursor[j]
-        rows = self.block[j, start : start + m]
+class _EpisodeNoise:
+    """Episode ``j``'s rows of an :class:`_ActionNoise`, read as a generator's standard normals.
+
+    ``standard_normal((m, action_dim))``, the call ``GaussianPolicy.sample_n``
+    makes, returns the episode's next ``m`` rows, the first being its
+    ``head`` row.  Rows past the end of the block come straight from the
+    stream; the next ``head`` then starts a new block.
+    """
+
+    def __init__(self, noise: _ActionNoise, j: int):
+        self.noise, self.j = noise, j
+
+    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+        noise, j, m = self.noise, self.j, shape[0]
+        start = noise.cursor[j]
+        rows = noise.block[j, start : start + m]
         if rows.shape[0] < m:
-            extra = self.rngs[j].standard_normal((m - rows.shape[0], self.block.shape[2]))
+            extra = noise.rngs[j].standard_normal((m - rows.shape[0], noise.block.shape[2]))
             rows = np.concatenate([rows, extra])
-        self.cursor[j] = min(start + m, self.block.shape[1])
+        noise.cursor[j] = min(start + m, noise.block.shape[1])
         return rows
+
+
+def fe_dynamics(basis: fe.BasisSet, settings) -> typing.Callable[..., shieldmod.FeModel]:
+    """The function encoder's ``run_episode`` builder, with ``settings`` (the
+    config's ``fe``) giving its refresh period and ridge."""
+    return lambda phis, env_cfg: shieldmod.FeModel(
+        basis, len(phis), settings.refresh_period, settings.ridge
+    )
 
 
 def run_episode(
@@ -176,20 +193,26 @@ def run_episode(
     streams: list[tuple[np.random.Generator, np.random.Generator]],
     *,
     shield_on: bool,
-    basis: fe.BasisSet | None = None,
+    dynamics: typing.Callable[..., shieldmod.DynamicsModel] | None = None,
     record: bool = False,
 ) -> tuple[list[dict | None], sro.RolloutBuffer | None]:
     """Roll a batch of full episodes in lockstep, one per entry of ``streams``.
 
     Every episode runs the fixed horizon, so the batch advances one step at
     a time together.  Per lockstep step the policy mean is evaluated once
-    over all episodes' ``(state ++ context)`` rows, the basis once over the
-    executed ``(s, clip(a))`` rows (their prediction feeds the conformal
-    score, their basis rows the online identification), the identification
-    refreshes every episode in one batched solve, and the conformal radii
-    update together.  ``env.step`` and the shield's decision run per
-    episode; a decision reads the episode's row of the batch coefficients,
-    its current radius and its own shield stream.
+    over all episodes' ``(state ++ context)`` rows, the dynamics model
+    predicts the executed steps once (the prediction feeds the conformal
+    score; its evidence, with the observed ``s_next - s``, the model's
+    identification), and the conformal radii update together.  ``env.step``
+    and the shield's decision run per episode; decision ``j`` takes the
+    model's ``predictor(j)``, its current radius and its own shield stream.
+    The model's ``context`` is the policy's when ``cfg.fe_context``.
+
+    ``dynamics(phis, env_cfg)`` builds the rollout's
+    :class:`shield.DynamicsModel` from the placed episodes' hidden
+    parameters when the shield is on or the context is learned:
+    :func:`fe_dynamics` gives the function encoder, ``shield.ExactModel``
+    the exact dynamics.
 
     Actions are ``mu + std * noise``, formed for all episodes in one vector
     operation per step from block-drawn noise (:class:`_ActionNoise`), with
@@ -209,24 +232,25 @@ def run_episode(
     episode of a non-empty batch can be placed, the last
     ``env.PlacementError`` propagates.
 
-    ``shield_on`` runs every step through the shield, which needs ``basis``
-    (``ValueError`` without it).  A fresh hidden-parameter draw, layout,
-    online coefficient estimate, and conformal radius are used for every
+    ``shield_on`` runs every step through the shield, which needs
+    ``dynamics`` (``ValueError`` without it).  A fresh hidden-parameter
+    draw, layout, model estimate, and conformal radius are used for every
     episode.  ``env_cfg`` may carry more obstacles than the policy was
     trained with; all learned components then operate on the truncated
     nearest-obstacle view of the state.
 
     Returns ``(records, buffer)``.  ``records[i]`` holds episode ``i``'s
     record fields (see :func:`episode_record`), or ``None`` for a dropped
-    episode.  With ``record`` the placed episodes' steps are kept as one
-    ``(episodes, horizon)`` :class:`sro.RolloutBuffer` block, in batch
-    order; otherwise ``buffer`` is ``None``.
+    episode; its ``certified_collisions`` counts the steps with cost whose
+    decision was not an empty-set fallback (0 when unshielded).  With
+    ``record`` the placed episodes' steps are kept as one ``(episodes,
+    horizon)`` :class:`sro.RolloutBuffer` block, in batch order; otherwise
+    ``buffer`` is ``None``.
     """
-    if shield_on and basis is None:
-        raise ValueError("a shielded rollout requires a basis")
+    if shield_on and dynamics is None:
+        raise ValueError("a shielded rollout requires a dynamics model")
     t0 = time.perf_counter()
     view_dim = cfg.env.state_dim
-    track_context = basis is not None and (shield_on or cfg.fe_context)
 
     records: list[dict | None] = [None] * len(streams)
     live, phis, states = [], [], []
@@ -247,11 +271,8 @@ def run_episode(
     rollout_rngs = [streams[i][0] for i in live]
     shield_rngs = [streams[i][1] for i in live]
 
-    online = (
-        fe.OnlineCoefficients(basis, n, cfg.fe.refresh_period, cfg.fe.ridge)
-        if track_context
-        else None
-    )
+    track = dynamics is not None and (shield_on or cfg.fe_context)
+    model = dynamics(phis, env_cfg) if track else None
     acp = conformal.AcpState(cfg.acp, n)  # observed only when shielded
 
     oracle = np.array([phi.as_array() for phi in phis]) if cfg.oracle_phi else None
@@ -259,8 +280,8 @@ def run_episode(
     def contexts() -> np.ndarray:
         if oracle is not None:
             return oracle
-        if cfg.fe_context and online is not None:
-            return online.b
+        if cfg.fe_context and model is not None:
+            return model.context
         return np.zeros((n, cfg.fe.k))
 
     horizon = env_cfg.horizon
@@ -270,18 +291,20 @@ def run_episode(
         inputs = np.empty((n, horizon, policy.mean_net.input_dim))
         taken = np.empty((n, horizon, env_cfg.action_dim))
         step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
-    triggers, empties = [0] * n, [0] * n
+    triggers, empties, certified = [0] * n, [0] * n, np.zeros(n, dtype=np.int64)
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
     # The policy is frozen during a rollout.
     std = np.exp(policy.log_std)
     noise = _ActionNoise(rollout_rngs, env_cfg.action_dim)
     if shield_on:
+        episode_noise = [_EpisodeNoise(noise, j) for j in range(n)]
+
         # Episode j's policy sampler: reads the step's policy means and default actions.
         def draw(j: int, m: int) -> np.ndarray:
             if m == 1:
                 noise.cursor[j] += 1
                 return default[j : j + 1]
-            return mu[j] + std * noise.take(j, m)
+            return policy.sample_n(mu[j], m, episode_noise[j])
 
     for t in range(horizon):
         X = np.hstack([S, contexts()])
@@ -298,14 +321,13 @@ def run_episode(
             finite = np.isfinite(gammas)
             gamma_sum[finite] += gammas[finite]
             gamma_count += finite
-            acts = []
-            rows = zip(S, online.b, gammas.tolist(), shield_rngs)
-            for j, (state, b, gamma, rng) in enumerate(rows):
+            acts, fallback = [], []  # fallback: this step's empty-set fallbacks
+            for j, (state, gamma, rng) in enumerate(zip(S, gammas.tolist(), shield_rngs)):
                 decision = shieldmod.select_action(
-                    partial(draw, j), state, shieldmod.FePredictor(basis, b), gamma, rng,
-                    cfg.shield, env_cfg,
+                    partial(draw, j), state, model.predictor(j), gamma, rng, cfg.shield, env_cfg
                 )
                 acts.append(decision.action)
+                fallback.append(decision.safe_set_empty)
                 if decision.intervened:
                     triggers[j] += 1
                     empties[j] += decision.safe_set_empty
@@ -313,8 +335,8 @@ def run_episode(
         else:
             acts = actions = default
             noise.cursor += 1
-        if online is not None:
-            predicted, basis_rows = shieldmod.FePredictor(basis, online.b).predict(S, actions)
+        if model is not None:
+            predicted, evidence = model.predict(S, actions)
 
         states, rewards, costs = zip(
             *[envmod.step(st, a, phi, env_cfg) for st, a, phi in zip(states, acts, phis)]
@@ -328,8 +350,10 @@ def run_episode(
             step_rewards[:, t], step_costs[:, t] = rewards, costs
         if shield_on:
             conformal.observe(acp, conformal.score(predicted, S_next))
-        if online is not None:
-            online.observe(basis_rows, S_next - S)
+            if any(costs):
+                certified += np.not_equal(costs, 0) & ~np.array(fallback)
+        if model is not None:
+            model.observe(evidence, S_next - S)
         S = S_next
 
     boot = np.hstack([S, contexts()])
@@ -343,9 +367,10 @@ def run_episode(
             "cost_rate": float(ep_costs[j]) / horizon,
             "shield_trigger_rate": triggers[j] / horizon,
             "safe_set_empty_rate": empties[j] / horizon,
+            "certified_collisions": int(certified[j]),
             "acp_miss_rate": float(miss_rates[j]),
             "mean_gamma": float(gamma_sum[j]) / int(gamma_count[j]) if gamma_count[j] else 0.0,
-            "fe_solve_failures": int(online.solve_failures[j]) if online is not None else 0,
+            "fe_solve_failures": int(model.solve_failures[j]) if model is not None else 0,
             "wall_clock_seconds": wall,
         }
     return records, buffer
@@ -641,6 +666,7 @@ def train(
         if out_path is not None:
             save_checkpoint(ck, out_path)
 
+    dynamics = fe_dynamics(basis, cfg.fe) if basis is not None else None
     # The state at the last epoch boundary: an epoch that fails has already
     # moved the parameters, the optimizers and the streams.
     ck = checkpoint_now(start_epoch)
@@ -653,7 +679,7 @@ def train(
             )
             results, buffer = run_episode(
                 policy, cfg, env_cfg, rngs["env"], streams,
-                shield_on=cfg.shield_enabled, basis=basis, record=True,
+                shield_on=cfg.shield_enabled, dynamics=dynamics, record=True,
             )
             ran = [(episode_index + i, rec) for i, rec in enumerate(results) if rec is not None]
             for index, rec in ran:
@@ -783,8 +809,8 @@ def evaluate(
         env_cfg,
         rng_for(seed, "eval", 0),
         _episode_streams(seed, ("eval", 1), ("eval", 2), 0, episodes),
-        basis=basis,
         shield_on=shield_on,
+        dynamics=fe_dynamics(basis, cfg.fe) if basis is not None else None,
     )
     results = [rec for rec in outcomes if rec is not None]
     # Opened once the rollout is done: a failed one leaves the file alone.

@@ -101,7 +101,7 @@ class FePredictor:
 
 @dataclass
 class GroundTruthPredictor:
-    """Exact dynamics oracle (testing aid: the zero-model-error limit)."""
+    """Exact dynamics of one episode: ``env.step`` under its hidden parameters."""
 
     phi: envmod.HiddenParams
     config: envmod.EnvConfig
@@ -110,6 +110,55 @@ class GroundTruthPredictor:
         return np.array([
             envmod.step(s, a, self.phi, self.config)[0] for s, a in zip(states, actions)
         ])
+
+
+class DynamicsModel(Protocol):
+    """A rollout's dynamics model, one row per episode of its batch (see ``run.run_episode``)."""
+
+    context: np.ndarray
+    solve_failures: np.ndarray
+
+    def predict(self, states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, object]: ...
+    def observe(self, evidence, deltas: np.ndarray) -> None: ...
+    def predictor(self, j: int) -> Predictor: ...
+
+
+class FeModel(fe.OnlineCoefficients):
+    """The function encoder: its evidence is the executed steps' basis rows,
+    its context the batch coefficients ``b``."""
+
+    @property
+    def context(self) -> np.ndarray:
+        return self.b
+
+    def predict(self, states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return FePredictor(self.basis, self.b).predict(states, actions)
+
+    def predictor(self, j: int) -> FePredictor:
+        return FePredictor(self.basis, self.b[j])
+
+
+@dataclass
+class ExactModel:
+    """Each episode's exact dynamics, the zero-model-error limit: every conformal
+    score is 0, nothing is identified, and the context is the hidden parameters."""
+
+    phis: list[envmod.HiddenParams]
+    config: envmod.EnvConfig
+
+    def __post_init__(self) -> None:
+        self.context = np.array([phi.as_array() for phi in self.phis])
+        self.solve_failures = np.zeros(len(self.phis), dtype=np.int64)
+
+    def predict(self, states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, None]:
+        steps = zip(states, actions, self.phis)
+        return np.array([envmod.step(s, a, phi, self.config)[0] for s, a, phi in steps]), None
+
+    def observe(self, evidence, deltas: np.ndarray) -> None:
+        pass
+
+    def predictor(self, j: int) -> GroundTruthPredictor:
+        return GroundTruthPredictor(self.phis[j], self.config)
 
 
 def pre_safety_check(

@@ -76,6 +76,8 @@ class TrainConfig:
         if not (self.clip_ratio > 0.0 and self.eps_num > 0.0):
             raise ValueError("clip_ratio and eps_num must be positive")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden layer sizes must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +124,11 @@ class GaussianPolicy:
         """``n`` i.i.d. samples around the policy mean ``mu`` at one state.
 
         The mean is a row of :meth:`mean_batch`, so sampling never
-        re-evaluates the network.  Acceptance criterion 4's shielded
-        episodes and the tests sample here; a rollout forms the same
-        ``mu + std * noise`` for all of its episodes at once from block-drawn
-        noise (``run._ActionNoise``).
+        re-evaluates the network.  ``rng`` is read only through
+        ``standard_normal((n, action_dim))``.  A rollout draws the shield's
+        candidates here, from the episode's block-drawn noise
+        (``run._EpisodeNoise``), and forms every step's default actions, the
+        same ``mu + std * noise``, for all episodes at once.
         """
         if not all(map(math.isfinite, mu.tolist())):
             raise ValueError(f"policy mean is not finite: {mu}")

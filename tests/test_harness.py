@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from shieldrl import conformal, env, sro
+from shieldrl import conformal, env, shield, sro
 from shieldrl import function_encoder as fe
 from shieldrl.harness import acceptance, cli, run
 from shieldrl.harness.config import (
@@ -122,6 +122,19 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("train.eps_num", "0.0"),
         ("train.clip_ratio", "0.0"),
         ("train.clip_ratio", "-0.2"),
+        ("env.param_intervals", "1,2"),  # not lo:hi pairs
+        ("eval.ood_intervals", "3"),
+        ("eval.ood_intervals", "0.1:0.2:0.3"),
+        ("train.hidden", "8:8"),
+        ("env.mass", "0"),  # divides every step's force
+        ("env.dt", "nan"),
+        ("fe.lr", "nan"),
+        ("shield.l_nu", "nan"),
+        ("env.param_intervals", "0.3:nan"),
+        ("fe.ridge", "-1e-6"),
+        ("train.hidden", "16,0"),
+        ("fe.hidden", "0"),
+        ("fe.epochs", "-1"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -319,7 +332,7 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
         forwards.clear()
         results, _ = run.run_episode(
             policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(episodes),
-            basis=basis, shield_on=shield_on,
+            dynamics=run.fe_dynamics(basis, cfg.fe), shield_on=shield_on,
         )
         assert [rec["steps"] for rec in results] == [horizon] * episodes
         # one policy forward over the whole batch per lockstep step
@@ -351,7 +364,7 @@ def test_each_decision_gets_its_episodes_current_coefficients_and_radius(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
     )
     built = {}
-    for module, name in ((fe, "OnlineCoefficients"), (conformal, "AcpState")):
+    for module, name in ((shield, "FeModel"), (conformal, "AcpState")):
         def build(*args, _name=name, _cls=getattr(module, name), **kwargs):
             built[_name] = _cls(*args, **kwargs)
             return built[_name]
@@ -363,14 +376,15 @@ def test_each_decision_gets_its_episodes_current_coefficients_and_radius(
     def recorded(sampler, state, predictor, gamma, rng, *rest, _fn=run.shieldmod.select_action):
         # read when the decision is made: a stale hand-off shows here
         j = len(seen) % episodes
-        np.testing.assert_array_equal(predictor.b, built["OnlineCoefficients"].b[j])
+        np.testing.assert_array_equal(predictor.b, built["FeModel"].b[j])
         assert gamma == built["AcpState"].gamma[j] and rng is streams[j][1]
         seen.append(predictor.b.copy())
         return _fn(sampler, state, predictor, gamma, rng, *rest)
 
     monkeypatch.setattr(run.shieldmod, "select_action", recorded)
     run.run_episode(
-        policy, cfg, cfg.env, np.random.default_rng(0), streams, shield_on=True, basis=basis
+        policy, cfg, cfg.env, np.random.default_rng(0), streams, shield_on=True,
+        dynamics=run.fe_dynamics(basis, cfg.fe),
     )
     assert len(seen) == episodes * horizon
     bs = np.array(seen).reshape(horizon, episodes, -1)
@@ -378,12 +392,73 @@ def test_each_decision_gets_its_episodes_current_coefficients_and_radius(
     assert (bs[period] != bs[period - 1]).any(axis=1).all()  # then each episode's own solve
 
 
-def test_a_shielded_rollout_requires_a_basis():
+def test_exact_model_episodes_have_no_certified_collision_and_a_zero_radius():
+    cfg = tiny_config(seed=7, shield_enabled=True)
+    cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(3)
+    )
+    records, _ = run.run_episode(
+        policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(4), shield_on=True,
+        dynamics=shield.ExactModel,
+    )
+    assert [rec["steps"] for rec in records] == [cfg.env.horizon] * 4
+    assert sum(rec["shield_trigger_rate"] for rec in records) > 0
+    for rec in records:
+        # exact scores: +inf during the first min_scores steps, then exactly 0
+        assert rec["certified_collisions"] == 0 and rec["mean_gamma"] == 0.0
+        assert rec["acp_miss_rate"] == 0.0 and rec["fe_solve_failures"] == 0
+
+
+class FarAway:
+    """A predictor that forecasts every position far from the obstacles."""
+
+    def predict_batch(self, states, actions):
+        return states + 100.0
+
+
+def test_certified_collisions_are_costly_steps_without_a_fallback(monkeypatch, shielded_setup):
+    cfg, basis = shielded_setup
+    episodes, horizon = 4, cfg.env.horizon
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(0)
+    )
+    fallbacks = []
+
+    def recorded(*args, _fn=run.shieldmod.select_action):
+        decision = _fn(*args)
+        fallbacks.append(decision.safe_set_empty)
+        return decision
+
+    def blind(phis, env_cfg):
+        # certifies every scored decision once the radius is finite
+        model = run.fe_dynamics(basis, cfg.fe)(phis, env_cfg)
+        model.predictor = lambda j: FarAway()
+        return model
+
+    monkeypatch.setattr(run.shieldmod, "select_action", recorded)
+    collisions = Counter()
+    for dynamics in (run.fe_dynamics(basis, cfg.fe), blind):
+        fallbacks.clear()
+        records, buffer = run.run_episode(
+            policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(episodes),
+            shield_on=True, dynamics=dynamics, record=True,
+        )
+        fallback = np.array(fallbacks).reshape(horizon, episodes).T  # decisions in step order
+        costly = buffer.costs != 0
+        expected = (costly & ~fallback).sum(axis=1)
+        assert [rec["certified_collisions"] for rec in records] == expected.tolist()
+        collisions["fallback"] += (costly & fallback).sum()
+        collisions["certified"] += expected.sum()
+    assert collisions["fallback"] > 0 and collisions["certified"] > 0
+
+
+def test_a_shielded_rollout_requires_a_dynamics_model():
     cfg = tiny_config()
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
     )
-    with pytest.raises(ValueError, match="shielded rollout requires a basis"):
+    with pytest.raises(ValueError, match="shielded rollout requires a dynamics model"):
         run.run_episode(
             policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), shield_on=True
         )
@@ -622,7 +697,7 @@ def test_singular_online_solves_are_counted_not_fatal():
     policy = sro.GaussianPolicy.create(sdim, cfg.context_dim, 2, (8,), rng)
     (rec,), _ = run.run_episode(
         policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), shield_on=False,
-        basis=basis,
+        dynamics=run.fe_dynamics(basis, cfg.fe),
     )
     assert rec["steps"] == cfg.env.horizon
     assert rec["fe_solve_failures"] == cfg.env.horizon // cfg.fe.refresh_period
@@ -1159,6 +1234,12 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "error: bad value for 'fe.refresh_period': '0' (refresh_period must be >= 1)\n"
     )
+    # neither a malformed interval nor a zero mass reaches the first step
+    for setting in ("env.param_intervals=1,2", "env.mass=0"):
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(out), "--set", setting])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {setting.split('=')[0]!r}")
 
 
 def test_cli_reports_placement_errors(tmp_path, capsys):

@@ -18,15 +18,17 @@ pretrained on 16 random-action draws for 10 epochs):
   * ``circle_train_records``: an 800-step circle-task ``train`` with the
     shield and the FE context on, from a circle basis of the same size;
   * ``random_episodes``: the transitions of 5 ``collect_random_episodes``;
-  * ``soundness_episodes``: 4 of acceptance criterion 4's shielded episodes
-    with the exact model, at its seed 404;
+  * ``soundness_episodes``: the records and final stream states of the
+    first 4 of acceptance criterion 4's episodes, which ``run_episode``
+    rolls shielded with the exact dynamics model at seed 404;
   * ``acceptance_3_7``: the ``measured`` values of acceptance criteria 3
     (conformal coverage) and 7 (gradient checks), as sorted JSON;
-  * ``shield_decisions``: every ``shield.select_action`` decision of the
-    ``eval_ood_shielded`` and ``soundness_episodes`` runs, in call order:
-    its action and score bytes, its two flags and its chosen index.  The
-    wrapper passes its arguments through unchanged, so the digest compares
-    trees whose ``select_action`` signatures differ.
+  * ``eval_ood_shielded_decisions`` and ``soundness_decisions``: every
+    ``shield.select_action`` decision of the ``eval_ood_shielded`` and of
+    the ``soundness_episodes`` run, in call order: its action and score
+    bytes, its two flags and its chosen index.  The wrapper passes its
+    arguments through unchanged, so the digest compares trees whose
+    ``select_action`` signatures differ.
 
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
@@ -52,10 +54,8 @@ import numpy as np  # noqa: E402
 
 from shieldrl import env as envmod  # noqa: E402
 from shieldrl import shield as shieldmod  # noqa: E402
-from shieldrl import sro  # noqa: E402
 from shieldrl.harness import acceptance, run  # noqa: E402
 from shieldrl.harness.config import ExperimentConfig  # noqa: E402
-from shieldrl.seeding import rng_for  # noqa: E402
 
 
 def sha(data: bytes | str) -> str:
@@ -96,7 +96,6 @@ def decisions_into(hasher):
 
 def main() -> None:
     out: dict[str, str] = {}
-    decisions = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = setup_config()
@@ -109,8 +108,10 @@ def main() -> None:
         out["train_checkpoint"] = sha((tmp / "ck.json").read_bytes())
 
         ck = run.load_checkpoint(tmp / "ck.json")
+        decisions = hashlib.sha256()
         with decisions_into(decisions):
             out["eval_ood_shielded"] = eval_digest(ck, ood=True, shield=True)
+        out["eval_ood_shielded_decisions"] = decisions.hexdigest()
         out["eval_ood_unshielded"] = eval_digest(ck, ood=True, shield=False)
         out["eval_in_distribution"] = eval_digest(ck)
 
@@ -127,21 +128,14 @@ def main() -> None:
         + np.array([phi.as_array() for phi in draws]).tobytes()
     )
 
-    # Criterion 4's set-up (``acceptance.check_shield_soundness``), first episodes.
-    env_cfg = envmod.EnvConfig()
-    rngs = {name: rng_for(404, name) for name in ("env", "rollout", "shield")}
-    policy = sro.GaussianPolicy.create(
-        env_cfg.state_dim, 3, env_cfg.action_dim, (64, 64), rng_for(404, "init")
-    )
+    decisions = hashlib.sha256()
     with decisions_into(decisions):
-        stats = [
-            acceptance._soundness_episode(policy, env_cfg, shieldmod.ShieldConfig(), rngs)
-            for _ in range(4)
-        ]
+        records, streams = acceptance._soundness_episodes(4)
     # The streams' final states pin every draw the episodes made.
-    streams = [rngs[name].bit_generator.state for name in sorted(rngs)]
-    out["soundness_episodes"] = sha(json.dumps([stats, streams], sort_keys=True))
-    out["shield_decisions"] = decisions.hexdigest()
+    states = [rng.bit_generator.state for pair in streams for rng in pair]
+    records = run.canonical_records([rec for rec in records if rec is not None])
+    out["soundness_episodes"] = sha(json.dumps([records, states], sort_keys=True))
+    out["soundness_decisions"] = decisions.hexdigest()
 
     with tempfile.TemporaryDirectory() as tmp:
         ws = acceptance.Workspace(tmp)
