@@ -35,12 +35,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
 from .numerics import (
-    AdamState,
-    Gradients,
+    Adam,
     Mlp,
     ShapeMismatchError,
     adam_step,
@@ -254,7 +254,7 @@ def train_basis(
 
     layer_sizes = [input_dim, *hidden, output_dim]
     nets = [Mlp.create(layer_sizes, rng) for _ in range(k)]
-    opts = [AdamState.for_net(net, lr) for net in nets]
+    opts = [Adam(lr) for _ in nets]
 
     group_size = min(8, len(datasets))
     loss_history: list[float] = []
@@ -263,7 +263,7 @@ def train_basis(
         order = rng.permutation(len(datasets))
         for lo in range(0, len(order), group_size):
             group = order[lo : lo + group_size]
-            grads: list[Gradients] = [net.zero_gradients() for net in nets]
+            grads = np.zeros((k, nets[0].params.size))  # one gradient row per net
             for ds_idx in group:
                 ds = datasets[ds_idx]
                 n = len(ds)
@@ -286,10 +286,10 @@ def train_basis(
                 for i, net in enumerate(nets):
                     upstream = (2.0 / take) * b[i] * err
                     upstream += reg_weight * (4.0 / take) * (norms[i] - 1.0) * Phi[:, i, :]
-                    grads[i].add_(net.backward_cached(caches[i], upstream))
+                    grads[i] += net.backward_cached(caches[i], upstream)
             scale = 1.0 / group.shape[0]
             for net, opt, g in zip(nets, opts, grads):
-                adam_step(net, opt, g.scale(scale))
+                adam_step(net, opt, g * scale)
         loss_history.append(epoch_loss / len(datasets))
 
     meta = {
@@ -477,16 +477,18 @@ def basis_from_record(data: dict) -> BasisSet:
     return BasisSet.from_nets(nets, norm_mean, norm_std, data.get("meta", {}))
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to a sibling temp file and move it over ``path``.
+def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Call ``write`` on an open sibling temp file, then move it over ``path``.
 
-    A process killed mid-write leaves the previous file intact.  Basis
-    artifacts and training checkpoints are both written this way.
+    A process killed or a ``write`` that raises mid-write leaves the
+    previous file intact and no temp file behind.  Basis artifacts and
+    training checkpoints are both written this way.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -495,7 +497,7 @@ def write_atomic(path: str | Path, text: str) -> None:
 def save_basis(basis: BasisSet, path: str | Path) -> None:
     """Write a versioned JSON artifact with deterministic bytes, atomically."""
     text = json.dumps(basis_to_record(basis), sort_keys=True, default=np.ndarray.tolist)
-    write_atomic(path, text)
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def load_basis(path: str | Path) -> BasisSet:

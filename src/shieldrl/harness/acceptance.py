@@ -474,8 +474,7 @@ def check_gradients(ws: Workspace) -> CriterionResult:
         X = rng.standard_normal((3, sizes[0]))
         R = rng.standard_normal((3, sizes[-1]))
         _, cache = net.forward_cached(X)
-        grads = net.backward_cached(cache, R)
-        pairs = (*zip(net.weights, grads.weights), *zip(net.biases, grads.biases))
+        pairs = ((net.params, net.backward_cached(cache, R)),)
 
         def loss() -> float:
             return float(np.sum(net.forward_batch(X) * R))
@@ -495,11 +494,7 @@ def check_gradients(ws: Workspace) -> CriterionResult:
         loss, *_ = sro.surrogate_loss_and_grads(policy, X, A, logp_old, adv, 0.2)
         return loss
 
-    pairs = (
-        *zip(policy.mean_net.weights, grads.weights),
-        *zip(policy.mean_net.biases, grads.biases),
-        (policy.log_std, grad_ls),
-    )
+    pairs = ((policy.mean_net.params, grads), (policy.log_std, grad_ls))
     worst_pol = _fd_max_rel_error(pairs, surrogate, 1e-6, 1e-6)
 
     worst_gae = 0.0

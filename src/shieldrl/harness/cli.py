@@ -45,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--basis", default=None, help="pretrained basis artifact")
     p.add_argument("--out", required=True,
-                   help="checkpoint path, rewritten every epoch: JSON (version 2) with "
+                   help="checkpoint path, rewritten every epoch: JSON (version 3) with "
                         "config, counters and RNG states readable and each float64 array "
-                        "as base64 little-endian <f8 bytes plus its shape; version-1 "
-                        "files no longer load")
+                        "as base64 little-endian <f8 bytes plus its shape; version-1 and "
+                        "version-2 files no longer load")
     p.add_argument("--metrics", default=None, help="JSONL metrics path")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")

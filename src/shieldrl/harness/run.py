@@ -26,12 +26,12 @@ from .. import env as envmod
 from .. import function_encoder as fe
 from .. import shield as shieldmod
 from .. import sro
-from ..numerics import AdamState, Mlp, adam_step, normalization_stats
+from ..numerics import Adam, Mlp, adam_step, normalization_stats
 from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Top-level keys of a checkpoint besides format and version, and the JSON
 # types their values take (see ``build_checkpoint``).
 _SECTION = (dict, type(None))
@@ -449,16 +449,17 @@ def _decode_array(obj: dict):
 
 
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 2.
+    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 3.
 
     Config, epoch, dual variable, step and episode counters and RNG states
     stay readable JSON; every float64 array (network weights, optimizer
     moments, log-std, basis weights) is an object holding its ``shape`` and
     the base64 of its little-endian ``<f8`` bytes under ``"f8"``.  The file
-    is written beside ``path`` and moved over it, so a process killed
-    mid-save leaves the previous checkpoint intact.
+    is encoded straight into a file beside ``path``, which is then moved
+    over it, so a process killed mid-save leaves the previous checkpoint
+    intact.
     """
-    fe.write_atomic(path, json.dumps(ck, sort_keys=True, default=_encode_numpy))
+    fe.write_atomic(path, partial(json.dump, ck, sort_keys=True, default=_encode_numpy))
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -467,9 +468,10 @@ def load_checkpoint(path: str | Path) -> dict:
     Arrays come back as read-only float64 arrays; restoring a section
     (:func:`policy_from_checkpoint`, ``train(resume=...)``) copies them.
     Files of any other format or version, including version 1 (arrays as
-    decimal lists), and files that are not a JSON object, lack a key
-    :func:`build_checkpoint` writes or hold a value of another JSON type
-    there (``true`` and ``false`` are not numbers) raise ``ValueError``.
+    decimal lists) and version 2 (per-layer optimizer moments), and files
+    that are not a JSON object, lack a key :func:`build_checkpoint` writes
+    or hold a value of another JSON type there (``true`` and ``false`` are
+    not numbers) raise ``ValueError``.
     """
     return _checked(json.loads(Path(path).read_text(), object_hook=_decode_array))
 
@@ -497,11 +499,13 @@ def _checked(ck) -> dict:
 def _restore(cls, section: dict):
     """The ``cls`` object that ``asdict`` turned into ``section``.
 
-    Nested dataclass fields (``Mlp``, ``AdamState``, ``AdamVector``) are
-    restored the same way.  Values are deep copies, array fields float64
-    arrays (a basis artifact holds decimal lists), so the object is
-    writable and shares no memory with ``section``.  A missing or
-    unexpected key, or a section that is not an object, raises ``ValueError``.
+    Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way.
+    Values are deep copies, array fields float64 arrays (a basis artifact
+    holds decimal lists; an ``Mlp`` copies its weights and biases into its
+    one ``params`` vector), so the object is writable and shares no memory
+    with ``section``.  A missing or unexpected key, or a section that is
+    not an object, raises ``ValueError``; so do ``Mlp`` weights or biases
+    whose shapes do not match its ``layer_sizes``.
     """
     if not isinstance(section, dict):
         raise ValueError(f"{cls.__name__} section is not a JSON object")
@@ -647,8 +651,8 @@ def train(
         critics = sro.CriticSet.create(
             cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
         )
-        policy_opt = sro.PolicyOptimizer.create(policy, cfg.train.policy_lr)
-        critic_opt = sro.CriticOptimizer.create(critics, cfg.train.critic_lr)
+        policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
+        critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)
         lam = 0.0
         start_epoch = 0
         steps_done = 0
@@ -892,7 +896,7 @@ def train_pooled(
     Xn /= norm_std
     targets = np.vstack([ds.targets for ds in datasets])
     net = Mlp.create([Xn.shape[1], *hidden, targets.shape[1]], rng)
-    opt = AdamState.for_net(net, lr)
+    opt = Adam(lr)
     n = Xn.shape[0]
     for _ in range(epochs):
         idx = rng.choice(n, size=min(batch * len(datasets), n), replace=False)

@@ -9,10 +9,12 @@ Conventions:
   * An ``Mlp`` applies tanh after every hidden layer and leaves the output
     layer linear.
   * Batches are row-major: ``X`` has shape ``(batch, input_dim)``.
-  * ``Mlp.backward_cached`` returns gradients of ``sum(upstream * output)``
-    with respect to every weight and bias, i.e. upstream is ``dL/dy``.
-  * Kernels write only into arrays they allocate, apart from the
-    parameters and moments that ``adam_step`` updates: never into an input
+  * An ``Mlp`` keeps its weights and biases in one vector ``params``;
+    ``Mlp.backward_cached`` returns the gradient of ``sum(upstream *
+    output)`` as one vector in that layout, i.e. upstream is ``dL/dy``, and
+    ``Adam`` updates one such vector with moments in the same layout.
+  * Kernels write only into arrays they allocate, apart from ``params``
+    and the Adam moments that ``Adam.apply`` updates: never into an input
     ``X``, an ``upstream`` argument, a cache they have returned, or any
     other array of the caller's.  ``dense_layer`` allocates one array per
     layer and finishes it in place (``Z = A @ W.T``, ``Z += b``, ``tanh``
@@ -22,7 +24,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,38 +72,39 @@ def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 @dataclass
-class Gradients:
-    """Per-parameter gradients for one ``Mlp`` (same shapes as the net)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scale(self, factor: float) -> "Gradients":
-        return Gradients([w * factor for w in self.weights], [b * factor for b in self.biases])
-
-    def add_(self, other: "Gradients") -> None:
-        for mine, theirs in zip(self.weights, other.weights):
-            mine += theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine += theirs
-
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
-
-@dataclass
 class Mlp:
     """Fully connected network: tanh hidden layers, linear output layer.
 
     ``weights[i]`` has shape ``(layer_sizes[i + 1], layer_sizes[i])`` and is
     initialized uniformly in ``+-1/sqrt(fan_in)``; biases start at zero.
+    The constructor copies them into one float64 vector ``params``, layer
+    by layer (``weights[0]``, ``biases[0]``, ``weights[1]``, ...), and
+    ``weights`` and ``biases`` become views into it, so a write through
+    either shows in ``params`` and an update of ``params`` shows in both.
+    Gradients and Adam moments are vectors in the same layout;
+    :meth:`layers` gives the per-layer views of any of them.
     """
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self) -> None:
+        pairs = list(zip(self.layer_sizes[1:], self.layer_sizes[:-1]))
+        expected = [*pairs, *((fan_out,) for fan_out, _ in pairs)]
+        if [np.shape(a) for a in (*self.weights, *self.biases)] != expected:
+            raise ShapeMismatchError(f"weights or biases do not fit layer_sizes {self.layer_sizes}")
+        shapes = [shape for fan_out, fan_in in pairs for shape in ((fan_out, fan_in), (fan_out,))]
+        stops = list(itertools.accumulate(map(math.prod, shapes)))
+        # (start, stop, shape) of each weight and bias, computed once per net
+        self._spans = list(zip([0, *stops], stops, shapes))
+        arrays = [np.ravel(a) for layer in zip(self.weights, self.biases) for a in layer]
+        self.params = np.concatenate(arrays, dtype=np.float64)
+        self.weights, self.biases = self.layers(self.params)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the net, so its views stay views of its params
+        return Mlp, (self.layer_sizes, self.weights, self.biases)
 
     @classmethod
     def create(cls, layer_sizes: list[int], rng: np.random.Generator) -> "Mlp":
@@ -121,7 +126,12 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(list(self.layer_sizes), [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Mlp(list(self.layer_sizes), self.weights, self.biases)
+
+    def layers(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of ``vector``, a vector in the ``params`` layout."""
+        views = [vector[start:stop].reshape(shape) for start, stop, shape in self._spans]
+        return views[0::2], views[1::2]
 
     # -- forward -------------------------------------------------------
 
@@ -144,32 +154,33 @@ class Mlp:
 
     # -- backward ------------------------------------------------------
 
-    def backward_cached(self, cache: list[np.ndarray], upstream: np.ndarray) -> Gradients:
+    def backward_cached(self, cache: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
         """Backprop ``upstream = dL/dY`` through cached activations.
 
-        Returns the gradients summed over the batch.  The gradient with
-        respect to the input is not formed.
+        Returns the gradient summed over the batch, one vector in the
+        ``params`` layout.  The gradient with respect to the input is not
+        formed.
         """
         G = np.asarray(upstream, dtype=np.float64)
         if G.shape != cache[-1].shape:
             raise ShapeMismatchError(
                 f"upstream shape {G.shape} does not match output shape {cache[-1].shape}"
             )
-        dws: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
-        dbs: list[np.ndarray] = [None] * len(self.biases)  # type: ignore[list-item]
+        grad = np.empty_like(self.params)
+        dws, dbs = self.layers(grad)
         delta = G
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
-                # cache[i + 1] holds tanh activations for hidden layers.
-                delta = delta * (1.0 - cache[i + 1] ** 2)
-            dws[i] = delta.T @ cache[i]
-            dbs[i] = delta.sum(axis=0)
+                # cache[i + 1] holds tanh activations for hidden layers:
+                # delta * (1.0 - a ** 2), formed in one buffer.
+                s = np.square(cache[i + 1])
+                np.subtract(1.0, s, out=s)
+                delta = np.multiply(delta, s, out=s)
+            np.matmul(delta.T, cache[i], out=dws[i])
+            np.sum(delta, axis=0, out=dbs[i])
             if i > 0:
                 delta = delta @ self.weights[i]
-        return Gradients(dws, dbs)
-
-    def zero_gradients(self) -> Gradients:
-        return Gradients([np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -178,56 +189,8 @@ class Mlp:
 
 
 @dataclass
-class AdamState:
-    """Adam moment estimates for one ``Mlp`` (updates applied in place)."""
-
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_net(cls, net: Mlp, lr: float) -> "AdamState":
-        return cls(
-            lr=lr,
-            m_w=[np.zeros_like(w) for w in net.weights],
-            v_w=[np.zeros_like(w) for w in net.weights],
-            m_b=[np.zeros_like(b) for b in net.biases],
-            v_b=[np.zeros_like(b) for b in net.biases],
-        )
-
-
-def adam_step(net: Mlp, state: AdamState, grads: Gradients) -> None:
-    """One Adam update on ``net`` in place.
-
-    With an all-zero gradient the parameters are bit-identical afterwards;
-    only the step counter advances.
-    """
-    state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
-    for p, g, m, v in zip(net.weights, grads.weights, state.m_w, state.v_w):
-        _adam_update(p, g, m, v, state, bc1, bc2)
-    for p, g, m, v in zip(net.biases, grads.biases, state.m_b, state.v_b):
-        _adam_update(p, g, m, v, state, bc1, bc2)
-
-
-def _adam_update(p, g, m, v, state: AdamState | AdamVector, bc1: float, bc2: float) -> None:
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * np.square(g)
-    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-@dataclass
-class AdamVector:
-    """Adam for a single bare parameter vector (e.g. a log-std vector)."""
+class Adam:
+    """Adam for one parameter vector, such as an ``Mlp``'s ``params`` or a log-std."""
 
     lr: float
     beta1: float = 0.9
@@ -238,14 +201,28 @@ class AdamVector:
     v: np.ndarray | None = None
 
     def apply(self, param: np.ndarray, grad: np.ndarray) -> None:
-        """One Adam update of ``param`` in place; the moments start at zero on the first."""
+        """One Adam update of ``param`` in place; the moments start at zero on the first.
+
+        With an all-zero gradient ``param`` is bit-identical afterwards;
+        only the step counter advances.
+        """
         if self.m is None:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.step += 1
         bc1 = 1.0 - self.beta1**self.step
         bc2 = 1.0 - self.beta2**self.step
-        _adam_update(param, grad, self.m, self.v, self, bc1, bc2)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * np.square(grad)
+        param -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+
+
+def adam_step(net: Mlp, opt: Adam, grads: np.ndarray) -> None:
+    """One Adam update of ``net``'s parameters in place, from the gradient
+    vector :meth:`Mlp.backward_cached` returns."""
+    opt.apply(net.params, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AdamState, AdamVector, Mlp, adam_step
+from .numerics import Adam, Mlp, adam_step
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -194,27 +194,23 @@ class CriticSet:
 
 @dataclass
 class CriticOptimizer:
-    v_r: AdamState
-    v_c: AdamState
-    q_c: AdamState
+    v_r: Adam
+    v_c: Adam
+    q_c: Adam
 
     @classmethod
-    def create(cls, critics: CriticSet, lr: float) -> "CriticOptimizer":
-        return cls(
-            AdamState.for_net(critics.v_r, lr),
-            AdamState.for_net(critics.v_c, lr),
-            AdamState.for_net(critics.q_c, lr),
-        )
+    def create(cls, lr: float) -> "CriticOptimizer":
+        return cls(Adam(lr), Adam(lr), Adam(lr))
 
 
 @dataclass
 class PolicyOptimizer:
-    mean_net: AdamState
-    log_std: AdamVector
+    mean_net: Adam
+    log_std: Adam
 
     @classmethod
-    def create(cls, policy: GaussianPolicy, lr: float) -> "PolicyOptimizer":
-        return cls(AdamState.for_net(policy.mean_net, lr), AdamVector(lr))
+    def create(cls, lr: float) -> "PolicyOptimizer":
+        return cls(Adam(lr), Adam(lr))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +432,9 @@ def surrogate_loss_and_grads(
 ):
     """Clipped-surrogate loss with analytic gradients.
 
-    Returns ``(loss, mean_net_grads, log_std_grad, kl, clip_frac)`` where
-    ``loss`` is the negative surrogate (so minimizing ascends the objective)
+    Returns ``(loss, mean_net_grad, log_std_grad, kl, clip_frac)`` where
+    ``loss`` is the negative surrogate (so minimizing ascends the objective),
+    ``mean_net_grad`` is a vector in the layout of ``policy.mean_net.params``
     and ``kl`` is the usual ``mean(logp_old - logp_new)`` drift estimate.
     """
     n = X.shape[0]
@@ -513,7 +510,7 @@ def policy_update(
                 diag["early_stop"] = True
                 done = True
                 break
-            if not np.isfinite(loss) or not grads.finite() or not np.all(np.isfinite(grad_ls)):
+            if not (np.isfinite(loss) and np.isfinite(grads).all() and np.isfinite(grad_ls).all()):
                 policy.mean_net = snapshot[0]
                 policy.log_std = snapshot[1]
                 diag["aborted"] = True
@@ -549,14 +546,13 @@ def critic_update(
     for lo in range(0, n, cfg.minibatch):
         idx = perm[lo : lo + cfg.minibatch]
         m = idx.shape[0]
-        losses["v_r"] += _value_step(critics.v_r, opt.v_r, X[idx], buffer.ret_r[idx], m)
-        losses["v_c"] += _value_step(critics.v_c, opt.v_c, X[idx], buffer.ret_c[idx], m)
+        Xb = X[idx]
+        losses["v_r"] += _value_step(critics.v_r, opt.v_r, Xb, buffer.ret_r[idx], m)
+        losses["v_c"] += _value_step(critics.v_c, opt.v_c, Xb, buffer.ret_c[idx], m)
         # Fresh cost-value predictions, used as constants in the Q target.
-        v_sg = critics.v_c.forward_batch(X[idx])[:, 0]
+        v_sg = critics.v_c.forward_batch(Xb)[:, 0]
         target = v_sg + buffer.adv_c[idx]
-        losses["q_c"] += _value_step(
-            critics.q_c, opt.q_c, np.hstack([X[idx], A[idx]]), target, m
-        )
+        losses["q_c"] += _value_step(critics.q_c, opt.q_c, np.hstack([Xb, A[idx]]), target, m)
         batches += 1
     out = {k: v / batches for k, v in losses.items()}
     if not all(np.isfinite(v) for v in out.values()):
@@ -564,7 +560,7 @@ def critic_update(
     return out
 
 
-def _value_step(net: Mlp, opt: AdamState, X: np.ndarray, targets: np.ndarray, m: int) -> float:
+def _value_step(net: Mlp, opt: Adam, X: np.ndarray, targets: np.ndarray, m: int) -> float:
     pred, cache = net.forward_cached(X)
     err = pred[:, 0] - targets
     loss = float(np.mean(err**2))

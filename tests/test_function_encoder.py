@@ -446,15 +446,31 @@ def test_interrupted_save_keeps_the_previous_artifact(tmp_path, monkeypatch):
     fe.save_basis(first, path)
     before = path.read_bytes()
 
-    def torn_write(self, text, *args, **kwargs):
-        with open(self, "w") as fh:
-            fh.write(text[: len(text) // 2])
-        raise OSError("no space left on device")
+    real_open, torn = Path.open, []
 
-    monkeypatch.setattr(Path, "write_text", torn_write)
+    class TornFile:
+        """A file handle that writes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            torn.append(self.fh.tell())
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "open", lambda self, *args: TornFile(real_open(self, *args)))
     with pytest.raises(OSError):
         fe.save_basis(plain_basis([linear_net([[0.0, -1.0]])]), path)
     monkeypatch.undo()
+    assert torn and torn[0] > 0  # the temp file held part of the new artifact
     assert [p.name for p in tmp_path.iterdir()] == ["basis.json"]
     assert path.read_bytes() == before
     X = np.random.default_rng(3).standard_normal((4, 2))

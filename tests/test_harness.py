@@ -793,15 +793,13 @@ def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
 
 
 MLP_KEYS = ["biases", "layer_sizes", "weights"]
-ADAM_KEYS = ["beta1", "beta2", "eps", "lr", "m_b", "m_w", "step", "v_b", "v_w"]
-ADAM_VECTOR_KEYS = ["beta1", "beta2", "eps", "lr", "m", "step", "v"]
+ADAM_KEYS = ["beta1", "beta2", "eps", "lr", "m", "step", "v"]
 CHECKPOINT_LAYOUT = sorted(
     ["basis", "config", "epoch", "episode_index", "format", "lambda", "steps_done", "version"]
     + [f"policy.mean_net.{k}" for k in MLP_KEYS]
     + ["policy.log_std", "policy.log_std_high", "policy.log_std_low"]
     + [f"critics.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in MLP_KEYS]
-    + [f"policy_opt.mean_net.{k}" for k in ADAM_KEYS]
-    + [f"policy_opt.log_std.{k}" for k in ADAM_VECTOR_KEYS]
+    + [f"policy_opt.{opt}.{k}" for opt in ("log_std", "mean_net") for k in ADAM_KEYS]
     + [f"critic_opt.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in ADAM_KEYS]
     + ["rng_states.env", "rng_states.qsafe", "rng_states.update"]
 )
@@ -836,12 +834,19 @@ def test_checkpoint_layout_is_pinned(tmp_path, capsys):
     assert "GaussianPolicy section" in capsys.readouterr().err
 
 
-def test_version_1_checkpoint_is_rejected(tmp_path):
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
-                                "policy": {"log_std": [-0.5, -0.5]}}))
-    with pytest.raises(ValueError, match="version=1"):
-        run.load_checkpoint(path)
+def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
+                              "policy": {"log_std": [-0.5, -0.5]}}))
+    # version 2 stored per-layer optimizer moments
+    v2 = tmp_path / "v2.json"
+    run.save_checkpoint(dict(run.train(tiny_config(seed=13, total_steps=100)).checkpoint,
+                             version=2), v2)
+    for version, path in ((1, v1), (2, v2)):
+        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 3"):
+            run.load_checkpoint(path)
+        assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
+        assert f"version={version})" in capsys.readouterr().err
 
 
 def test_a_checkpoint_section_that_is_not_an_object_is_an_error(tmp_path, capsys):
@@ -1007,17 +1012,27 @@ def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
     cfg_full = tiny_config(seed=12, total_steps=200)
     half = run.train(tiny_config(seed=12, total_steps=100), out_path=path)
+    before = path.read_bytes()
+    # the checkpoint is encoded straight into the file, with json.dumps's bytes
+    assert before.decode() == json.dumps(half.checkpoint, sort_keys=True, default=run._encode_numpy)
 
-    def torn_write(self, text, *args, **kwargs):
-        with open(self, "w") as fh:
-            fh.write(text[: len(text) // 2])
-        raise OSError("no space left on device")
+    encode, encoded = run._encode_numpy, []
 
-    monkeypatch.setattr(run.Path, "write_text", torn_write)
+    def torn_encode(value):
+        # a value whose encoding raises partway through the save's writes
+        assert path.with_name("ck.json.tmp").exists()
+        encoded.append(value)
+        if len(encoded) == 10:
+            raise OSError("no space left on device")
+        return encode(value)
+
+    monkeypatch.setattr(run, "_encode_numpy", torn_encode)
     with pytest.raises(OSError):
         run.train(cfg_full, out_path=path, resume=path)
     monkeypatch.undo()
+    assert len(encoded) == 10
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+    assert path.read_bytes() == before
 
     ck = run.load_checkpoint(path)
     assert ck["epoch"] == 1 and ck["steps_done"] == 100

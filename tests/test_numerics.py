@@ -1,14 +1,15 @@
 """Tests for the hand-rolled network/optimizer/solver kernels."""
 
+import copy
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shieldrl.numerics import (
-    AdamState,
-    AdamVector,
-    Gradients,
+    Adam,
     Mlp,
     ShapeMismatchError,
     SingularMatrixError,
@@ -89,15 +90,15 @@ def test_backward_linear_scalar_case():
     # y = w*x with x=3: d(y)/dw = 3, d(y)/db = 1
     net = Mlp([1, 1], [np.array([[2.0]])], [np.zeros(1)])
     grads = _backward(net, np.array([3.0]), np.array([1.0]))
-    assert np.allclose(grads.weights[0], [[3.0]])
-    assert np.allclose(grads.biases[0], [1.0])
+    (dw,), (db,) = net.layers(grads)
+    assert np.allclose(dw, [[3.0]])
+    assert np.allclose(db, [1.0])
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
     net = Mlp.create([3, 5, 2], np.random.default_rng(3))
     grads = _backward(net, np.ones(3), np.zeros(2))
-    assert all(np.all(g == 0.0) for g in grads.weights)
-    assert all(np.all(g == 0.0) for g in grads.biases)
+    assert grads.shape == net.params.shape and np.all(grads == 0.0)
 
 
 def _fd_check(net: Mlp, X: np.ndarray, upstream: np.ndarray, step=1e-5, tol=1e-4):
@@ -107,21 +108,18 @@ def _fd_check(net: Mlp, X: np.ndarray, upstream: np.ndarray, step=1e-5, tol=1e-4
     def loss():
         return float(np.sum(net.forward_batch(X) * upstream))
 
-    for params, analytic in ((net.weights, grads.weights), (net.biases, grads.biases)):
-        for arr, g in zip(params, analytic):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                up = loss()
-                arr[idx] = orig - step
-                down = loss()
-                arr[idx] = orig
-                fd = (up - down) / (2 * step)
-                if max(abs(fd), abs(g[idx])) > 1e-6:
-                    rel = abs(fd - g[idx]) / max(abs(fd), abs(g[idx]))
-                    assert rel < tol, f"param {idx}: analytic {g[idx]} vs fd {fd}"
+    params = net.params  # the forward pass reads it through the weight and bias views
+    for idx in range(params.shape[0]):
+        orig = params[idx]
+        params[idx] = orig + step
+        up = loss()
+        params[idx] = orig - step
+        down = loss()
+        params[idx] = orig
+        fd = (up - down) / (2 * step)
+        if max(abs(fd), abs(grads[idx])) > 1e-6:
+            rel = abs(fd - grads[idx]) / max(abs(fd), abs(grads[idx]))
+            assert rel < tol, f"param {idx}: analytic {grads[idx]} vs fd {fd}"
 
 
 @pytest.mark.parametrize("sizes", [[2, 3, 1], [3, 8, 8, 2], [1, 4, 1]])
@@ -152,44 +150,67 @@ def test_backward_fd_property_random_nets(seed):
 def test_adam_zero_gradient_keeps_parameters():
     rng = np.random.default_rng(5)
     net = Mlp.create([2, 4, 2], rng)
-    before_w = [w.copy() for w in net.weights]
-    before_b = [b.copy() for b in net.biases]
-    opt = AdamState.for_net(net, lr=1e-2)
-    adam_step(net, opt, net.zero_gradients())
-    assert all(np.array_equal(a, b) for a, b in zip(net.weights, before_w))
-    assert all(np.array_equal(a, b) for a, b in zip(net.biases, before_b))
+    before = net.params.copy()
+    opt = Adam(lr=1e-2)
+    adam_step(net, opt, np.zeros_like(net.params))
+    assert np.array_equal(net.params, before)
     assert opt.step == 1  # bookkeeping still advances
 
 
 def test_adam_moves_against_gradient():
     net = Mlp([1, 1], [np.array([[1.0]])], [np.zeros(1)])
-    opt = AdamState.for_net(net, lr=0.1)
-    grads = net.zero_gradients()
-    grads.weights[0][0, 0] = 1.0
+    opt = Adam(lr=0.1)
+    grads = np.zeros_like(net.params)
+    net.layers(grads)[0][0][0, 0] = 1.0
     adam_step(net, opt, grads)
     assert net.weights[0][0, 0] < 1.0
 
 
-def test_adam_vector_matches_adam_net_on_same_stream():
-    # One update rule: a scalar parameter updated both ways agrees bit for bit.
-    vec = np.array([0.7])
-    av = AdamVector(lr=0.05)
-    assert av.m is None and av.v is None  # moments start at the first update
+def test_adam_on_a_bare_vector_matches_adam_step_on_a_net():
+    # One update rule: a bare vector and a net's parameters agree bit for bit.
     net = Mlp([1, 1], [np.array([[0.7]])], [np.zeros(1)])
-    opt = AdamState.for_net(net, lr=0.05)
+    vec = net.params.copy()
+    bare, opt = Adam(lr=0.05), Adam(lr=0.05)
+    assert bare.m is None and bare.v is None  # moments start at the first update
     for g in (0.3, -0.2, 0.05):
-        av.apply(vec, np.array([g]))
-        grads = net.zero_gradients()
-        grads.weights[0][0, 0] = g
+        grads = np.array([g, -0.5 * g])
+        bare.apply(vec, grads)
         adam_step(net, opt, grads)
-        assert vec[0] == net.weights[0][0, 0]
-        assert (av.m[0], av.v[0], av.step) == (opt.m_w[0][0, 0], opt.v_w[0][0, 0], opt.step)
+        assert vec.tobytes() == net.params.tobytes()
+        assert (bare.m.tobytes(), bare.v.tobytes(), bare.step) == (
+            opt.m.tobytes(), opt.v.tobytes(), opt.step
+        )
+
+
+def test_weights_and_biases_are_views_of_one_parameter_vector():
+    net = Mlp.create([3, 5, 2], np.random.default_rng(9))
+    assert net.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+    net.weights[1][1, 4] = 7.0  # layer by layer: weights[0], biases[0], weights[1], ...
+    net.biases[0][2] = -3.0
+    assert net.params[15 + 5 + 1 * 5 + 4] == 7.0 and net.params[15 + 2] == -3.0
+    net.params[:] = np.arange(net.params.size)  # and the other way round
+    assert net.weights[0][0, 1] == 1.0 and net.biases[1][0] == net.params.size - 2
+
+    for twin in (net.copy(), copy.deepcopy(net)):
+        assert all(
+            not np.shares_memory(a, b)
+            for a in (twin.params, *twin.weights, *twin.biases)
+            for b in (net.params, *net.weights, *net.biases)
+        )
+        assert twin.params.tobytes() == net.params.tobytes()
+        twin.weights[0][0, 0] = -1.0  # the twin's views are views of its own vector
+        assert twin.params[0] == -1.0 and net.params[0] == 0.0
+
+    # the dataclass fields, and so a checkpoint's Mlp section, are unchanged
+    assert asdict(net).keys() == {"layer_sizes", "weights", "biases"}
+    with pytest.raises(ShapeMismatchError):
+        Mlp([3, 2], [np.zeros((3, 2))], [np.zeros(2)])
 
 
 def test_parameters_stay_finite_over_many_steps():
     rng = np.random.default_rng(17)
     net = Mlp.create([3, 8, 1], rng)
-    opt = AdamState.for_net(net, lr=1e-2)
+    opt = Adam(lr=1e-2)
     X = rng.standard_normal((16, 3))
     y = rng.standard_normal((16, 1))
     for _ in range(200):
@@ -254,23 +275,23 @@ def test_kernels_equal_their_textbook_expressions_bit_for_bit(rows):
 
     grads = net.backward_cached(cache, upstream)
     dws, dbs = textbook_backward(net, acts, upstream)
-    assert all_equal(grads.weights, dws) and all_equal(grads.biases, dbs)
+    grad_ws, grad_bs = net.layers(grads)
+    assert grads.shape == net.params.shape
+    assert all_equal(grad_ws, dws) and all_equal(grad_bs, dbs)
 
     # Adam over three steps, from these gradients scaled differently each step
-    opt = AdamState.for_net(net, lr=1e-2)
-    params = [p.copy() for p in (*net.weights, *net.biases)]
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    opt = Adam(lr=1e-2)
+    p, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
     for step, scale in enumerate((1.0, -0.5, 2.0), start=1):
-        g = Gradients([w * scale for w in grads.weights], [b * scale for b in grads.biases])
-        g_in = [a.copy() for a in (*g.weights, *g.biases)]
+        g = grads * scale
+        g_in = g.copy()
         adam_step(net, opt, g)
-        assert all_equal([*g.weights, *g.biases], g_in)  # the gradients are not written
-        for j, (p, gj) in enumerate(zip(params, g_in)):
-            params[j], m, v = textbook_adam(p, gj, *moments[j], step, lr=1e-2)
-            moments[j] = (m, v)
-        assert all_equal([*net.weights, *net.biases], params)
-        assert all_equal([*opt.m_w, *opt.m_b], [m for m, _ in moments])
-        assert all_equal([*opt.v_w, *opt.v_b], [v for _, v in moments])
+        assert np.array_equal(g, g_in)  # the gradient is not written
+        p, m, v = textbook_adam(p, g_in, m, v, step, lr=1e-2)
+        ws, bs = net.layers(p)
+        assert np.array_equal(net.params, p)
+        assert all_equal(net.weights, ws) and all_equal(net.biases, bs)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
     # no kernel wrote into its input, its upstream or the cache it returned
     assert np.array_equal(X, X_in) and np.array_equal(upstream, upstream_in)
