@@ -23,14 +23,11 @@ from ..numerics import Mlp
 from ..seeding import rng_for
 from .config import ExperimentConfig, FeSettings
 from .run import (
-    PooledRegressor,
     _episode_streams,
-    _restore,
     build_checkpoint,
     canonical_records,
     collect_random_episodes,
     evaluate,
-    load_training_basis,
     pretrain_fe,
     run_episode,
     score_heldout,
@@ -50,30 +47,34 @@ class CriterionResult:
 
 
 class Workspace:
-    """Artifact cache shared across suites (basis set + pooled baseline)."""
+    """Artifact cache shared across suites: the basis set and the pooled baseline.
+
+    Both are pretrained once by :func:`pretrain_fe` and cached in ``root`` as
+    two basis artifacts, ``acceptance_basis.json`` and
+    ``acceptance_pooled.json``; unless both files exist, they are fit again.
+    """
 
     BASIS_SEED = 2024
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else Path(tempfile.mkdtemp(prefix="accept-"))
         self.root.mkdir(parents=True, exist_ok=True)
-        self._basis = None
-        self._pooled = None
+        self._models = None
 
     def fe_config(self) -> ExperimentConfig:
         cfg = ExperimentConfig(seed=self.BASIS_SEED)
         cfg.fe = replace(cfg.fe, pretrain_episodes=120, epochs=200)
         return cfg.validate()
 
-    def ensure_basis(self):
-        if self._basis is None:
-            path = self.root / "acceptance_basis.json"
-            if path.exists():
-                self._basis = load_training_basis(path)
-            else:
-                self._basis = pretrain_fe(self.fe_config(), out_path=path).basis
-            self._pooled = _restore(PooledRegressor, self._basis.meta["pooled_model"])
-        return self._basis, self._pooled
+    def ensure_basis(self) -> tuple[fe.BasisSet, fe.BasisSet]:
+        """The basis set and the pooled baseline, fit or loaded on first use."""
+        if self._models is None:
+            paths = (self.root / "acceptance_basis.json", self.root / "acceptance_pooled.json")
+            if not all(path.exists() for path in paths):
+                result = pretrain_fe(self.fe_config(), out_path=paths[0])
+                fe.save_basis(result.pooled, paths[1])
+            self._models = tuple(fe.load_basis(path) for path in paths)
+        return self._models
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def _synthetic_family_case() -> dict:
         test_fe, test_oracle = make_task(w, 300)
         b = fe.compute_coefficients(basis, ident_fe)
         fe_mses.append(fe.dataset_mse(basis, b, test_fe))
-        oracle_mses.append(oracle.dataset_mse(test_oracle))
+        oracle_mses.append(fe.dataset_mse(oracle, np.ones(1), test_oracle))
     return {"fe_mse": float(np.mean(fe_mses)), "oracle_mse": float(np.mean(oracle_mses))}
 
 

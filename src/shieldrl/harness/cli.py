@@ -84,9 +84,10 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({k: v for k, v in result.header.items() if k != "phi_draws"}))
             return 0
         if args.command == "train":
-            from .run import load_training_basis, train
+            from ..function_encoder import load_basis
+            from .run import train
 
-            basis = load_training_basis(args.basis) if args.basis else None
+            basis = load_basis(args.basis) if args.basis else None
             result = train(
                 _load_cfg(args),
                 basis=basis,
@@ -122,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write("\n".join(lines) + "\n")
             return 0 if all(r.passed for r in results) else 1
-    except (ConfigError, ValueError, FileNotFoundError, PlacementError) as exc:
+    except (ConfigError, ValueError, OSError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

@@ -500,12 +500,11 @@ def _restore(cls, section: dict):
     """The ``cls`` object that ``asdict`` turned into ``section``.
 
     Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way.
-    Values are deep copies, array fields float64 arrays (a basis artifact
-    holds decimal lists; an ``Mlp`` copies its weights and biases into its
-    one ``params`` vector), so the object is writable and shares no memory
-    with ``section``.  A missing or unexpected key, or a section that is
-    not an object, raises ``ValueError``; so do ``Mlp`` weights or biases
-    whose shapes do not match its ``layer_sizes``.
+    Values are deep copies, array fields float64 arrays (an ``Mlp`` copies
+    its weights and biases into its one ``params`` vector), so the object is
+    writable and shares no memory with ``section``.  A missing or unexpected
+    key, or a section that is not an object, raises ``ValueError``; so do
+    ``Mlp`` weights or biases whose shapes do not match its ``layer_sizes``.
     """
     if not isinstance(section, dict):
         raise ValueError(f"{cls.__name__} section is not a JSON object")
@@ -536,7 +535,9 @@ def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
 def _basis_bits(basis: fe.BasisSet | None) -> list | None:
     """The layout, shapes and bytes of a basis's networks and normalization.
 
-    ``meta`` is left out: :func:`fe.load_basis` keeps the pooled baseline there as lists.
+    ``meta`` is left out: it records how the networks were fit, and an
+    artifact written before the pooled baseline left it still carries that
+    baseline there.
     """
     if basis is None:
         return None
@@ -588,7 +589,7 @@ def train(
     placed, writes an abort record and the checkpoint of the last finished
     epoch (the start state if none finished), taken before the failed epoch
     changed anything, then propagates; resuming from it continues the
-    uninterrupted run.
+    uninterrupted run.  The metrics file is closed however the run ends.
     """
     cfg.validate()
     if (cfg.shield_enabled or cfg.fe_context) and basis is None:
@@ -658,10 +659,6 @@ def train(
         steps_done = 0
         episode_index = 0
 
-    # Opened once the resume is accepted: a rejected one leaves the file alone.
-    writer = MetricsWriter(metrics_path)
-    writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
-
     def checkpoint_now(epoch_done: int) -> dict:
         return build_checkpoint(cfg, policy, critics, policy_opt, critic_opt, lam, epoch_done,
                                 steps_done, rngs, basis, episode_index)
@@ -675,7 +672,10 @@ def train(
     # moved the parameters, the optimizers and the streams.
     ck = checkpoint_now(start_epoch)
     epochs_run = 0
+    # Opened once the resume is accepted: a rejected one leaves the file alone.
+    writer = MetricsWriter(metrics_path)
     try:
+        writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
         for epoch in range(start_epoch, epochs):
             t0 = time.perf_counter()
             streams = _episode_streams(
@@ -748,12 +748,12 @@ def train(
     except (ValueError, envmod.PlacementError) as exc:
         writer.write({"kind": "abort", "epoch": ck["epoch"], "reason": str(exc)})
         save(ck)
-        writer.close()
         raise
+    finally:
+        writer.close()
 
     if epochs_run == 0:  # zero steps, or resumed at the last epoch: nothing saved yet
         save(ck)
-    writer.close()
     return TrainResult(checkpoint=ck, records=writer.records, epochs_run=epochs_run)
 
 
@@ -864,19 +864,6 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PooledRegressor:
-    """Single network fit across all parameter draws (the context-free baseline)."""
-
-    net: Mlp
-    norm_mean: np.ndarray
-    norm_std: np.ndarray
-
-    def dataset_mse(self, ds: fe.TransitionDataset) -> float:
-        err = self.net.forward_batch((ds.inputs - self.norm_mean) / self.norm_std) - ds.targets
-        return float(np.mean(np.sum(err**2, axis=1)))
-
-
 def train_pooled(
     datasets: list[fe.TransitionDataset],
     hidden: tuple[int, ...],
@@ -884,11 +871,13 @@ def train_pooled(
     lr: float,
     batch: int,
     rng: np.random.Generator,
-) -> PooledRegressor:
+) -> fe.BasisSet:
     """Fit one regression network on the pooled transitions of all draws.
 
-    The stacked inputs are normalized in place, and the targets are stacked
-    only after that, so the fit holds one copy of the inputs.
+    The result is the context-free baseline as a basis of that one network,
+    to be combined with the fixed coefficient ``np.ones(1)``.  The stacked
+    inputs are normalized in place, and the targets are stacked only after
+    that, so the fit holds one copy of the inputs.
     """
     Xn = np.vstack([ds.inputs for ds in datasets])
     norm_mean, norm_std = normalization_stats(Xn)
@@ -905,27 +894,13 @@ def train_pooled(
             out, cache = net.forward_cached(Xn[sel])
             err = out - targets[sel]
             adam_step(net, opt, net.backward_cached(cache, (2.0 / sel.shape[0]) * err))
-    return PooledRegressor(net, norm_mean, norm_std)
-
-
-def load_training_basis(path: str | Path) -> fe.BasisSet:
-    """A basis artifact as :func:`pretrain_fe` leaves the basis in memory.
-
-    :func:`fe.load_basis` returns the pooled baseline in ``meta`` as the
-    artifact's decimal lists; it is rebuilt here as arrays, so a checkpoint
-    of the loaded basis has the same bytes as one of the basis it was saved
-    from.
-    """
-    basis = fe.load_basis(path)
-    if "pooled_model" in basis.meta:
-        basis.meta["pooled_model"] = asdict(_restore(PooledRegressor, basis.meta["pooled_model"]))
-    return basis
+    return fe.BasisSet.from_nets([net], norm_mean, norm_std)
 
 
 @dataclass
 class PretrainResult:
     basis: fe.BasisSet
-    pooled: PooledRegressor
+    pooled: fe.BasisSet
     header: dict
     heldout: list[fe.TransitionDataset] = field(default_factory=list)
 
@@ -955,7 +930,7 @@ def collect_random_episodes(
 
 def score_heldout(
     basis: fe.BasisSet,
-    pooled: PooledRegressor,
+    pooled: fe.BasisSet,
     heldout: list[fe.TransitionDataset],
     context_samples: int,
     ridge: float,
@@ -963,7 +938,8 @@ def score_heldout(
     """Mean held-out MSE of the adapted basis model vs the pooled baseline.
 
     Coefficients are identified from each episode's leading transitions and
-    scored on the remainder, which the pooled model also never saw.
+    scored on the remainder, which the pooled model also never saw.  The
+    pooled model is a one-network basis at the fixed coefficient 1.
     """
     fe_mses, pooled_mses = [], []
     for ds in heldout:
@@ -972,16 +948,17 @@ def score_heldout(
         rest = fe.TransitionDataset(ds.inputs[ctx_n:], ds.targets[ctx_n:])
         b = fe.compute_coefficients(basis, ident, ridge)
         fe_mses.append(fe.dataset_mse(basis, b, rest))
-        pooled_mses.append(pooled.dataset_mse(rest))
+        pooled_mses.append(fe.dataset_mse(pooled, np.ones(1), rest))
     return float(np.mean(fe_mses)), float(np.mean(pooled_mses))
 
 
 def pretrain_fe(cfg: ExperimentConfig, out_path: str | Path | None = None) -> PretrainResult:
     """Collect exploration data across parameter draws and fit the basis set.
 
-    The artifact's metadata records the draw history and the held-out
-    comparison against a pooled single-network baseline, and the file bytes
-    are identical across runs with the same config.
+    The artifact's metadata records the draw history and the held-out MSE
+    of the basis and of the pooled baseline (:func:`train_pooled`), whose
+    network is returned in the result but not written to the artifact.  The
+    file bytes are identical across runs with the same config.
     """
     cfg.validate()
     env_cfg = cfg.env
@@ -1021,7 +998,6 @@ def pretrain_fe(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Pr
         "phi_draws": [phi.as_array().tolist() for phi in draws],
     }
     basis.meta.update(header)
-    basis.meta["pooled_model"] = asdict(pooled)
     if out_path is not None:
         fe.save_basis(basis, out_path)
     return PretrainResult(basis=basis, pooled=pooled, header=header, heldout=heldout)

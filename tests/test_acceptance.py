@@ -3,11 +3,12 @@
 Each test drives the matching suite in ``shieldrl.harness.acceptance`` and
 fails with the measured values if the threshold is not met, so the ``-v``
 output reads as one pass/fail line per criterion.  The suites share a single
-Workspace per test module: the trained dynamics basis is built once (a few
-minutes) and cached inside the workspace root.
+Workspace per test module: the trained dynamics basis and the pooled
+baseline are built once (a few minutes) and cached inside the workspace root
+as two artifacts.
 
 By default the workspace lives in a fresh pytest temp directory.  Set
-``SHIELDRL_ACCEPT_DIR`` to a persistent path to reuse the basis artifact
+``SHIELDRL_ACCEPT_DIR`` to a persistent path to reuse both artifacts
 across runs (useful while iterating; remove the directory to force a
 rebuild).  The directional-improvement criterion trains six agents for 200k
 steps each and dominates the runtime.

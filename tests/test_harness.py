@@ -783,7 +783,7 @@ def test_restoring_a_checkpoint_does_not_alias_it(tmp_path):
 def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
     cfg = tiny_config(seed=4)
     basis = run.pretrain_fe(cfg, out_path=tmp_path / "basis.json").basis
-    loaded = run.load_training_basis(tmp_path / "basis.json")
+    loaded = fe.load_basis(tmp_path / "basis.json")
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
     )
@@ -970,9 +970,9 @@ def test_resume_refuses_another_basis(tmp_path):
     longer = replace(cfg, total_steps=200)
     with pytest.raises(ValueError, match="basis differs from the checkpoint's"):
         run.train(longer, basis=basis_b, resume=half)
-    # the same networks loaded from the artifact resume, whatever their meta holds
-    for loaded in (fe.load_basis(tmp_path / "a.json"), run.load_training_basis(tmp_path / "a.json")):
-        assert run.train(longer, basis=loaded, resume=half).epochs_run == 1
+    # the same networks loaded from the artifact resume
+    loaded = fe.load_basis(tmp_path / "a.json")
+    assert run.train(longer, basis=loaded, resume=half).epochs_run == 1
     # no basis matches only no basis
     plain = tiny_config(seed=3, total_steps=100)
     with pytest.raises(ValueError, match="basis differs from the checkpoint's"):
@@ -1170,6 +1170,63 @@ def test_pretrain_artifact_bytes_are_reproducible(tmp_path):
     assert result.basis.k == 2
 
 
+def test_pooled_baseline_is_a_one_network_basis_left_out_of_the_artifact(tmp_path):
+    result = run.pretrain_fe(tiny_config(seed=15), tmp_path / "basis.json")
+    pooled = result.pooled
+    assert pooled.k == 1
+    # at coefficient 1, the textbook MSE of the normalized network, bit for bit
+    weights = [w[0] for w in pooled.weights]
+    biases = [b[0] for b in pooled.biases]
+    for ds in result.heldout:
+        for rows in (1, 7, len(ds)):
+            part = fe.TransitionDataset(ds.inputs[:rows], ds.targets[:rows])
+            A = (part.inputs - pooled.norm_mean) / pooled.norm_std
+            for i, (W, b) in enumerate(zip(weights, biases)):
+                A = A @ W.T + b
+                if i < len(weights) - 1:
+                    A = np.tanh(A)
+            textbook = np.mean(np.sum((A - part.targets) ** 2, axis=1))
+            assert fe.dataset_mse(pooled, np.ones(1), part) == textbook
+    # the artifact keeps the held-out score, not the network, and its meta is plain JSON
+    meta = json.loads((tmp_path / "basis.json").read_text())["meta"]
+    assert "pooled_model" not in meta and "pooled_model" not in result.basis.meta
+    assert meta["pooled_heldout_mse"] == result.header["pooled_heldout_mse"]
+    assert json.loads(json.dumps(result.basis.meta)) == result.basis.meta
+
+
+def test_acceptance_workspace_caches_the_basis_and_the_pooled_baseline(tmp_path, monkeypatch):
+    monkeypatch.setattr(acceptance.Workspace, "fe_config", lambda self: tiny_config(seed=6))
+    names = ["acceptance_basis.json", "acceptance_pooled.json"]
+    basis, pooled = acceptance.Workspace(tmp_path).ensure_basis()
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert pooled.k == 1
+    want = [run._basis_bits(basis), run._basis_bits(pooled)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretrained although both artifacts exist")
+
+    monkeypatch.setattr(acceptance, "pretrain_fe", refuse)
+    again = acceptance.Workspace(tmp_path).ensure_basis()
+    assert list(map(run._basis_bits, again)) == want
+
+    # a workdir holding only the basis artifact pretrains again and writes both
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / names[0]).write_bytes((tmp_path / names[0]).read_bytes())
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run.pretrain_fe(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "pretrain_fe", counted)
+    rebuilt = acceptance.Workspace(old).ensure_basis()
+    assert calls == [1]
+    assert list(map(run._basis_bits, rebuilt)) == want
+    for name in names:
+        assert (old / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_pooled_fit_holds_one_stacked_copy_of_its_inputs():
     # Normalized in place, with the targets stacked after the statistics,
     # the fit stays below two stacked input copies plus the stacked targets.
@@ -1224,6 +1281,35 @@ def test_cli_pipeline(tmp_path):
     lines = [json.loads(l) for l in eval_metrics.read_text().strip().split("\n")]
     assert lines[-1]["kind"] == "summary"
     assert lines[-1]["episodes"] == 2
+
+
+def test_cli_reports_io_errors(tmp_path, capsys):
+    cfg_path, a_file = tmp_path / "exp.cfg", tmp_path / "file.txt"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    a_file.write_text("")
+    for argv in (
+        ["eval", "--ckpt", str(tmp_path)],
+        ["train", "--config", str(cfg_path), "--out", str(tmp_path / "ck.json"),
+         "--metrics", str(tmp_path)],
+        ["accept", "--suite", "gradients", "--workdir", str(a_file)],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_training_closes_its_metrics_file_on_any_error(tmp_path, monkeypatch):
+    closed = []
+    close = run.MetricsWriter.close
+    monkeypatch.setattr(run.MetricsWriter, "close", lambda self: closed.append(1) or close(self))
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sro, "critic_update", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run.train(tiny_config(seed=3, total_steps=100), metrics_path=tmp_path / "m.jsonl")
+    assert closed == [1]
 
 
 def test_cli_rejects_unknown_acceptance_suite(capsys):
@@ -1323,6 +1409,29 @@ def basis_files(tmp_path_factory):
     write_config(cfg, root / "exp.cfg")
     basis = run.pretrain_fe(cfg, out_path=root / "basis.json").basis
     return root, run.train(cfg, basis=basis).checkpoint
+
+
+def test_an_artifact_carrying_the_pooled_baseline_still_loads_and_trains(tmp_path, basis_files):
+    # Artifacts once held the pooled baseline in meta, as decimal lists.
+    root, _ = basis_files
+    artifact = json.loads((root / "basis.json").read_text())
+    pooled = run.pretrain_fe(tiny_config(seed=3)).pooled
+    carried = {
+        "net": {"layer_sizes": pooled.layer_sizes,
+                "weights": [w[0].tolist() for w in pooled.weights],
+                "biases": [b[0].tolist() for b in pooled.biases]},
+        "norm_mean": pooled.norm_mean.tolist(),
+        "norm_std": pooled.norm_std.tolist(),
+    }
+    artifact["meta"]["pooled_model"] = carried
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(artifact, sort_keys=True))
+    loaded = fe.load_basis(old)
+    assert run._basis_bits(loaded) == run._basis_bits(fe.load_basis(root / "basis.json"))
+    assert loaded.meta["pooled_model"] == carried
+    argv = ["train", "--config", str(root / "exp.cfg"), "--basis", str(old),
+            "--out", str(tmp_path / "ck.json")]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_BASES))

@@ -10,6 +10,8 @@ Every run uses the seed-0 config at the benchmark's set-up size (a basis
 pretrained on 16 random-action draws for 10 epochs):
 
   * ``basis``: the bytes of that basis artifact;
+  * ``pooled``: the bytes of the pooled baseline that the same pretraining
+    fits, written as its own one-network basis artifact;
   * ``train_records`` and ``train_checkpoint``: ``canonical_records`` and
     the checkpoint bytes of an 8,000-step full-method ``train`` on it;
   * ``eval_ood_shielded``, ``eval_ood_unshielded``, ``eval_in_distribution``:
@@ -53,6 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from shieldrl import env as envmod  # noqa: E402
+from shieldrl import function_encoder as fe  # noqa: E402
 from shieldrl import shield as shieldmod  # noqa: E402
 from shieldrl.harness import acceptance, run  # noqa: E402
 from shieldrl.harness.config import ExperimentConfig  # noqa: E402
@@ -99,8 +102,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = setup_config()
-        basis = run.pretrain_fe(cfg, out_path=tmp / "basis.json").basis
+        pretrained = run.pretrain_fe(cfg, out_path=tmp / "basis.json")
+        basis = pretrained.basis
         out["basis"] = sha((tmp / "basis.json").read_bytes())
+        fe.save_basis(pretrained.pooled, tmp / "pooled.json")
+        out["pooled"] = sha((tmp / "pooled.json").read_bytes())
 
         train_cfg = replace(cfg, total_steps=8000)
         result = run.train(train_cfg, basis=basis, out_path=tmp / "ck.json")
