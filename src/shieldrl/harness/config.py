@@ -50,6 +50,10 @@ class FeSettings:
             raise ValueError("batch and context_samples must be >= 1")
         if self.epochs < 0 or self.ridge < 0:
             raise ValueError("epochs and ridge must be >= 0")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if not (0 <= self.heldout_fraction < 1):
+            raise ValueError("heldout_fraction must lie in [0, 1)")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be >= 1")
 
@@ -96,13 +100,14 @@ class ExperimentConfig:
             raise ConfigError("oracle_phi and fe_context are mutually exclusive contexts")
         if self.task != self.env.task:
             self.env = replace(self.env, task=self.task)
-        if self.shield_enabled:
-            bound = self.env.max_feature_step()
-            if self.shield.pre_safety_margin <= bound:
-                raise ConfigError(
-                    f"shield.pre_safety_margin ({self.shield.pre_safety_margin}) must exceed "
-                    f"the per-step feature bound dt*v_max = {bound}"
-                )
+        # Checked with the shield off too: evaluate(shield=True) runs it on any config.
+        bound = self.env.max_feature_step()
+        l_nu, margin = self.shield.l_nu, self.shield.pre_safety_margin
+        if l_nu * margin <= bound:
+            raise ConfigError(
+                f"'shield.l_nu' * 'shield.pre_safety_margin' ({l_nu} * {margin}) must exceed "
+                f"the per-step feature bound dt*v_max = {bound}"
+            )
         for lo, hi in self.eval.ood_intervals:
             if not (0 < lo <= hi):
                 raise ConfigError(f"bad OOD interval [{lo}, {hi}]")

@@ -137,7 +137,7 @@ class _ActionNoise:
     block of rows holds exactly the values that one draw per sample would
     give, in the same order.  Keep those streams to that one method, or the
     block length starts to matter.  ``cursor[j]`` is episode ``j``'s next
-    unused row.
+    unused row; only :meth:`next` and :meth:`take` move it.
     """
 
     def __init__(self, rngs: list[np.random.Generator], action_dim: int):
@@ -146,34 +146,27 @@ class _ActionNoise:
         self.cursor = np.full(len(rngs), _NOISE_BLOCK)
         self.episodes = np.arange(len(rngs))
 
-    def head(self) -> np.ndarray:
-        """Every episode's next row, ``(episodes, action_dim)``, without consuming it."""
+    def next(self) -> np.ndarray:
+        """Consume every episode's next row, ``(episodes, action_dim)``."""
         for j in np.flatnonzero(self.cursor == self.block.shape[1]):
             self.rngs[j].standard_normal(out=self.block[j])
             self.cursor[j] = 0
-        return self.block[self.episodes, self.cursor]
+        rows = self.block[self.episodes, self.cursor]
+        self.cursor += 1
+        return rows
 
+    def take(self, j: int, m: int) -> np.ndarray:
+        """Consume episode ``j``'s next ``m`` rows, ``(m, action_dim)``.
 
-class _EpisodeNoise:
-    """Episode ``j``'s rows of an :class:`_ActionNoise`, read as a generator's standard normals.
-
-    ``standard_normal((m, action_dim))``, the call ``GaussianPolicy.sample_n``
-    makes, returns the episode's next ``m`` rows, the first being its
-    ``head`` row.  Rows past the end of the block come straight from the
-    stream; the next ``head`` then starts a new block.
-    """
-
-    def __init__(self, noise: _ActionNoise, j: int):
-        self.noise, self.j = noise, j
-
-    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
-        noise, j, m = self.noise, self.j, shape[0]
-        start = noise.cursor[j]
-        rows = noise.block[j, start : start + m]
+        Rows past the end of the block come straight from the stream; the
+        next :meth:`next` then starts a new block.
+        """
+        start = self.cursor[j]
+        rows = self.block[j, start : start + m]
         if rows.shape[0] < m:
-            extra = noise.rngs[j].standard_normal((m - rows.shape[0], noise.block.shape[2]))
+            extra = self.rngs[j].standard_normal((m - rows.shape[0], self.block.shape[2]))
             rows = np.concatenate([rows, extra])
-        noise.cursor[j] = min(start + m, noise.block.shape[1])
+        self.cursor[j] = min(start + m, self.block.shape[1])
         return rows
 
 
@@ -214,11 +207,11 @@ def run_episode(
     :func:`fe_dynamics` gives the function encoder, ``shield.ExactModel``
     the exact dynamics.
 
-    Actions are ``mu + std * noise``, formed for all episodes in one vector
-    operation per step from block-drawn noise (:class:`_ActionNoise`), with
-    the values of one draw per sample.  When the shield scores candidates,
-    the first uses the noise row of the unshielded action.  A non-finite
-    policy mean raises ``ValueError``.
+    Every action is a ``policy.sample_n`` of block-drawn noise
+    (:class:`_ActionNoise`), with the values of one draw per sample: each
+    step samples all episodes at once from their next noise rows, and a
+    shield that scores candidates resamples episode ``j`` from its rows
+    after that one.  A non-finite policy mean raises ``ValueError``.
 
     States are ``env``'s read-only vectors; ``env.step`` takes and returns
     the full ones.  Their one truncation, :func:`_state_view`, makes the
@@ -293,18 +286,10 @@ def run_episode(
         step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
     triggers, empties, certified = [0] * n, [0] * n, np.zeros(n, dtype=np.int64)
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
-    # The policy is frozen during a rollout.
-    std = np.exp(policy.log_std)
     noise = _ActionNoise(rollout_rngs, env_cfg.action_dim)
-    if shield_on:
-        episode_noise = [_EpisodeNoise(noise, j) for j in range(n)]
 
-        # Episode j's policy sampler: reads the step's policy means and default actions.
-        def draw(j: int, m: int) -> np.ndarray:
-            if m == 1:
-                noise.cursor[j] += 1
-                return default[j : j + 1]
-            return policy.sample_n(mu[j], m, episode_noise[j])
+    def resample(j: int, m: int) -> np.ndarray:
+        return policy.sample_n(mu[j], noise.take(j, m))
 
     for t in range(horizon):
         X = np.hstack([S, contexts()])
@@ -312,9 +297,8 @@ def run_episode(
         if not np.isfinite(mu).all():
             bad = np.argmin(np.isfinite(mu).all(axis=1))
             raise ValueError(f"policy mean is not finite: {mu[bad]}")
-        # Every episode's policy sample from its next noise row: the action
-        # when the shield is off or passes the step, else its first candidate.
-        default = mu + std * noise.head()
+        # The action when the shield is off or passes the step, else its first candidate.
+        sampled = policy.sample_n(mu, noise.next())
 
         if shield_on:
             gammas = conformal.current_gamma(acp)
@@ -324,7 +308,8 @@ def run_episode(
             acts, fallback = [], []  # fallback: this step's empty-set fallbacks
             for j, (state, gamma, rng) in enumerate(zip(S, gammas.tolist(), shield_rngs)):
                 decision = shieldmod.select_action(
-                    partial(draw, j), state, model.predictor(j), gamma, rng, cfg.shield, env_cfg
+                    sampled[j], partial(resample, j), state, model.predictor(j), gamma, rng,
+                    cfg.shield, env_cfg,
                 )
                 acts.append(decision.action)
                 fallback.append(decision.safe_set_empty)
@@ -333,8 +318,7 @@ def run_episode(
                     empties[j] += decision.safe_set_empty
             actions = np.array(acts)
         else:
-            acts = actions = default
-            noise.cursor += 1
+            acts = actions = sampled
         if model is not None:
             predicted, evidence = model.predict(S, actions)
 

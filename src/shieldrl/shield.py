@@ -6,8 +6,8 @@ Per decision the shield runs five steps:
      possible one-step feature change (``nu > l_nu * pre_safety_margin``
      with the margin chosen above the environment's per-step bound), every
      action is safe for one step and the policy acts unfiltered.
-  2. *Candidate sampling.*  Otherwise draw ``n_candidates`` i.i.d. actions
-     from the policy.
+  2. *Candidate sampling.*  Otherwise the candidates are the policy's
+     action and ``n_candidates - 1`` further i.i.d. policy samples.
   3. *Transition prediction.*  Predict each candidate's next state with the
      identified dynamics model.
   4. *Safety scoring.*  Score each candidate by the margin of its predicted
@@ -180,7 +180,8 @@ def pre_safety_check(
 
 
 def select_action(
-    policy_sampler: Callable[[int], np.ndarray],
+    action: np.ndarray,
+    resample: Callable[[int], np.ndarray],
     state: np.ndarray,
     predictor: Predictor,
     gamma: float,
@@ -190,24 +191,21 @@ def select_action(
 ) -> ShieldDecision:
     """Full shield decision for one step of an episode.
 
-    ``policy_sampler(n)`` must return ``n`` i.i.d. policy samples as an
-    ``(n, action_dim)`` array; ``predictor``, ``gamma`` and ``rng`` are the
-    episode's dynamics model, conformal radius and shield stream.  When
-    intervening, the returned action is always one of the sampled
-    candidates; ranking ties are broken by candidate index so decisions are
+    ``action`` is the policy's sample at ``state``; ``resample(m)`` must
+    return ``m`` further i.i.d. policy samples as an ``(m, action_dim)``
+    array.  ``predictor``, ``gamma`` and ``rng`` are the episode's dynamics
+    model, conformal radius and shield stream.  When intervening, the
+    returned action is always one of the candidates, the policy's action
+    first; ranking ties are broken by candidate index so decisions are
     deterministic given ``rng``.
     """
     if pre_safety_check(state, config, env_config):
-        return ShieldDecision(
-            action=policy_sampler(1)[0],
-            intervened=False,
-            safe_set_empty=False,
-            scores=None,
-        )
-    candidates = np.asarray(policy_sampler(config.n_candidates), dtype=np.float64)
+        return ShieldDecision(action=action, intervened=False, safe_set_empty=False, scores=None)
+    candidates = np.vstack([action, resample(config.n_candidates - 1)])
     if candidates.shape[0] != config.n_candidates:
         raise ValueError(
-            f"policy_sampler returned {candidates.shape[0]} candidates, expected {config.n_candidates}"
+            f"resample returned {candidates.shape[0] - 1} samples, "
+            f"expected {config.n_candidates - 1}"
         )
     predicted = predictor.predict_batch(
         np.repeat(state[None, :], config.n_candidates, axis=0), candidates

@@ -20,14 +20,13 @@ Cost pressure enters twice: the multiplier ``lambda`` scales the raw
 observed episode costs against the cost limit.
 
 The policy and the critics stay frozen while an epoch's episodes are rolled
-out.  A rollout therefore only samples actions, as ``mu + std * noise``
-over all of its episodes at once with ``std`` computed once and each
-episode's noise drawn from its own stream in blocks, and hands the epoch
-over as one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
-``RolloutBuffer.finalize`` evaluates the behaviour means, log-probabilities
-and value estimates in one batch per epoch, runs GAE along each episode's
-row, and the critic and policy updates read the flattened arrays; the
-safety score's density reads the kept means.
+out.  A rollout therefore only samples actions, through
+:meth:`GaussianPolicy.sample_n` from each episode's own block-drawn noise,
+and hands the epoch over as one ``(episodes, horizon)``
+:class:`RolloutBuffer` block; ``RolloutBuffer.finalize`` evaluates the
+behaviour means, log-probabilities and value estimates in one batch per
+epoch, runs GAE along each episode's row, and the critic and policy updates
+read the flattened arrays; the safety score's density reads the kept means.
 """
 
 from __future__ import annotations
@@ -73,8 +72,12 @@ class TrainConfig:
             raise ValueError("minibatch and steps_per_epoch must be positive")
         if self.n_qsafe < 1:
             raise ValueError("n_qsafe must be >= 1")
-        if not (self.clip_ratio > 0.0 and self.eps_num > 0.0):
-            raise ValueError("clip_ratio and eps_num must be positive")
+        if not (self.clip_ratio > 0.0 and self.eps_num > 0.0 and self.kl_max > 0.0):
+            raise ValueError("clip_ratio, eps_num and kl_max must be positive")
+        if not (self.policy_lr > 0.0 and self.critic_lr > 0.0 and self.lagrangian_lr >= 0.0):
+            raise ValueError("policy_lr and critic_lr must be positive, lagrangian_lr >= 0")
+        if self.policy_iters < 0 or self.critic_iters < 0:
+            raise ValueError("policy_iters and critic_iters must be >= 0")
         self.hidden = tuple(int(h) for h in self.hidden)
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be >= 1")
@@ -120,19 +123,16 @@ class GaussianPolicy:
     def mean_batch(self, X: np.ndarray) -> np.ndarray:
         return self.mean_net.forward_batch(X)
 
-    def sample_n(self, mu: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` i.i.d. samples around the policy mean ``mu`` at one state.
+    def sample_n(self, mu: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Policy samples ``mu + std * noise`` from standard-normal ``noise``.
 
-        The mean is a row of :meth:`mean_batch`, so sampling never
-        re-evaluates the network.  ``rng`` is read only through
-        ``standard_normal((n, action_dim))``.  A rollout draws the shield's
-        candidates here, from the episode's block-drawn noise
-        (``run._EpisodeNoise``), and forms every step's default actions, the
-        same ``mu + std * noise``, for all episodes at once.
+        ``mu`` holds rows of :meth:`mean_batch`, so sampling never
+        re-evaluates the network; one mean row broadcasts over ``(m,
+        action_dim)`` noise.  A rollout forms every action here: each step's
+        samples for all episodes at once, and the shield's further
+        candidates for one episode.
         """
-        if not all(map(math.isfinite, mu.tolist())):
-            raise ValueError(f"policy mean is not finite: {mu}")
-        return mu + np.exp(self.log_std) * rng.standard_normal((n, mu.shape[0]))
+        return mu + self.std() * noise
 
     def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Log-density of actions ``A`` at the ``n`` inputs ``X``."""

@@ -135,6 +135,23 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("train.hidden", "16,0"),
         ("fe.hidden", "0"),
         ("fe.epochs", "-1"),
+        ("shield.l_nu", "0.5"),  # pre-check threshold 0.1375 below one step's reach 0.2
+        pytest.param(  # a config that trains unshielded may still be evaluated shielded
+            "shield.pre_safety_margin", "0.05\nshield_enabled = false", id="margin-shield-off"
+        ),
+        ("train.policy_lr", "0.0"),
+        ("train.policy_lr", "-3e-4"),
+        ("train.critic_lr", "0.0"),
+        ("train.critic_lr", "-1e-3"),
+        ("fe.lr", "0.0"),
+        ("fe.lr", "-1e-3"),
+        ("train.lagrangian_lr", "-0.035"),
+        ("train.kl_max", "0.0"),
+        ("train.kl_max", "-0.02"),
+        ("train.policy_iters", "-1"),
+        ("train.critic_iters", "-1"),
+        ("fe.heldout_fraction", "-0.1"),
+        ("fe.heldout_fraction", "1.0"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -373,13 +390,14 @@ def test_each_decision_gets_its_episodes_current_coefficients_and_radius(
     streams = episode_streams(episodes)
     seen = []
 
-    def recorded(sampler, state, predictor, gamma, rng, *rest, _fn=run.shieldmod.select_action):
+    def recorded(action, resample, state, predictor, gamma, rng, *rest,
+                 _fn=run.shieldmod.select_action):
         # read when the decision is made: a stale hand-off shows here
         j = len(seen) % episodes
         np.testing.assert_array_equal(predictor.b, built["FeModel"].b[j])
         assert gamma == built["AcpState"].gamma[j] and rng is streams[j][1]
         seen.append(predictor.b.copy())
-        return _fn(sampler, state, predictor, gamma, rng, *rest)
+        return _fn(action, resample, state, predictor, gamma, rng, *rest)
 
     monkeypatch.setattr(run.shieldmod, "select_action", recorded)
     run.run_episode(
@@ -511,6 +529,23 @@ def test_action_noise_block_length_changes_nothing(monkeypatch, shielded_setup):
         ))
         actions.clear()
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_one_candidate_shield_acts_as_the_policy(shielded_setup):
+    # resample(0) draws no rows, so the only candidate is the policy's action
+    cfg, basis = shielded_setup
+    cfg = replace(cfg, shield=replace(cfg.shield, n_candidates=1, top_k=1))
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
+    )
+    ck = run.build_checkpoint(cfg, policy, basis=basis)
+    shielded = run.evaluate(ck, episodes=3, ood=True, seed=5)["records"]
+    unshielded = run.evaluate(ck, episodes=3, ood=True, seed=5, shield=False)["records"]
+    assert sum(r["shield_trigger_rate"] for r in shielded) > 0
+    fields = ("steps", "return", "cost_rate")
+    assert [[r[f] for f in fields] for r in shielded] == [
+        [r[f] for f in fields] for r in unshielded
+    ]
 
 
 def test_resume_continues_bit_for_bit(tmp_path):

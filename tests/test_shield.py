@@ -33,10 +33,13 @@ def margin_at(position, obstacles, cfg):
     return float(env.nu_batch(np.asarray(position)[None], obstacles, cfg)[0])
 
 
-def decide(sampler, state, cfg, scfg=None, gamma=0.0, phi=None, rng=None):
-    """A decision with the exact model of ``phi`` (unit parameters by default)."""
+def decide(sample, state, cfg, scfg=None, gamma=0.0, phi=None, rng=None):
+    """A decision on the policy's ``(action, resample)`` with the exact model
+    of ``phi`` (unit parameters by default)."""
+    action, resample = sample
     return shield.select_action(
-        sampler,
+        action,
+        resample,
         state,
         shield.GroundTruthPredictor(phi or unit_phi(), cfg),
         gamma,
@@ -47,13 +50,14 @@ def decide(sampler, state, cfg, scfg=None, gamma=0.0, phi=None, rng=None):
 
 
 def fixed_sampler(candidates):
+    """The first candidate as the policy's action, the rest as its resamples."""
     arr = np.asarray(candidates, dtype=np.float64)
 
-    def sampler(n):
-        assert n in (1, arr.shape[0])
-        return arr[:n]
+    def resample(m):
+        assert m == arr.shape[0] - 1
+        return arr[1:]
 
-    return sampler
+    return arr[0], resample
 
 
 def scored(action, state, cfg, scfg, gamma=0.0, phi=None):
@@ -268,7 +272,7 @@ def test_sampler_size_is_checked():
     cfg = nav_config()
     state = close_call_state()
     with pytest.raises(ValueError):
-        decide(lambda n: np.zeros((3, 2)), state, cfg)
+        decide((np.zeros(2), lambda m: np.zeros((3, 2))), state, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +289,9 @@ def test_certified_decisions_never_step_into_cost():
         phi = env.sample_phi(rng, ((0.15, 0.3), (0.3, 1.7), (1.7, 2.5)))
         state = env.reset(cfg, phi, rng)
         for _ in range(cfg.horizon):
-            decision = decide(
-                lambda n: rng.uniform(-1.5, 1.5, size=(n, 2)), state, cfg, scfg, phi=phi, rng=rng
-            )
+            # the action is drawn first, then any resamples: the stream's order
+            sample = (rng.uniform(-1.5, 1.5, size=2), lambda m: rng.uniform(-1.5, 1.5, size=(m, 2)))
+            decision = decide(sample, state, cfg, scfg, phi=phi, rng=rng)
             state, _, cost = env.step(state, decision.action, phi, cfg)
             certified = not decision.intervened or not decision.safe_set_empty
             if certified:

@@ -110,14 +110,18 @@ def test_sample_n_statistics_and_determinism():
     policy = small_policy(seed=3)
     policy.log_std = np.array([-0.5, -1.0])
     mu = policy.mean_batch(np.array([[1.0, 1.0, 1.0, 0.0, 0.0]]))[0]
-    draws = policy.sample_n(mu, 20_000, np.random.default_rng(4))
+    noise = np.random.default_rng(4).standard_normal((20_000, 2))
+    draws = policy.sample_n(mu, noise)
     assert draws.shape == (20_000, 2)
     np.testing.assert_allclose(draws.mean(axis=0), mu, atol=0.02)
     np.testing.assert_allclose(draws.std(axis=0), np.exp(policy.log_std), rtol=0.05)
-    again = policy.sample_n(mu, 20_000, np.random.default_rng(4))
+    again = policy.sample_n(mu, np.random.default_rng(4).standard_normal((20_000, 2)))
     np.testing.assert_array_equal(draws, again)
-    with pytest.raises(ValueError):
-        policy.sample_n(np.array([np.nan, 0.0]), 1, np.random.default_rng(4))
+    # a batch of means, one noise row each, gives each row's own samples
+    means = np.stack([mu, -mu, 2.0 * mu])
+    batch = policy.sample_n(means, noise[:3])
+    for row, mean, z in zip(batch, means, noise[:3]):
+        np.testing.assert_array_equal(row, policy.sample_n(mean, z[None, :])[0])
 
 
 def test_act_returns_a_consistent_log_density():
@@ -125,7 +129,7 @@ def test_act_returns_a_consistent_log_density():
     policy = small_policy(seed=5)
     s, c = np.ones(3), np.zeros(2)
     mu = policy.mean_batch(np.concatenate([s, c])[None, :])[0]
-    action = policy.sample_n(mu, 1, np.random.default_rng(6))[0]
+    action = policy.sample_n(mu, np.random.default_rng(6).standard_normal((1, 2)))[0]
     z = np.random.default_rng(6).standard_normal((1, 2))[0]
     logp = policy.log_prob_batch(np.concatenate([s, c])[None, :], action[None, :])[0]
     expected = -0.5 * np.sum(z**2) - np.sum(policy.log_std) - math.log(2 * math.pi)
