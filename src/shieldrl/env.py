@@ -97,6 +97,8 @@ class EnvConfig:
             raise ValueError("dt, horizon, mass, v_max and v_eps must be positive")
         if self.safe_distance <= 0 or self.arena_half <= 0:
             raise ValueError("safe_distance and arena_half must be positive")
+        if min(self.damping, self.friction, self.gravity) < 0:  # drag would add energy
+            raise ValueError("damping, friction and gravity must be >= 0")
         self.param_intervals = tuple(
             (float(lo), float(hi)) for lo, hi in self.param_intervals
         )

@@ -859,16 +859,20 @@ def train_pooled(
     """Fit one regression network on the pooled transitions of all draws.
 
     The result is the context-free baseline as a basis of that one network,
-    to be combined with the fixed coefficient ``np.ones(1)``.  The stacked
-    inputs are normalized in place, and the targets are stacked only after
-    that, so the fit holds one copy of the inputs.
+    to be combined with the fixed coefficient ``np.ones(1)``.  Like
+    :func:`fe.train_basis`, the fit runs a float32 network and returns a
+    float64 basis: the stacked inputs are normalized in place in float64
+    and only their float32 copy is kept, and the targets are stacked only
+    after that, so the fit holds one copy of the inputs.  The error
+    against the float64 targets is formed in float64.
     """
     Xn = np.vstack([ds.inputs for ds in datasets])
     norm_mean, norm_std = normalization_stats(Xn)
     Xn -= norm_mean
     Xn /= norm_std
+    Xn = Xn.astype(np.float32)
     targets = np.vstack([ds.targets for ds in datasets])
-    net = Mlp.create([Xn.shape[1], *hidden, targets.shape[1]], rng)
+    net = Mlp.create([Xn.shape[1], *hidden, targets.shape[1]], rng, np.float32)
     opt = Adam(lr)
     n = Xn.shape[0]
     for _ in range(epochs):

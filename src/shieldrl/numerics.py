@@ -9,10 +9,12 @@ Conventions:
   * An ``Mlp`` applies tanh after every hidden layer and leaves the output
     layer linear.
   * Batches are row-major: ``X`` has shape ``(batch, input_dim)``.
-  * An ``Mlp`` keeps its weights and biases in one vector ``params``;
-    ``Mlp.backward_cached`` returns the gradient of ``sum(upstream *
-    output)`` as one vector in that layout, i.e. upstream is ``dL/dy``, and
-    ``Adam`` updates one such vector with moments in the same layout.
+  * An ``Mlp`` keeps its weights and biases in one vector ``params`` of
+    their dtype, float64 or float32; ``Mlp.backward_cached`` returns the
+    gradient of ``sum(upstream * output)`` as one vector in that layout
+    and dtype, i.e. upstream is ``dL/dy``, and ``Adam`` updates one such
+    vector with moments in the same layout and dtype.  A net computes in
+    its own dtype: its inputs and ``upstream`` are cast to it.
   * Kernels write only into arrays they allocate, apart from ``params``
     and the Adam moments that ``Adam.apply`` updates: never into an input
     ``X``, an ``upstream`` argument, a cache they have returned, or any
@@ -61,9 +63,9 @@ def normalization_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X.mean(axis=0), np.maximum(X.std(axis=0), 1e-8)
 
 
-def _as_batch(X: np.ndarray, dim: int, what: str) -> np.ndarray:
-    """``X`` as a float ``(batch, dim)`` array, validating its shape."""
-    arr = np.asarray(X, dtype=np.float64)
+def _as_batch(X: np.ndarray, dim: int, what: str, dtype: np.dtype) -> np.ndarray:
+    """``X`` as a ``(batch, dim)`` array of ``dtype``, validating its shape."""
+    arr = np.asarray(X, dtype=dtype)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{what}: expected a 2-D batch, got ndim={arr.ndim}")
     if arr.shape[1] != dim:
@@ -77,10 +79,11 @@ class Mlp:
 
     ``weights[i]`` has shape ``(layer_sizes[i + 1], layer_sizes[i])`` and is
     initialized uniformly in ``+-1/sqrt(fan_in)``; biases start at zero.
-    The constructor copies them into one float64 vector ``params``, layer
-    by layer (``weights[0]``, ``biases[0]``, ``weights[1]``, ...), and
-    ``weights`` and ``biases`` become views into it, so a write through
-    either shows in ``params`` and an update of ``params`` shows in both.
+    The constructor copies them into one vector ``params``, layer by layer
+    (``weights[0]``, ``biases[0]``, ``weights[1]``, ...): float32 when
+    every one of them is float32, else float64.  ``weights`` and
+    ``biases`` become views into it, so a write through either shows in
+    ``params`` and an update of ``params`` shows in both.
     Gradients and Adam moments are vectors in the same layout;
     :meth:`layers` gives the per-layer views of any of them.
     """
@@ -99,7 +102,8 @@ class Mlp:
         # (start, stop, shape) of each weight and bias, computed once per net
         self._spans = list(zip([0, *stops], stops, shapes))
         arrays = [np.ravel(a) for layer in zip(self.weights, self.biases) for a in layer]
-        self.params = np.concatenate(arrays, dtype=np.float64)
+        f32 = all(a.dtype == np.float32 for a in arrays)
+        self.params = np.concatenate(arrays, dtype=np.float32 if f32 else np.float64)
         self.weights, self.biases = self.layers(self.params)
 
     def __reduce__(self):
@@ -107,14 +111,21 @@ class Mlp:
         return Mlp, (self.layer_sizes, self.weights, self.biases)
 
     @classmethod
-    def create(cls, layer_sizes: list[int], rng: np.random.Generator) -> "Mlp":
+    def create(
+        cls, layer_sizes: list[int], rng: np.random.Generator, dtype: type = np.float64
+    ) -> "Mlp":
+        """A freshly initialized net of ``dtype``, float64 or float32.
+
+        The weights are drawn in float64 whatever ``dtype`` is and then
+        rounded to it, so ``rng`` advances the same way for either dtype.
+        """
         if len(layer_sizes) < 2 or any(s <= 0 for s in layer_sizes):
             raise ValueError(f"layer_sizes must list >=2 positive sizes, got {layer_sizes}")
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
+            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype))
+            biases.append(np.zeros(fan_out, dtype=dtype))
         return cls(list(layer_sizes), weights, biases)
 
     @property
@@ -136,7 +147,7 @@ class Mlp:
     # -- forward -------------------------------------------------------
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        A = _as_batch(X, self.input_dim, "Mlp.forward input")
+        A = _as_batch(X, self.input_dim, "Mlp.forward input", self.params.dtype)
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             A = dense_layer(A, W.T, b, tanh=i != last)
@@ -144,7 +155,7 @@ class Mlp:
 
     def forward_cached(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping per-layer activations for ``backward_cached``."""
-        A = _as_batch(X, self.input_dim, "Mlp.forward input")
+        A = _as_batch(X, self.input_dim, "Mlp.forward input", self.params.dtype)
         cache = [A]
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -161,7 +172,7 @@ class Mlp:
         ``params`` layout.  The gradient with respect to the input is not
         formed.
         """
-        G = np.asarray(upstream, dtype=np.float64)
+        G = np.asarray(upstream, dtype=self.params.dtype)
         if G.shape != cache[-1].shape:
             raise ShapeMismatchError(
                 f"upstream shape {G.shape} does not match output shape {cache[-1].shape}"

@@ -52,6 +52,8 @@ class ShieldConfig:
             )
         if self.pre_safety_margin <= 0 or self.l_nu <= 0:
             raise ValueError("pre_safety_margin and l_nu must be positive")
+        if math.isinf(self.l_nu):  # every score would be NaN or -inf: no action certifies
+            raise ValueError("l_nu must be finite")
 
 
 @dataclass

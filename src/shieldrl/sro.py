@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("minibatch and steps_per_epoch must be positive")
         if self.n_qsafe < 1:
             raise ValueError("n_qsafe must be >= 1")
+        if self.sigma_qsafe < 0:
+            raise ValueError("sigma_qsafe must be >= 0")
         if not (self.clip_ratio > 0.0 and self.eps_num > 0.0 and self.kl_max > 0.0):
             raise ValueError("clip_ratio, eps_num and kl_max must be positive")
         if not (self.policy_lr > 0.0 and self.critic_lr > 0.0 and self.lagrangian_lr >= 0.0):

@@ -263,6 +263,21 @@ def test_train_basis_is_deterministic():
     assert a.meta["loss_history"] == b.meta["loss_history"]
 
 
+def test_train_basis_fits_float32_nets_into_a_float64_basis():
+    rng = np.random.default_rng(9)
+    datasets = [family_dataset(w, 60, rng) for w in (0.5, 2.0)]
+    basis = fe.train_basis(datasets, k=2, epochs=5, lr=1e-3, rng=rng, hidden=(8,))
+    assert all(
+        a.dtype == np.float64
+        for a in (*basis.weights, *basis.biases, basis.norm_mean, basis.norm_std)
+    )
+    # the fit ran in float32, so every weight survives a float32 round trip
+    for a in (*basis.weights, *basis.biases):
+        assert np.array_equal(a.astype(np.float32).astype(np.float64), a)
+    assert basis.evaluate(datasets[0].inputs).dtype == np.float64
+    assert all(isinstance(loss, float) for loss in basis.meta["loss_history"])
+
+
 def test_train_basis_preconditions():
     rng = np.random.default_rng(8)
     good = [family_dataset(w, 60, rng) for w in (0.5, 2.0)]

@@ -152,6 +152,11 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("train.critic_iters", "-1"),
         ("fe.heldout_fraction", "-0.1"),
         ("fe.heldout_fraction", "1.0"),
+        ("shield.l_nu", "inf"),  # scores NaN or -inf: every scored decision falls back
+        ("env.damping", "-0.1"),  # each negative drag constant adds energy
+        ("env.friction", "-0.05"),
+        ("env.gravity", "-9.81"),
+        ("train.sigma_qsafe", "-0.1"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -1279,6 +1284,22 @@ def test_pooled_fit_holds_one_stacked_copy_of_its_inputs():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_pooled_fit_is_a_deterministic_float64_basis_of_a_float32_net():
+    rng = np.random.default_rng(22)
+    datasets = [
+        fe.TransitionDataset(rng.standard_normal((80, 5)), rng.standard_normal((80, 3)))
+        for _ in range(3)
+    ]
+    first, second = (
+        run.train_pooled(datasets, (8,), 3, 1e-3, 32, np.random.default_rng(0)) for _ in range(2)
+    )
+    assert run._basis_bits(first) == run._basis_bits(second)
+    arrays = (*first.weights, *first.biases)
+    assert all(a.dtype == np.float64 for a in (*arrays, first.norm_mean, first.norm_std))
+    # the fit ran in float32, so every weight survives a float32 round trip
+    assert all(np.array_equal(a.astype(np.float32).astype(np.float64), a) for a in arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,61 @@ def test_normalization_stats_are_the_fits_expressions_bit_for_bit():
     Xn -= mean
     Xn /= std
     assert Xn.tobytes() == ((X - mean) / std).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# float32 nets: the same kernels in the weights' dtype
+# ---------------------------------------------------------------------------
+
+
+def test_float32_net_is_the_float64_draw_rounded():
+    sizes = [16, 64, 64, 14]
+    rng64, rng32 = np.random.default_rng(5), np.random.default_rng(5)
+    net64 = Mlp.create(sizes, rng64)
+    net32 = Mlp.create(sizes, rng32, np.float32)
+    assert rng32.bit_generator.state == rng64.bit_generator.state
+    assert net64.params.dtype == np.float64 and net32.params.dtype == np.float32
+    assert np.array_equal(net32.params, net64.params.astype(np.float32))
+    assert all(a.dtype == np.float32 for a in (*net32.weights, *net32.biases))
+    for twin in (net32.copy(), copy.deepcopy(net32)):
+        assert twin.params.tobytes() == net32.params.tobytes()
+    # float64 arrays, or a mix of dtypes, give a float64 net
+    mixed = Mlp([2, 1], [np.ones((1, 2), dtype=np.float32)], [np.zeros(1)])
+    assert mixed.params.dtype == np.float64
+
+
+@pytest.mark.parametrize("rows", [1, 64, 400])
+def test_float32_kernels_match_float64_within_float32_tolerance(rows):
+    tol = 100 * np.finfo(np.float32).eps  # a few roundings per term, summed over 64 terms
+    rng = np.random.default_rng(rows)
+    net32 = Mlp.create([16, 64, 64, 14], rng, np.float32)
+    net64 = Mlp(
+        net32.layer_sizes,
+        [w.astype(np.float64) for w in net32.weights],
+        [b.astype(np.float64) for b in net32.biases],
+    )
+    # float32-representable inputs, passed as float64 and cast by the net
+    X = rng.standard_normal((rows, 16)).astype(np.float32).astype(np.float64)
+    upstream = rng.standard_normal((rows, 14)).astype(np.float32).astype(np.float64)
+
+    out32, cache32 = net32.forward_cached(X)
+    out64, cache64 = net64.forward_cached(X)
+    assert out32.dtype == np.float32 and all(a.dtype == np.float32 for a in cache32)
+    np.testing.assert_allclose(out32, out64, rtol=tol, atol=tol)
+    assert np.array_equal(net32.forward_batch(X), out32)
+
+    grad32 = net32.backward_cached(cache32, upstream)
+    grad64 = net64.backward_cached(cache64, upstream)
+    assert grad32.dtype == np.float32 and grad32.shape == net32.params.shape
+    # the gradient sums over the rows too, so its error scales with its largest entry
+    np.testing.assert_allclose(grad32, grad64, rtol=10 * tol, atol=tol * np.abs(grad64).max())
+
+    # Adam in float32 against the float64 textbook update from the same gradients
+    opt = Adam(lr=1e-2)
+    p, m, v = net32.params.astype(np.float64), 0.0, 0.0
+    for step in range(1, 4):
+        adam_step(net32, opt, grad32)
+        p, m, v = textbook_adam(p, grad32.astype(np.float64), m, v, step, lr=1e-2)
+    assert net32.params.dtype == opt.m.dtype == opt.v.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in (*net32.weights, *net32.biases))
+    np.testing.assert_allclose(net32.params, p, rtol=tol, atol=tol)

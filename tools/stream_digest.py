@@ -32,6 +32,11 @@ pretrained on 16 random-action draws for 10 epochs):
     arguments through unchanged, so the digest compares trees whose
     ``select_action`` signatures differ.
 
+Four of these runs use no basis: ``random_episodes``, ``soundness_episodes``,
+``soundness_decisions`` and ``acceptance_3_7``.  A change to the basis or
+pooled fits alone (their precision, say) moves every other digest and must
+leave these four as they were.
+
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
 """
