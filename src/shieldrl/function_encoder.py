@@ -168,13 +168,27 @@ def gram_and_targets(Phi: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.nda
     """Monte-Carlo Gram matrix and projection targets from basis outputs.
 
     ``Phi`` is ``(N, k, out)`` as produced by ``BasisSet.evaluate`` and
-    ``F`` the ``(N, out)`` observed deltas.  The returned Gram matrix is
-    symmetric positive semidefinite by construction.
+    ``F`` the ``(N, out)`` observed deltas.  Both come from one matrix
+    product over the outputs and the deltas stacked row by row, as in
+    :func:`train_basis`.  The returned Gram matrix is symmetric positive
+    semidefinite up to rounding.
     """
-    n = Phi.shape[0]
-    G = np.einsum("nko,nlo->kl", Phi, Phi) / n
-    y = np.einsum("nko,no->k", Phi, F) / n
-    return G, y
+    n, k, out = Phi.shape
+    PF = np.empty((k + 1, n, out))
+    PF[:k] = Phi.transpose(1, 0, 2)
+    PF[k] = F
+    return _stacked_gram_and_targets(PF.reshape(k + 1, -1), n)
+
+
+def _stacked_gram_and_targets(PF: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``G`` and ``y`` over ``n`` samples from one matrix product.
+
+    Row ``i < k`` of ``PF`` holds basis function ``i``'s outputs over the
+    samples, flattened, and its last row the deltas in the same order, so
+    ``PF[:k] @ PF.T / n`` is ``[G | y]``.
+    """
+    C = PF[:-1] @ PF.T / n
+    return C[:, :-1], C[:, -1]
 
 
 def compute_coefficients(
@@ -242,6 +256,14 @@ def train_basis(
     the nets in float32.  SGD noise on a Monte-Carlo loss dwarfs float32
     rounding.  The returned ``BasisSet`` is float64, like every runtime
     computation on it.
+
+    Draws are fit one at a time.  A draw's ``k`` outputs go net by net
+    into the rows of one contiguous float64 ``(k + 1, take * out)`` matrix,
+    ``P`` above its deltas ``F``, so the Gram matrix and the targets come
+    from one matrix product, as in :func:`gram_and_targets`; the unit-norm
+    terms ``||g_i||^2`` are the Gram diagonal, the error is
+    ``err = b @ P - F`` and the loss ``err @ err / take``.  Only one
+    draw's activations are held at a time.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -279,23 +301,25 @@ def train_basis(
                 take = min(batch, n)
                 idx = rng.choice(n, size=take, replace=False) if take < n else np.arange(n)
                 Xn = ((ds.inputs[idx] - norm_mean) / norm_std).astype(np.float32)
-                F = ds.targets[idx]
-                outs, caches = [], []
-                for net in nets:
+                # rows 0..k-1: each net's outputs, row k: the observed deltas
+                PF = np.empty((k + 1, take, output_dim))
+                caches = []
+                for i, net in enumerate(nets):
                     out, cache = net.forward_cached(Xn)
-                    outs.append(out)
+                    PF[i] = out
                     caches.append(cache)
-                Phi = np.stack(outs, axis=1, dtype=np.float64)  # (take, k, out)
-                G, y = gram_and_targets(Phi, F)
+                PF[k] = ds.targets[idx]
+                PF = PF.reshape(k + 1, -1)
+                G, y = _stacked_gram_and_targets(PF, take)
                 b = solve_ridge(G, y, ridge)
-                pred = combine(b, Phi)
-                err = pred - F
-                epoch_loss += float(np.mean(np.sum(err**2, axis=1)))
-                norms = np.mean(np.sum(Phi**2, axis=2), axis=0)  # ||g_i||^2 per basis
+                P = PF[:k]
+                err = b @ P - PF[k]
+                epoch_loss += float(err @ err) / take
+                norms = np.diag(G)  # ||g_i||^2 per basis
                 for i, net in enumerate(nets):
                     upstream = (2.0 / take) * b[i] * err
-                    upstream += reg_weight * (4.0 / take) * (norms[i] - 1.0) * Phi[:, i, :]
-                    grads[i] += net.backward_cached(caches[i], upstream)
+                    upstream += reg_weight * (4.0 / take) * (norms[i] - 1.0) * P[i]
+                    grads[i] += net.backward_cached(caches[i], upstream.reshape(take, output_dim))
             scale = 1.0 / group.shape[0]
             for net, opt, g in zip(nets, opts, grads):
                 adam_step(net, opt, g * scale)

@@ -48,10 +48,13 @@ class FeSettings:
             raise ValueError("pretrain_episodes must be >= 3")
         if self.batch < 1 or self.context_samples < 1:
             raise ValueError("batch and context_samples must be >= 1")
-        if self.epochs < 0 or self.ridge < 0:
-            raise ValueError("epochs and ridge must be >= 0")
+        if self.epochs < 0 or self.ridge < 0 or self.reg_weight < 0:
+            raise ValueError("epochs, ridge and reg_weight must be >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
+        # infinite values would fail only the fit's first ridge solve, after data collection
+        if not all(map(math.isfinite, (self.lr, self.ridge, self.reg_weight))):
+            raise ValueError("lr, ridge and reg_weight must be finite")
         if not (0 <= self.heldout_fraction < 1):
             raise ValueError("heldout_fraction must lie in [0, 1)")
         if any(h < 1 for h in self.hidden):

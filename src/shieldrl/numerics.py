@@ -22,6 +22,11 @@ Conventions:
     layer and finishes it in place (``Z = A @ W.T``, ``Z += b``, ``tanh``
     into ``Z``), the same floating-point operations as the textbook
     ``tanh(A @ W.T + b)``, so its results are bit-identical to it.
+  * ``Mlp.backward_cached`` forms each layer's weight gradient as
+    ``delta.T @ A`` and its bias gradient as ``ones @ delta``, the batch
+    sum as one BLAS matrix-vector product into the gradient vector.  That
+    is several times faster than ``np.sum(delta, axis=0)`` on a few
+    hundred rows, and differs from it only in rounding.
 """
 
 from __future__ import annotations
@@ -179,6 +184,7 @@ class Mlp:
             )
         grad = np.empty_like(self.params)
         dws, dbs = self.layers(grad)
+        ones = np.ones(G.shape[0], dtype=G.dtype)
         delta = G
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
@@ -188,7 +194,7 @@ class Mlp:
                 np.subtract(1.0, s, out=s)
                 delta = np.multiply(delta, s, out=s)
             np.matmul(delta.T, cache[i], out=dws[i])
-            np.sum(delta, axis=0, out=dbs[i])
+            np.matmul(ones, delta, out=dbs[i])
             if i > 0:
                 delta = delta @ self.weights[i]
         return grad

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shieldrl import function_encoder as fe
-from shieldrl.numerics import Mlp, ShapeMismatchError
+from shieldrl.numerics import (
+    Adam,
+    Mlp,
+    ShapeMismatchError,
+    SingularMatrixError,
+    normalization_stats,
+    solve_ridge,
+)
 from shieldrl.shield import FePredictor
 
 
@@ -291,6 +298,117 @@ def test_train_basis_preconditions():
     lopsided = [good[0], fe.TransitionDataset(np.zeros((60, 3)), np.zeros((60, 1)))]
     with pytest.raises(ValueError):
         fe.train_basis(lopsided, k=1, epochs=1, lr=1e-3, rng=rng)
+
+
+def reference_gradient(net: Mlp, cache: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """``Mlp.backward_cached`` with every bias gradient as ``delta.sum(axis=0)``."""
+    grad = np.empty_like(net.params)
+    dws, dbs = net.layers(grad)
+    delta, last = upstream.astype(net.params.dtype), len(net.weights) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * (1.0 - cache[i + 1] ** 2)
+        dws[i][...] = delta.T @ cache[i]
+        dbs[i][...] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i]
+    return grad
+
+
+def reference_train_basis(datasets, k, epochs, lr, rng, hidden, batch, ridge=1e-6, reg_weight=1.0):
+    """The per-draw loop of ``train_basis`` in its textbook form, kept to pin it.
+
+    The Gram matrix and the targets are ``einsum``s over ``(take, k, out)``
+    outputs, the unit-norm terms a second pass over them, and the bias
+    gradients ``delta.sum(axis=0)``.  It draws from ``rng`` exactly as
+    ``train_basis`` does.  Returns ``(nets, loss_history)``.
+    """
+    norm_mean, norm_std = normalization_stats(np.vstack([ds.inputs for ds in datasets]))
+    sizes = [datasets[0].inputs.shape[1], *hidden, datasets[0].targets.shape[1]]
+    nets = [Mlp.create(sizes, rng, np.float32) for _ in range(k)]
+    opts = [Adam(lr) for _ in nets]
+    group_size = min(8, len(datasets))
+    loss_history = []
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        order = rng.permutation(len(datasets))
+        for lo in range(0, len(order), group_size):
+            group = order[lo : lo + group_size]
+            grads = np.zeros((k, nets[0].params.size), dtype=np.float32)
+            for ds_idx in group:
+                ds = datasets[ds_idx]
+                n = len(ds)
+                take = min(batch, n)
+                idx = rng.choice(n, size=take, replace=False) if take < n else np.arange(n)
+                Xn = ((ds.inputs[idx] - norm_mean) / norm_std).astype(np.float32)
+                F = ds.targets[idx]
+                caches = [net.forward_cached(Xn)[1] for net in nets]
+                Phi = np.stack([cache[-1] for cache in caches], axis=1, dtype=np.float64)
+                G = np.einsum("nko,nlo->kl", Phi, Phi) / take
+                y = np.einsum("nko,no->k", Phi, F) / take
+                b = solve_ridge(G, y, ridge)
+                err = np.einsum("k,nko->no", b, Phi) - F
+                epoch_loss += float(np.mean(np.sum(err**2, axis=1)))
+                norms = np.mean(np.sum(Phi**2, axis=2), axis=0)
+                for i, net in enumerate(nets):
+                    upstream = (2.0 / take) * b[i] * err
+                    upstream += reg_weight * (4.0 / take) * (norms[i] - 1.0) * Phi[:, i, :]
+                    grads[i] += reference_gradient(net, caches[i], upstream)
+            for net, opt, g in zip(nets, opts, grads):
+                opt.apply(net.params, g * (1.0 / group.shape[0]))
+        loss_history.append(epoch_loss / len(datasets))
+    return nets, loss_history
+
+
+def uneven_draws(rng, lengths) -> list[fe.TransitionDataset]:
+    """Draws of the given lengths from a two-output family, one scale per draw."""
+    out = []
+    for j, n in enumerate(lengths):
+        X = rng.uniform(-1.0, 1.0, size=(n, 3))
+        w = 0.5 + 0.2 * j
+        targets = np.stack([w * np.tanh(X[:, 0] + X[:, 2]), w**2 * X[:, 1]], axis=1)
+        out.append(fe.TransitionDataset(X, targets))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_basis_matches_the_reference_loop(seed):
+    # ten draws: groups of 8 and 2; at batch 60 the draws longer than 60 are subsampled
+    datasets = uneven_draws(np.random.default_rng(seed), [70, 40, 55, 90, 45, 60, 80, 50, 65, 75])
+    epochs, lr = 2, 1e-2
+    rng, ref_rng = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+    basis = fe.train_basis(datasets, k=3, epochs=epochs, lr=lr, rng=rng, hidden=(16, 16), batch=60)
+    nets, loss_history = reference_train_basis(datasets, 3, epochs, lr, ref_rng, (16, 16), 60)
+    ref = fe.BasisSet.from_nets(nets, basis.norm_mean, basis.norm_std)
+    eps32 = float(np.finfo(np.float32).eps)
+    # The two loops sum in other orders, so their float32 gradients differ by
+    # rounding.  Every weight stays below 1 in magnitude, so each Adam update can
+    # round it differently by at most eps32, and moves it by lr times a ratio of
+    # moments that rounding changes by a few eps32: allow 2 * eps32 per update.
+    updates = epochs * 2
+    for a, b in zip(basis.weights + basis.biases, ref.weights + ref.biases):
+        assert np.abs(a).max() < 1.0
+        np.testing.assert_allclose(a, b, rtol=0, atol=updates * 2 * eps32)
+    # the losses are float64 sums of float32 outputs that differ by a few ulps
+    np.testing.assert_allclose(basis.meta["loss_history"], loss_history, rtol=16 * eps32)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_degenerate_draw_without_ridge_is_singular():
+    # Inputs on a dyadic grid, each draw with its negation, sum to exactly zero, so a
+    # draw of all-zero inputs normalizes to zero; biases start at zero, so every net
+    # outputs exactly zero there in the first group and its Gram matrix is zero.
+    rng = np.random.default_rng(3)
+    datasets = []
+    for w in (0.5, 2.0):
+        D = rng.choice([-1.0, -0.5, 0.5, 1.0], size=(20, 2))
+        X = np.vstack([D, -D])
+        datasets.append(fe.TransitionDataset(X, w * np.tanh(X)))
+    datasets.append(fe.TransitionDataset(np.zeros((40, 2)), np.ones((40, 2))))
+    with pytest.raises(SingularMatrixError):
+        fe.train_basis(datasets, k=2, epochs=1, lr=1e-3, rng=rng, hidden=(8,), ridge=0.0)
+    basis = fe.train_basis(datasets, k=2, epochs=1, lr=1e-3, rng=rng, hidden=(8,))
+    assert np.isfinite(basis.meta["loss_history"]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,10 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("train.critic_lr", "-1e-3"),
         ("fe.lr", "0.0"),
         ("fe.lr", "-1e-3"),
+        ("fe.lr", "inf"),  # infinite fit settings fail the first ridge solve, after collection
+        ("fe.ridge", "inf"),
+        ("fe.reg_weight", "inf"),
+        ("fe.reg_weight", "-1"),  # pushes every basis function away from unit norm
         ("train.lagrangian_lr", "-0.035"),
         ("train.kl_max", "0.0"),
         ("train.kl_max", "-0.02"),
@@ -1208,6 +1216,35 @@ def test_pretrain_artifact_bytes_are_reproducible(tmp_path):
     assert result.header["pooled_heldout_mse"] > 0.0
     assert len(result.header["phi_draws"]) == 5
     assert result.basis.k == 2
+
+
+def test_pretrain_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The fits form their Gram matrices, targets and bias gradients as BLAS
+    # products; one that split a sum between threads would make the bytes
+    # depend on the thread count.  Set-up size: 16 draws x 10 epochs, seed 0.
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from pathlib import Path\n"
+        f"sys.path.insert(0, {str(Path(run.__file__).resolve().parents[2])!r})\n"
+        "from shieldrl import function_encoder as fe\n"
+        "from shieldrl.harness import run\n"
+        "from shieldrl.harness.config import ExperimentConfig\n"
+        "cfg = ExperimentConfig(seed=0)\n"
+        "cfg.fe = replace(cfg.fe, pretrain_episodes=16, epochs=10)\n"
+        "out = Path(sys.argv[1])\n"
+        "result = run.pretrain_fe(cfg, out / 'basis.json')\n"
+        "fe.save_basis(result.pooled, out / 'pooled.json')\n"
+    )
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        child_env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / threads)],
+            env=child_env, capture_output=True, check=True,
+        )
+    for name in ("basis.json", "pooled.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_pooled_baseline_is_a_one_network_basis_left_out_of_the_artifact(tmp_path):

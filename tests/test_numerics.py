@@ -235,14 +235,17 @@ def textbook_forward(net: Mlp, X: np.ndarray) -> list[np.ndarray]:
 
 
 def textbook_backward(net: Mlp, acts: list[np.ndarray], upstream: np.ndarray):
-    """Weight and bias gradients with the derivative ``delta * (1.0 - c ** 2)``."""
+    """Weight and bias gradients with the derivative ``delta * (1.0 - c ** 2)``.
+
+    The bias gradient is the batch sum as the product ``ones @ delta``.
+    """
     dws, dbs = [None] * len(net.weights), [None] * len(net.biases)
     delta, last = upstream, len(net.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
             delta = delta * (1.0 - acts[i + 1] ** 2)
         dws[i] = delta.T @ acts[i]
-        dbs[i] = delta.sum(axis=0)
+        dbs[i] = np.ones(delta.shape[0]) @ delta
         if i > 0:
             delta = delta @ net.weights[i]
     return dws, dbs
