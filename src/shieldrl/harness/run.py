@@ -31,7 +31,7 @@ from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # Top-level keys of a checkpoint besides format and version, and the JSON
 # types their values take (see ``build_checkpoint``).
 _SECTION = (dict, type(None))
@@ -42,11 +42,16 @@ _CHECKPOINT_TYPES = {
 }
 
 # Fields excluded when comparing metric streams for determinism.
-NONDETERMINISTIC_FIELDS = ("wall_clock_seconds",)
+NONDETERMINISTIC_FIELDS = ("wall_clock_seconds", "phase_seconds")
 
 # Shared training streams; rollout and shield draws come from per-episode
 # streams (see ``_episode_streams``), which the episode index determines.
 _TRAIN_STREAMS = ("env", "update", "qsafe")
+
+# The timed parts of a training epoch, in order: an epoch record's
+# ``phase_seconds`` holds the seconds of each.  The checkpoint save follows
+# the record, so it is not one of them.
+_PHASES = ("rollout", "finalize", "critic", "policy")
 
 
 def _jsonify(value):
@@ -407,16 +412,24 @@ def build_checkpoint(
     }
 
 
+# Key of an encoded array in a checkpoint, by its dtype: the little-endian
+# numpy type code of its bytes.
+_ARRAY_CODES = {np.dtype(np.float64): "f8", np.dtype(np.float32): "f4"}
+
+
 def _encode_numpy(value):
     """JSON form of the numpy values a checkpoint holds (the encoder's fallback).
 
-    A float64 array becomes ``{"f8": <base64 of its little-endian bytes>,
-    "shape": [...]}``, which round-trips every bit (NaN, infinities, -0.0,
-    subnormals); :func:`_decode_array` reverses it.
+    A float64 array becomes ``{"f8": <base64 of its little-endian <f8
+    bytes>, "shape": [...]}`` and a float32 array (a float32 network's
+    weights and Adam moments) ``{"f4": <base64 of its <f4 bytes>, "shape":
+    [...]}``.  Either round-trips every bit (NaN, infinities, -0.0,
+    subnormals) and keeps its precision; :func:`_decode_array` reverses it.
     """
-    if isinstance(value, np.ndarray) and value.dtype == np.float64:
-        raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
-        return {"f8": base64.b64encode(raw).decode("ascii"), "shape": list(value.shape)}
+    code = _ARRAY_CODES.get(value.dtype) if isinstance(value, np.ndarray) else None
+    if code is not None:
+        raw = np.ascontiguousarray(value, dtype=f"<{code}").tobytes()
+        return {code: base64.b64encode(raw).decode("ascii"), "shape": list(value.shape)}
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -426,19 +439,23 @@ def _encode_numpy(value):
 
 def _decode_array(obj: dict):
     """``object_hook`` of :func:`load_checkpoint`: an encoded array back to a
-    read-only float64 array over the decoded bytes; other objects unchanged."""
-    if obj.keys() == {"f8", "shape"}:
-        return np.frombuffer(base64.b64decode(obj["f8"]), dtype="<f8").reshape(obj["shape"])
+    read-only float64 (``f8``) or float32 (``f4``) array over the decoded
+    bytes; other objects unchanged."""
+    for code in _ARRAY_CODES.values():
+        if obj.keys() == {code, "shape"}:
+            raw = base64.b64decode(obj[code])
+            return np.frombuffer(raw, dtype=f"<{code}").reshape(obj["shape"])
     return obj
 
 
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 3.
+    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 4.
 
     Config, epoch, dual variable, step and episode counters and RNG states
-    stay readable JSON; every float64 array (network weights, optimizer
-    moments, log-std, basis weights) is an object holding its ``shape`` and
-    the base64 of its little-endian ``<f8`` bytes under ``"f8"``.  The file
+    stay readable JSON; every array (network weights, optimizer moments,
+    log-std, basis weights) is an object holding its ``shape`` and the
+    base64 of its little-endian bytes, under ``"f8"`` for a float64 array
+    and ``"f4"`` for a float32 one (see :func:`_encode_numpy`).  The file
     is encoded straight into a file beside ``path``, which is then moved
     over it, so a process killed mid-save leaves the previous checkpoint
     intact.
@@ -449,10 +466,11 @@ def save_checkpoint(ck: dict, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Arrays come back as read-only float64 arrays; restoring a section
-    (:func:`policy_from_checkpoint`, ``train(resume=...)``) copies them.
-    Files of any other format or version, including version 1 (arrays as
-    decimal lists) and version 2 (per-layer optimizer moments), and files
+    Arrays come back as read-only arrays of their stored precision, float64
+    or float32; restoring a section (:func:`policy_from_checkpoint`,
+    ``train(resume=...)``) copies them.  Files of any other format or
+    version, including version 1 (arrays as decimal lists), version 2
+    (per-layer optimizer moments) and version 3 (float64 arrays only), and files
     that are not a JSON object, lack a key :func:`build_checkpoint` writes
     or hold a value of another JSON type there (``true`` and ``false`` are
     not numbers) raise ``ValueError``.
@@ -484,11 +502,15 @@ def _restore(cls, section: dict):
     """The ``cls`` object that ``asdict`` turned into ``section``.
 
     Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way.
-    Values are deep copies, array fields float64 arrays (an ``Mlp`` copies
-    its weights and biases into its one ``params`` vector), so the object is
-    writable and shares no memory with ``section``.  A missing or unexpected
-    key, or a section that is not an object, raises ``ValueError``; so do
-    ``Mlp`` weights or biases whose shapes do not match its ``layer_sizes``.
+    Values are deep copies (an ``Mlp`` copies its weights and biases into
+    its one ``params`` vector), so the object is writable and shares no
+    memory with ``section``.  Array fields keep a float32 array's precision
+    and make anything else float64, so a float32 network resumes as one.
+    A missing or unexpected key, or a section that is not an object, raises
+    ``ValueError``; so does a section whose arrays mix float32 and float64
+    (an ``Mlp`` would promote them all to float64, and an ``Adam`` would
+    update in another precision), and ``Mlp`` weights or biases whose shapes
+    do not match its ``layer_sizes``.
     """
     if not isinstance(section, dict):
         raise ValueError(f"{cls.__name__} section is not a JSON object")
@@ -498,18 +520,28 @@ def _restore(cls, section: dict):
             f"{cls.__name__} section: missing keys {sorted(names - section.keys())}, "
             f"unexpected keys {sorted(section.keys() - names)}"
         )
-    values = {}
+    values, arrays = {}, []
     for name, hint in typing.get_type_hints(cls).items():
         value = section[name]
         if is_dataclass(hint):
             values[name] = _restore(hint, value)
         elif hint == list[np.ndarray]:
-            values[name] = [np.array(v, dtype=np.float64) for v in value]
+            values[name] = [_float_array(v) for v in value]
+            arrays += values[name]
         elif value is not None and np.ndarray in (hint, *typing.get_args(hint)):
-            values[name] = np.array(value, dtype=np.float64)
+            values[name] = _float_array(value)
+            arrays.append(values[name])
         else:
             values[name] = copy.deepcopy(value)
+    if len({a.dtype for a in arrays}) > 1:
+        raise ValueError(f"{cls.__name__} section mixes float32 and float64 arrays")
     return cls(**values)
+
+
+def _float_array(value) -> np.ndarray:
+    """A writable copy of ``value``: float32 if it is a float32 array, else float64."""
+    f32 = isinstance(value, np.ndarray) and value.dtype == np.float32
+    return np.array(value, dtype=np.float32 if f32 else np.float64)
 
 
 def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
@@ -527,6 +559,30 @@ def _basis_bits(basis: fe.BasisSet | None) -> list | None:
         return None
     arrays = (basis.norm_mean, basis.norm_std, *basis.weights, *basis.biases)
     return [basis.layer_sizes, *((a.shape, a.tobytes()) for a in arrays)]
+
+
+def _check_moment_dtypes(
+    policy: sro.GaussianPolicy,
+    critics: sro.CriticSet,
+    policy_opt: sro.PolicyOptimizer,
+    critic_opt: sro.CriticOptimizer,
+) -> None:
+    """``ValueError`` naming the first optimizer section whose moments are of
+    another dtype than the parameters it updates: Adam would go on in the
+    moments' precision, which no uninterrupted run does."""
+    pairs = [
+        ("policy_opt.mean_net", policy_opt.mean_net, policy.mean_net.params),
+        ("policy_opt.log_std", policy_opt.log_std, policy.log_std),
+        *((f"critic_opt.{name}", getattr(critic_opt, name), getattr(critics, name).params)
+          for name in ("v_r", "v_c", "q_c")),
+    ]
+    for name, opt, param in pairs:
+        for moment in (opt.m, opt.v):
+            if moment is not None and moment.dtype != param.dtype:
+                raise ValueError(
+                    f"checkpoint {name} moments are {moment.dtype}, "
+                    f"but the parameters they update are {param.dtype}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +620,12 @@ def train(
     and so does one whose basis differs from ``basis`` in its networks or
     normalization, bit for bit (no basis matches only no basis), whose
     ``rng_states`` is not exactly one generator state per training stream,
-    whose ``lambda`` is not a finite number >= 0, or whose ``epoch``,
-    ``steps_done`` or ``episode_index`` is negative.
+    whose ``lambda`` is not a finite number >= 0, whose ``epoch``,
+    ``steps_done`` or ``episode_index`` is negative, or whose optimizer
+    moments differ in dtype from the parameters they update.  A fresh run
+    trains float32 critics beside a float64 policy; a checkpoint keeps each
+    network's precision, and a resumed run keeps it too.  Each epoch record
+    times the epoch's phases in ``phase_seconds`` (see ``_PHASES``).
     Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
@@ -611,6 +671,7 @@ def train(
         critics = _restore(sro.CriticSet, ck["critics"])
         policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"])
         critic_opt = _restore(sro.CriticOptimizer, ck["critic_opt"])
+        _check_moment_dtypes(policy, critics, policy_opt, critic_opt)
         lam = float(ck["lambda"])
         start_epoch = int(ck["epoch"])
         steps_done = int(ck["steps_done"])
@@ -634,7 +695,8 @@ def train(
             cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
         )
         critics = sro.CriticSet.create(
-            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
+            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng,
+            np.float32,
         )
         policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
         critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)
@@ -661,7 +723,7 @@ def train(
     try:
         writer.write({"kind": "header", "version": 1, "config": serialize_config(cfg)})
         for epoch in range(start_epoch, epochs):
-            t0 = time.perf_counter()
+            marks = [time.perf_counter()]  # the start, then the end of each of _PHASES
             streams = _episode_streams(
                 cfg.seed, ("rollout", 0), ("shield", 0), episode_index, batch
             )
@@ -669,15 +731,18 @@ def train(
                 policy, cfg, env_cfg, rngs["env"], streams,
                 shield_on=cfg.shield_enabled, dynamics=dynamics, record=True,
             )
+            marks.append(time.perf_counter())
             ran = [(episode_index + i, rec) for i, rec in enumerate(results) if rec is not None]
             for index, rec in ran:
                 writer.write(episode_record(index, epoch, rec))
             episode_index += batch
             buffer.finalize(policy, critics, cfg.train.gamma, cfg.train.gae_lambda)
+            marks.append(time.perf_counter())
 
             closs = {}
             for _ in range(cfg.train.critic_iters):
                 closs = sro.critic_update(buffer, critics, cfg.train, rngs["update"], critic_opt)
+            marks.append(time.perf_counter())
             pdiag = sro.policy_update(
                 buffer,
                 policy,
@@ -688,6 +753,7 @@ def train(
                 policy_opt,
                 sro_enabled=cfg.sro_enabled,
             )
+            marks.append(time.perf_counter())
             lam = sro.lagrangian_update(
                 lam,
                 float(np.mean(buffer.episode_cost_totals())),
@@ -716,7 +782,10 @@ def train(
                     "early_stop": pdiag["early_stop"],
                     "aborted": pdiag["aborted"],
                     "placement_failures": len(results) - len(ran),
-                    "wall_clock_seconds": time.perf_counter() - t0,
+                    "phase_seconds": {
+                        phase: end - start for phase, start, end in zip(_PHASES, marks, marks[1:])
+                    },
+                    "wall_clock_seconds": time.perf_counter() - marks[0],
                 }
             )
             if pdiag["aborted"]:

@@ -165,7 +165,13 @@ class GaussianPolicy:
 
 @dataclass
 class CriticSet:
-    """Reward value net, cost value net, and cost action-value net."""
+    """Reward value net, cost value net, and cost action-value net.
+
+    The nets may be float32: a net computes in its weights' dtype and
+    ``Adam`` keeps its moments in it, while the values written into the
+    epoch's arrays, and every target, advantage and loss formed from them,
+    are float64.
+    """
 
     v_r: Mlp
     v_c: Mlp
@@ -179,12 +185,15 @@ class CriticSet:
         action_dim: int,
         hidden: tuple[int, ...],
         rng: np.random.Generator,
+        dtype: type = np.float64,
     ) -> "CriticSet":
+        """Three fresh nets of ``dtype``; ``rng`` advances the same way for
+        either dtype (see :meth:`Mlp.create`)."""
         sc = state_dim + context_dim
         return cls(
-            v_r=Mlp.create([sc, *hidden, 1], rng),
-            v_c=Mlp.create([sc, *hidden, 1], rng),
-            q_c=Mlp.create([sc + action_dim, *hidden, 1], rng),
+            v_r=Mlp.create([sc, *hidden, 1], rng, dtype),
+            v_c=Mlp.create([sc, *hidden, 1], rng, dtype),
+            q_c=Mlp.create([sc + action_dim, *hidden, 1], rng, dtype),
         )
 
     def v_r_values(self, X: np.ndarray) -> np.ndarray:
@@ -379,8 +388,11 @@ def q_safe_batch(
     cost critic over those perturbed rows (about ``_BLOCK_ROWS``), so
     no epoch-sized ``n x n_qsafe`` array is ever built.  Consecutive draws
     give the values, and leave ``rng`` in the state, of one draw of all
-    ``n x n_qsafe`` perturbations.  All inputs are constants for the policy
-    update: the estimate never carries gradients.
+    ``n x n_qsafe`` perturbations.  The perturbed rows are written straight
+    into a block of ``q_c_net``'s dtype, so a float32 critic casts no copy;
+    the perturbations, the density and the score stay float64.  All inputs
+    are constants for the policy update: the estimate never carries
+    gradients.
     """
     n, da = actions.shape
     if X.shape[0] != n or means.shape != (n, da) or np.shape(v_c_values) != (n,):
@@ -391,7 +403,7 @@ def q_safe_batch(
     m, dx = cfg.n_qsafe, X.shape[1]
     step = max(1, _BLOCK_ROWS // m)  # whole buffer rows per block
     m_hat = np.empty(n)
-    block = np.empty((min(n, 2 * step), m, dx + da))
+    block = np.empty((min(n, 2 * step), m, dx + da), dtype=q_c_net.params.dtype)
     for lo, hi in _row_blocks(n, step):
         eps = cfg.sigma_qsafe * rng.standard_normal((hi - lo, m, da))
         perturbed = actions[lo:hi, None, :] + eps

@@ -296,6 +296,18 @@ def test_training_consumes_the_requested_steps():
     assert all(e["cost_rate"] <= 1.0 for e in episodes)
 
 
+def test_epoch_records_time_their_phases():
+    records = run.train(tiny_config(total_steps=200)).records
+    epochs = [r for r in records if r["kind"] == "epoch"]
+    assert len(epochs) == 2
+    for rec in epochs:
+        phases = rec["phase_seconds"]
+        assert list(phases) == ["rollout", "finalize", "critic", "policy"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= rec["wall_clock_seconds"]
+    assert all("phase_seconds" not in json.loads(line) for line in run.canonical_records(epochs))
+
+
 def test_training_evaluates_log_probs_and_values_once_per_epoch(monkeypatch):
     # passes over the epoch's rows; a rollout step runs the policy on one
     # row per episode, which is not counted
@@ -815,6 +827,88 @@ def test_checkpoint_arrays_round_trip_every_bit(tmp_path):
     assert loaded["policy"]["log_std"].tobytes() == policy.log_std.tobytes()
 
 
+def array_leaves(value, path):
+    """``{dotted path: array}`` of the numpy arrays in nested dicts and lists."""
+    if isinstance(value, np.ndarray):
+        return {path: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return {p: a for key, v in items if isinstance(v, (dict, list, np.ndarray))
+            for p, a in array_leaves(v, f"{path}.{key}").items()}
+
+
+def test_training_checkpoint_keeps_each_networks_precision(tmp_path):
+    # float32 critics and critic moments, a float64 policy, every bit kept
+    half = run.train(tiny_config(seed=12, total_steps=100), out_path=tmp_path / "half.json")
+    loaded = run.load_checkpoint(tmp_path / "half.json")
+    sections = ("policy", "critics", "policy_opt", "critic_opt")
+    want, got = ({p: a for name in sections for p, a in array_leaves(ck[name], name).items()}
+                 for ck in (half.checkpoint, loaded))
+    # 4 two-layer nets, the log-std, and 5 optimizers' m and v
+    assert want.keys() == got.keys() and len(got) == 4 * 4 + 1 + 5 * 2
+    for path, array in got.items():
+        dtype = np.float32 if path.startswith("critic") else np.float64
+        assert array.dtype == want[path].dtype == dtype, path
+        assert array.tobytes() == want[path].tobytes(), path
+    critics = run._restore(sro.CriticSet, loaded["critics"])
+    assert {net.params.dtype for net in (critics.v_r, critics.v_c, critics.q_c)} == {
+        np.dtype(np.float32)
+    }
+    assert run.policy_from_checkpoint(loaded).mean_net.params.dtype == np.float64
+    # resuming from the file continues the uninterrupted run
+    full = run.train(tiny_config(seed=12, total_steps=200))
+    resumed = run.train(tiny_config(seed=12, total_steps=200), resume=tmp_path / "half.json")
+    joined = non_header(half.records) + non_header(resumed.records)
+    assert run.canonical_records(non_header(full.records)) == run.canonical_records(joined)
+    run.save_checkpoint(full.checkpoint, tmp_path / "full.json")
+    run.save_checkpoint(resumed.checkpoint, tmp_path / "resumed.json")
+    assert (tmp_path / "full.json").read_bytes() == (tmp_path / "resumed.json").read_bytes()
+
+
+def test_a_network_section_of_mixed_precision_is_refused(tmp_path, capsys):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    ck = run.load_checkpoint(ck_path)
+    q_c = ck["critics"]["q_c"]
+    mixed = dict(q_c, biases=[b.astype(np.float64) for b in q_c["biases"]])
+    ck = dict(ck, critics=dict(ck["critics"], q_c=mixed))
+    message = "Mlp section mixes float32 and float64 arrays"
+    with pytest.raises(ValueError, match=message):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck)
+    run.save_checkpoint(ck, ck_path)
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "section, net, dtype",
+    [("critic_opt", "v_c", np.float64), ("policy_opt", "mean_net", np.float32)],
+    ids=["critic", "policy"],
+)
+def test_resume_refuses_moments_of_another_precision(tmp_path, capsys, section, net, dtype):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    ck = run.load_checkpoint(ck_path)
+    opt = ck[section][net]
+    recast = dict(opt, m=opt["m"].astype(dtype), v=opt["v"].astype(dtype))
+    ck = dict(ck, **{section: dict(ck[section], **{net: recast})})
+    params = "float64" if dtype == np.float32 else "float32"
+    message = (f"checkpoint {section}.{net} moments are {np.dtype(dtype)}, "
+               f"but the parameters they update are {params}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck)
+    run.save_checkpoint(ck, ck_path)
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
 def test_restoring_a_checkpoint_does_not_alias_it(tmp_path):
     half = run.train(tiny_config(seed=12, total_steps=100))
     before = tmp_path / "before.json"
@@ -886,12 +980,13 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
     v1 = tmp_path / "v1.json"
     v1.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
                               "policy": {"log_std": [-0.5, -0.5]}}))
-    # version 2 stored per-layer optimizer moments
-    v2 = tmp_path / "v2.json"
-    run.save_checkpoint(dict(run.train(tiny_config(seed=13, total_steps=100)).checkpoint,
-                             version=2), v2)
-    for version, path in ((1, v1), (2, v2)):
-        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 3"):
+    # version 2 stored per-layer optimizer moments, version 3 only float64 arrays
+    trained = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
+    v2, v3 = tmp_path / "v2.json", tmp_path / "v3.json"
+    run.save_checkpoint(dict(trained, version=2), v2)
+    run.save_checkpoint(dict(trained, version=3), v3)
+    for version, path in ((1, v1), (2, v2), (3, v3)):
+        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 4"):
             run.load_checkpoint(path)
         assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
         assert f"version={version})" in capsys.readouterr().err

@@ -331,11 +331,11 @@ def test_q_safe_clamps_at_minus_one():
     assert got == -1.0 + 1e-6
 
 
-def q_safe_case(n, n_qsafe, seed=0, hidden=(64, 64)):
+def q_safe_case(n, n_qsafe, seed=0, hidden=(64, 64), critic_dtype=np.float64):
     """Policy, cost critic and ``n`` random inputs for the safety score."""
     rng = np.random.default_rng(seed)
     policy = sro.GaussianPolicy.create(16, 4, 2, hidden, rng)
-    q_c = Mlp.create([22, *hidden, 1], rng)
+    q_c = Mlp.create([22, *hidden, 1], rng, critic_dtype)
     q_c.biases[-1][:] = 0.3  # most perturbed rows score a positive cost
     X = rng.standard_normal((n, 20))
     A = 0.3 * rng.standard_normal((n, 2))
@@ -361,14 +361,14 @@ def unblocked_q_safe(X, actions, policy, q_c_net, v_c_values, cfg, rng):
     return np.clip(-m / denom, -1.0 + 1e-6, 0.0)
 
 
-def blocked_q_safe_mismatches():
+def blocked_q_safe_mismatches(critic_dtype=np.float64):
     """``(n_qsafe, n, differing scores)`` wherever the blocked score differs
     from :func:`unblocked_q_safe`, around one and two blocks of buffer rows."""
     found = []
     for n_qsafe in (10, 1):
         block = sro._BLOCK_ROWS // n_qsafe
         for n in (1, block - 1, block, block + 1, 2 * block + 3):
-            policy, q_c, X, A, v_c, cfg = q_safe_case(n, n_qsafe, seed=n)
+            policy, q_c, X, A, v_c, cfg = q_safe_case(n, n_qsafe, n, critic_dtype=critic_dtype)
             want = unblocked_q_safe(X, A, policy, q_c, v_c, cfg, np.random.default_rng(7))
             got = sro.q_safe_batch(
                 X, A, policy.mean_batch(X), policy, q_c, v_c, cfg, np.random.default_rng(7)
@@ -396,6 +396,12 @@ def test_blocked_q_safe_equals_the_unblocked_formula_bit_for_bit():
     assert out.stdout.strip() == "[]"
 
 
+def test_blocked_q_safe_of_a_float32_critic_equals_the_unblocked_formula_bit_for_bit():
+    # the blocked rows are built in float32; the unblocked formula casts its float64 rows
+    call = "test_sro.blocked_q_safe_mismatches(test_sro.np.float32)"
+    assert run_with_one_blas_thread(call) == "[]"
+
+
 def test_q_safe_peak_memory_does_not_scale_with_the_perturbed_rows():
     # One unblocked critic pass over 40,000 perturbed rows peaks near 90 MB.
     policy, q_c, X, A, v_c, cfg = q_safe_case(4000, 10)
@@ -409,11 +415,11 @@ def test_q_safe_peak_memory_does_not_scale_with_the_perturbed_rows():
     assert peak < 16 * 2**20
 
 
-def epoch_case(episodes, horizon, seed=0):
+def epoch_case(episodes, horizon, seed=0, critic_dtype=np.float64):
     """Policy, critics and a random ``(episodes, horizon)`` block at the training shapes."""
     rng = np.random.default_rng(seed)
     policy = sro.GaussianPolicy.create(16, 4, 2, (64, 64), rng)
-    critics = sro.CriticSet.create(16, 4, 2, (64, 64), rng)
+    critics = sro.CriticSet.create(16, 4, 2, (64, 64), rng, critic_dtype)
     buf = sro.RolloutBuffer(
         rng.standard_normal((episodes, horizon, 20)),
         0.3 * rng.standard_normal((episodes, horizon, 2)),
@@ -424,12 +430,12 @@ def epoch_case(episodes, horizon, seed=0):
     return policy, critics, buf
 
 
-def blocked_pass_mismatches():
+def blocked_pass_mismatches(critic_dtype=np.float64):
     """``(rows, output)`` wherever an output of ``finalize``, or the cost
     values ``policy_update`` scores with, differ from one pass over all rows."""
     found = []
     for episodes, horizon in ((27, 37), (10, 100), (7, 143), (1, 2003), (10, 401)):
-        policy, critics, buf = epoch_case(episodes, horizon, seed=horizon)
+        policy, critics, buf = epoch_case(episodes, horizon, horizon, critic_dtype)
         buf.finalize(policy, critics, 0.99, 0.95)
         n = len(buf)
         X_all = np.vstack([buf.X, buf.boot_inputs])
@@ -488,6 +494,23 @@ def test_blocked_epoch_passes_equal_one_pass_bit_for_bit():
     # 999 to 4,010 rows: one block, exactly one, one plus a row, and several
     # blocks whose last one takes the remainder.
     assert run_with_one_blas_thread("test_sro.blocked_pass_mismatches()") == "[]"
+
+
+def test_blocked_passes_of_float32_critics_equal_one_pass_bit_for_bit():
+    # training's critics are float32: their sgemm passes must block the same way
+    call = "test_sro.blocked_pass_mismatches(test_sro.np.float32)"
+    assert run_with_one_blas_thread(call) == "[]"
+
+
+def test_float32_critics_are_the_float64_draw_rounded():
+    rng64, rng32 = np.random.default_rng(5), np.random.default_rng(5)
+    critics64 = sro.CriticSet.create(16, 4, 2, (64, 64), rng64)
+    critics32 = sro.CriticSet.create(16, 4, 2, (64, 64), rng32, np.float32)
+    for name in ("v_r", "v_c", "q_c"):
+        want, got = getattr(critics64, name).params, getattr(critics32, name).params
+        assert want.dtype == np.float64 and got.dtype == np.float32
+        assert np.array_equal(got, want.astype(np.float32))
+    assert rng32.bit_generator.state == rng64.bit_generator.state
 
 
 def test_q_safe_leaves_the_generator_where_one_draw_would():
