@@ -498,10 +498,12 @@ def _checked(ck) -> dict:
     return ck
 
 
-def _restore(cls, section: dict):
-    """The ``cls`` object that ``asdict`` turned into ``section``.
+def _restore(cls, section: dict, path: str):
+    """The ``cls`` object that ``asdict`` turned into ``section``, the
+    checkpoint's section at the dotted ``path`` (``critics``).
 
-    Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way.
+    Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way,
+    at ``path`` and their field name (``critics.q_c``).
     Values are deep copies (an ``Mlp`` copies its weights and biases into
     its one ``params`` vector), so the object is writable and shares no
     memory with ``section``.  Array fields keep a float32 array's precision
@@ -510,21 +512,23 @@ def _restore(cls, section: dict):
     ``ValueError``; so does a section whose arrays mix float32 and float64
     (an ``Mlp`` would promote them all to float64, and an ``Adam`` would
     update in another precision), and ``Mlp`` weights or biases whose shapes
-    do not match its ``layer_sizes``.
+    do not match its ``layer_sizes``.  The first three messages name the
+    section by its ``path``.
     """
+    where = f"checkpoint {path}: {cls.__name__} section"
     if not isinstance(section, dict):
-        raise ValueError(f"{cls.__name__} section is not a JSON object")
+        raise ValueError(f"{where} is not a JSON object")
     names = {f.name for f in fields(cls)}
     if section.keys() != names:
         raise ValueError(
-            f"{cls.__name__} section: missing keys {sorted(names - section.keys())}, "
+            f"{where}: missing keys {sorted(names - section.keys())}, "
             f"unexpected keys {sorted(section.keys() - names)}"
         )
     values, arrays = {}, []
     for name, hint in typing.get_type_hints(cls).items():
         value = section[name]
         if is_dataclass(hint):
-            values[name] = _restore(hint, value)
+            values[name] = _restore(hint, value, f"{path}.{name}")
         elif hint == list[np.ndarray]:
             values[name] = [_float_array(v) for v in value]
             arrays += values[name]
@@ -534,7 +538,7 @@ def _restore(cls, section: dict):
         else:
             values[name] = copy.deepcopy(value)
     if len({a.dtype for a in arrays}) > 1:
-        raise ValueError(f"{cls.__name__} section mixes float32 and float64 arrays")
+        raise ValueError(f"{where} mixes float32 and float64 arrays")
     return cls(**values)
 
 
@@ -545,7 +549,7 @@ def _float_array(value) -> np.ndarray:
 
 
 def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
-    return _restore(sro.GaussianPolicy, ck["policy"])
+    return _restore(sro.GaussianPolicy, ck["policy"], "policy")
 
 
 def _basis_bits(basis: fe.BasisSet | None) -> list | None:
@@ -668,9 +672,9 @@ def train(
             if ck[key] < 0:
                 raise ValueError(f"checkpoint {key} must be >= 0, got {ck[key]}")
         policy = policy_from_checkpoint(ck)
-        critics = _restore(sro.CriticSet, ck["critics"])
-        policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"])
-        critic_opt = _restore(sro.CriticOptimizer, ck["critic_opt"])
+        critics = _restore(sro.CriticSet, ck["critics"], "critics")
+        policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"], "policy_opt")
+        critic_opt = _restore(sro.CriticOptimizer, ck["critic_opt"], "critic_opt")
         _check_moment_dtypes(policy, critics, policy_opt, critic_opt)
         lam = float(ck["lambda"])
         start_epoch = int(ck["epoch"])
@@ -695,8 +699,7 @@ def train(
             cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
         )
         critics = sro.CriticSet.create(
-            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng,
-            np.float32,
+            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
         )
         policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
         critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)

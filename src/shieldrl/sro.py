@@ -167,10 +167,10 @@ class GaussianPolicy:
 class CriticSet:
     """Reward value net, cost value net, and cost action-value net.
 
-    The nets may be float32: a net computes in its weights' dtype and
-    ``Adam`` keeps its moments in it, while the values written into the
-    epoch's arrays, and every target, advantage and loss formed from them,
-    are float64.
+    The nets are float32: a net computes in its weights' dtype and ``Adam``
+    keeps its moments in it, while the values written into the epoch's
+    arrays, and every target, advantage and loss formed from them, are
+    float64.
     """
 
     v_r: Mlp
@@ -185,15 +185,14 @@ class CriticSet:
         action_dim: int,
         hidden: tuple[int, ...],
         rng: np.random.Generator,
-        dtype: type = np.float64,
     ) -> "CriticSet":
-        """Three fresh nets of ``dtype``; ``rng`` advances the same way for
-        either dtype (see :meth:`Mlp.create`)."""
+        """Three fresh float32 nets: the float64 draws of :meth:`Mlp.create`,
+        rounded, so ``rng`` advances as it would for float64 nets."""
         sc = state_dim + context_dim
         return cls(
-            v_r=Mlp.create([sc, *hidden, 1], rng, dtype),
-            v_c=Mlp.create([sc, *hidden, 1], rng, dtype),
-            q_c=Mlp.create([sc + action_dim, *hidden, 1], rng, dtype),
+            v_r=Mlp.create([sc, *hidden, 1], rng, np.float32),
+            v_c=Mlp.create([sc, *hidden, 1], rng, np.float32),
+            q_c=Mlp.create([sc + action_dim, *hidden, 1], rng, np.float32),
         )
 
     def v_r_values(self, X: np.ndarray) -> np.ndarray:

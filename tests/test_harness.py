@@ -849,7 +849,7 @@ def test_training_checkpoint_keeps_each_networks_precision(tmp_path):
         dtype = np.float32 if path.startswith("critic") else np.float64
         assert array.dtype == want[path].dtype == dtype, path
         assert array.tobytes() == want[path].tobytes(), path
-    critics = run._restore(sro.CriticSet, loaded["critics"])
+    critics = run._restore(sro.CriticSet, loaded["critics"], "critics")
     assert {net.params.dtype for net in (critics.v_r, critics.v_c, critics.q_c)} == {
         np.dtype(np.float32)
     }
@@ -873,7 +873,7 @@ def test_a_network_section_of_mixed_precision_is_refused(tmp_path, capsys):
     q_c = ck["critics"]["q_c"]
     mixed = dict(q_c, biases=[b.astype(np.float64) for b in q_c["biases"]])
     ck = dict(ck, critics=dict(ck["critics"], q_c=mixed))
-    message = "Mlp section mixes float32 and float64 arrays"
+    message = "checkpoint critics.q_c: Mlp section mixes float32 and float64 arrays"
     with pytest.raises(ValueError, match=message):
         run.train(tiny_config(seed=3, total_steps=200), resume=ck)
     run.save_checkpoint(ck, ck_path)
@@ -990,6 +990,20 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
             run.load_checkpoint(path)
         assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
         assert f"version={version})" in capsys.readouterr().err
+
+
+def test_a_refused_section_is_named_by_its_path():
+    ck = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
+    with pytest.raises(ValueError, match=re.escape(
+        "checkpoint policy.mean_net: Mlp section is not a JSON object"
+    )):
+        run.policy_from_checkpoint(dict(ck, policy=dict(ck["policy"], mean_net=3)))
+    optimizer = dict(ck["critic_opt"], q_c={k: v for k, v in ck["critic_opt"]["q_c"].items()
+                                           if k != "step"})
+    with pytest.raises(ValueError, match=re.escape(
+        "checkpoint critic_opt.q_c: Adam section: missing keys ['step']"
+    )):
+        run.train(tiny_config(seed=13, total_steps=200), resume=dict(ck, critic_opt=optimizer))
 
 
 def test_a_checkpoint_section_that_is_not_an_object_is_an_error(tmp_path, capsys):

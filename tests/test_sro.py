@@ -22,9 +22,18 @@ def small_policy(seed=0, state_dim=3, context_dim=2, action_dim=2, hidden=(8,)):
     return sro.GaussianPolicy.create(state_dim, context_dim, action_dim, hidden, rng)
 
 
-def small_critics(seed=0, state_dim=3, context_dim=2, action_dim=2, hidden=(8,)):
+def float64_critics(state_dim, context_dim, action_dim, hidden, rng):
+    """The float64 nets whose rounding ``CriticSet.create`` returns."""
+    sc = state_dim + context_dim
+    return sro.CriticSet(*(Mlp.create([d, *hidden, 1], rng) for d in (sc, sc, sc + action_dim)))
+
+
+def small_critics(seed=0, state_dim=3, context_dim=2, action_dim=2, hidden=(8,),
+                  dtype=np.float32):
+    """Float32 critics as training builds them, or their float64 draw."""
     rng = np.random.default_rng(seed + 1)
-    return sro.CriticSet.create(state_dim, context_dim, action_dim, hidden, rng)
+    create = sro.CriticSet.create if dtype == np.float32 else float64_critics
+    return create(state_dim, context_dim, action_dim, hidden, rng)
 
 
 def constant_net(input_dim: int, value: float) -> Mlp:
@@ -203,7 +212,9 @@ def test_buffer_finalize_is_per_episode():
     # batched log-probs, values and bootstraps agree with one-row evaluation,
     # the rows are episode-major, and each episode's advantages are that
     # episode's own GAE
-    policy, critics = small_policy(seed=10), small_critics(seed=10)
+    # float64 critics: in float32 a batched pass and one-row passes differ
+    # by up to about 3e-7 relative, so agreement to 1e-12 is a float64 bound
+    policy, critics = small_policy(seed=10), small_critics(seed=10, dtype=np.float64)
     buf = random_buffer(np.random.default_rng(10), n_episodes=2, ep_len=15,
                         policy=policy, critics=critics)
     np.testing.assert_array_equal(buf.X, np.vstack([buf.inputs[0], buf.inputs[1]]))
@@ -222,7 +233,9 @@ def test_buffer_finalize_is_per_episode():
 
 
 def test_buffer_normalizes_only_the_reward_advantage():
-    critics = small_critics(seed=11)
+    # float64 critics: in float32 a batched pass and one-row passes differ
+    # by up to about 3e-7 relative, so agreement to 1e-12 is a float64 bound
+    critics = small_critics(seed=11, dtype=np.float64)
     buf = random_buffer(np.random.default_rng(11), critics=critics)
     assert buf.adv_r_norm.mean() == pytest.approx(0.0, abs=1e-9)
     assert buf.adv_r_norm.std() == pytest.approx(1.0, rel=1e-6)
@@ -415,11 +428,14 @@ def test_q_safe_peak_memory_does_not_scale_with_the_perturbed_rows():
     assert peak < 16 * 2**20
 
 
-def epoch_case(episodes, horizon, seed=0, critic_dtype=np.float64):
-    """Policy, critics and a random ``(episodes, horizon)`` block at the training shapes."""
+def epoch_case(episodes, horizon, seed=0, critic_dtype=np.float32):
+    """Policy, critics and a random ``(episodes, horizon)`` block at the
+    training shapes; float32 critics as training builds them, or their
+    float64 draw."""
     rng = np.random.default_rng(seed)
     policy = sro.GaussianPolicy.create(16, 4, 2, (64, 64), rng)
-    critics = sro.CriticSet.create(16, 4, 2, (64, 64), rng, critic_dtype)
+    create = sro.CriticSet.create if critic_dtype == np.float32 else float64_critics
+    critics = create(16, 4, 2, (64, 64), rng)
     buf = sro.RolloutBuffer(
         rng.standard_normal((episodes, horizon, 20)),
         0.3 * rng.standard_normal((episodes, horizon, 2)),
@@ -504,8 +520,8 @@ def test_blocked_passes_of_float32_critics_equal_one_pass_bit_for_bit():
 
 def test_float32_critics_are_the_float64_draw_rounded():
     rng64, rng32 = np.random.default_rng(5), np.random.default_rng(5)
-    critics64 = sro.CriticSet.create(16, 4, 2, (64, 64), rng64)
-    critics32 = sro.CriticSet.create(16, 4, 2, (64, 64), rng32, np.float32)
+    critics64 = float64_critics(16, 4, 2, (64, 64), rng64)
+    critics32 = sro.CriticSet.create(16, 4, 2, (64, 64), rng32)
     for name in ("v_r", "v_c", "q_c"):
         want, got = getattr(critics64, name).params, getattr(critics32, name).params
         assert want.dtype == np.float64 and got.dtype == np.float32
