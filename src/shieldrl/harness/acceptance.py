@@ -21,7 +21,7 @@ from .. import shield as shieldmod
 from .. import sro
 from ..numerics import Mlp
 from ..seeding import rng_for
-from .config import ExperimentConfig, FeSettings
+from .config import ExperimentConfig
 from .run import (
     _episode_streams,
     build_checkpoint,
@@ -223,7 +223,8 @@ def check_conformal(ws: Workspace) -> CriterionResult:
             window_n += 1
     drift_miss = window_miss / window_n
 
-    ok = 0.03 <= stationary_miss <= 0.07 and 0.0 <= drift_miss <= 0.10
+    # numpy rates: a numpy bool would not serialize as a JSON result line
+    ok = bool(0.03 <= stationary_miss <= 0.07 and 0.0 <= drift_miss <= 0.10)
     return CriterionResult(
         criterion=3,
         suite="conformal",
@@ -250,7 +251,7 @@ def _soundness_episodes(count: int):
     first ``acp.min_scores`` steps (a triggered decision then falls back),
     then exactly 0.  Returns the records and the episodes' streams.
     """
-    cfg = ExperimentConfig(seed=404, sro_enabled=False, fe_context=False).validate()
+    cfg = ExperimentConfig(seed=404, sro_enabled=False, context="none").validate()
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (64, 64), rng_for(404, "init")
     )
@@ -531,11 +532,10 @@ def check_gradients(ws: Workspace) -> CriterionResult:
 
 
 def _directional_config(seed: int, full: bool) -> ExperimentConfig:
-    cfg = ExperimentConfig(seed=seed, total_steps=200_000)
-    cfg.sro_enabled = full
-    cfg.shield_enabled = full
-    cfg.fe_context = full
-    return cfg.validate()
+    return ExperimentConfig(
+        seed=seed, total_steps=200_000, sro_enabled=full, shield_enabled=full,
+        context="fe" if full else "none",
+    ).validate()
 
 
 def _return_kept(full_ret: float, base_ret: float) -> bool:
@@ -651,7 +651,7 @@ def check_reduction(ws: Workspace) -> CriterionResult:
     def run(sro_on: bool, alpha: float) -> list[str]:
         cfg = ExperimentConfig(
             seed=1010, total_steps=8000, sro_enabled=sro_on,
-            shield_enabled=False, fe_context=False,
+            shield_enabled=False, context="none",
         )
         cfg.train = replace(cfg.train, alpha=alpha)
         out = train(cfg.validate())

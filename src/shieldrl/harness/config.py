@@ -74,13 +74,13 @@ class EvalSettings:
 
 @dataclass
 class ExperimentConfig:
-    task: str = "navigation"
     seed: int = 0
     total_steps: int = 200_000
     sro_enabled: bool = True
     shield_enabled: bool = True
-    oracle_phi: bool = False
-    fe_context: bool = True
+    # The policy's dynamics context: "fe" the identified basis coefficients,
+    # "oracle" the true hidden parameters, "none" fe.k zero columns.
+    context: str = "fe"
     env: EnvConfig = field(default_factory=EnvConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     shield: ShieldConfig = field(default_factory=ShieldConfig)
@@ -93,16 +93,21 @@ class ExperimentConfig:
         """Width of the policy's dynamics-context input."""
         from ..env import PARAM_DIM
 
-        return PARAM_DIM if self.oracle_phi else self.fe.k
+        return PARAM_DIM if self.context == "oracle" else self.fe.k
+
+    def needs_basis(self, shield_on: bool) -> bool:
+        """Whether a run of this config needs a dynamics model (in ``train`` and
+        ``evaluate``, the basis): with ``shield_on`` the shield predicts with it,
+        and the ``"fe"`` context is its identified coefficients."""
+        return shield_on or self.context == "fe"
 
     def validate(self) -> "ExperimentConfig":
         """Cross-field consistency checks; returns self for chaining."""
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
-        if self.oracle_phi and self.fe_context:
-            raise ConfigError("oracle_phi and fe_context are mutually exclusive contexts")
-        if self.task != self.env.task:
-            self.env = replace(self.env, task=self.task)
+        if self.context not in _CONTEXTS:
+            expected = ", ".join(_CONTEXTS)
+            raise ConfigError(f"bad value for 'context': {self.context!r} (expected {expected})")
         # Checked with the shield off too: evaluate(shield=True) runs it on any config.
         bound = self.env.max_feature_step()
         l_nu, margin = self.shield.l_nu, self.shield.pre_safety_margin
@@ -117,9 +122,8 @@ class ExperimentConfig:
         return self
 
 
+_CONTEXTS = ("fe", "oracle", "none")
 _SECTIONS = ("env", "train", "shield", "fe", "acp", "eval")
-# env.task mirrors the top-level task and is not independently settable.
-_HIDDEN_KEYS = {("env", "task")}
 
 
 def _section_fields(obj) -> list:
@@ -185,8 +189,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         obj = getattr(cfg, section)
         lines.append(f"# {section}")
         for f in _section_fields(obj):
-            if (section, f.name) in _HIDDEN_KEYS:
-                continue
             lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
     return "\n".join(lines) + "\n"
 
@@ -203,7 +205,7 @@ def apply_overrides(cfg: ExperimentConfig, pairs: dict[str, str]) -> ExperimentC
     for key, text in pairs.items():
         if "." in key:
             section, _, name = key.partition(".")
-            if section not in _SECTIONS or (section, name) in _HIDDEN_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
             obj = getattr(cfg, section)
             if name not in {f.name for f in _section_fields(obj)}:

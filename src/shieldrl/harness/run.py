@@ -10,7 +10,6 @@ and are stripped by :func:`canonical_records` before stream comparison.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import math
 import time
@@ -31,7 +30,7 @@ from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # Top-level keys of a checkpoint besides format and version, and the JSON
 # types their values take (see ``build_checkpoint``).
 _SECTION = (dict, type(None))
@@ -204,13 +203,15 @@ def run_episode(
     identification), and the conformal radii update together.  ``env.step``
     and the shield's decision run per episode; decision ``j`` takes the
     model's ``predictor(j)``, its current radius and its own shield stream.
-    The model's ``context`` is the policy's when ``cfg.fe_context``.
+    The policy's context is ``cfg.context``'s: the model's identified
+    ``context`` (``"fe"``), each episode's true hidden parameters
+    (``"oracle"``) or ``cfg.fe.k`` zeros (``"none"``).
 
     ``dynamics(phis, env_cfg)`` builds the rollout's
     :class:`shield.DynamicsModel` from the placed episodes' hidden
-    parameters when the shield is on or the context is learned:
-    :func:`fe_dynamics` gives the function encoder, ``shield.ExactModel``
-    the exact dynamics.
+    parameters when ``cfg.needs_basis(shield_on)``, and ``ValueError``
+    is raised without it: :func:`fe_dynamics` gives the function encoder,
+    ``shield.ExactModel`` the exact dynamics.
 
     Every action is a ``policy.sample_n`` of block-drawn noise
     (:class:`_ActionNoise`), with the values of one draw per sample: each
@@ -230,8 +231,7 @@ def run_episode(
     episode of a non-empty batch can be placed, the last
     ``env.PlacementError`` propagates.
 
-    ``shield_on`` runs every step through the shield, which needs
-    ``dynamics`` (``ValueError`` without it).  A fresh hidden-parameter
+    ``shield_on`` runs every step through the shield.  A fresh hidden-parameter
     draw, layout, model estimate, and conformal radius are used for every
     episode.  ``env_cfg`` may carry more obstacles than the policy was
     trained with; all learned components then operate on the truncated
@@ -245,8 +245,10 @@ def run_episode(
     horizon)`` :class:`sro.RolloutBuffer` block, in batch order; otherwise
     ``buffer`` is ``None``.
     """
-    if shield_on and dynamics is None:
-        raise ValueError("a shielded rollout requires a dynamics model")
+    track = cfg.needs_basis(shield_on)
+    if track and dynamics is None:
+        rollout = "shielded rollout" if shield_on else "rollout with the FE context"
+        raise ValueError(f"a {rollout} requires a dynamics model")
     t0 = time.perf_counter()
     view_dim = cfg.env.state_dim
 
@@ -269,18 +271,16 @@ def run_episode(
     rollout_rngs = [streams[i][0] for i in live]
     shield_rngs = [streams[i][1] for i in live]
 
-    track = dynamics is not None and (shield_on or cfg.fe_context)
     model = dynamics(phis, env_cfg) if track else None
     acp = conformal.AcpState(cfg.acp, n)  # observed only when shielded
 
-    oracle = np.array([phi.as_array() for phi in phis]) if cfg.oracle_phi else None
+    if cfg.context == "oracle":
+        fixed = np.array([phi.as_array() for phi in phis])
+    else:
+        fixed = np.zeros((n, cfg.fe.k))
 
     def contexts() -> np.ndarray:
-        if oracle is not None:
-            return oracle
-        if cfg.fe_context and model is not None:
-            return model.context
-        return np.zeros((n, cfg.fe.k))
+        return model.context if cfg.context == "fe" else fixed
 
     horizon = env_cfg.horizon
     S = _state_view(np.array(states), view_dim)
@@ -449,7 +449,7 @@ def _decode_array(obj: dict):
 
 
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 4.
+    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 5.
 
     Config, epoch, dual variable, step and episode counters and RNG states
     stay readable JSON; every array (network weights, optimizer moments,
@@ -469,11 +469,10 @@ def load_checkpoint(path: str | Path) -> dict:
     Arrays come back as read-only arrays of their stored precision, float64
     or float32; restoring a section (:func:`policy_from_checkpoint`,
     ``train(resume=...)``) copies them.  Files of any other format or
-    version, including version 1 (arrays as decimal lists), version 2
-    (per-layer optimizer moments) and version 3 (float64 arrays only), and files
-    that are not a JSON object, lack a key :func:`build_checkpoint` writes
-    or hold a value of another JSON type there (``true`` and ``false`` are
-    not numbers) raise ``ValueError``.
+    version (versions 1-4 among them), and files that are not a JSON
+    object, lack a key :func:`build_checkpoint` writes or hold a value of
+    another JSON type there (``true`` and ``false`` are not numbers) raise
+    ``ValueError``.
     """
     return _checked(json.loads(Path(path).read_text(), object_hook=_decode_array))
 
@@ -511,9 +510,10 @@ def _restore(cls, section: dict, path: str):
     A missing or unexpected key, or a section that is not an object, raises
     ``ValueError``; so does a section whose arrays mix float32 and float64
     (an ``Mlp`` would promote them all to float64, and an ``Adam`` would
-    update in another precision), and ``Mlp`` weights or biases whose shapes
-    do not match its ``layer_sizes``.  The first three messages name the
-    section by its ``path``.
+    update in another precision), a scalar field whose value is not of its
+    type hint (see :func:`_scalar`), and ``Mlp`` weights or biases whose
+    shapes do not match its ``layer_sizes``.  All but the last message name
+    the section or field by its ``path``.
     """
     where = f"checkpoint {path}: {cls.__name__} section"
     if not isinstance(section, dict):
@@ -532,14 +532,32 @@ def _restore(cls, section: dict, path: str):
         elif hint == list[np.ndarray]:
             values[name] = [_float_array(v) for v in value]
             arrays += values[name]
-        elif value is not None and np.ndarray in (hint, *typing.get_args(hint)):
-            values[name] = _float_array(value)
+        elif np.ndarray in (hint, *typing.get_args(hint)):
+            values[name] = None if value is None else _float_array(value)
             arrays.append(values[name])
         else:
-            values[name] = copy.deepcopy(value)
-    if len({a.dtype for a in arrays}) > 1:
+            values[name] = _scalar(value, hint, f"{path}.{name}")
+    if len({a.dtype for a in arrays if a is not None}) > 1:
         raise ValueError(f"{where} mixes float32 and float64 arrays")
     return cls(**values)
+
+
+def _scalar(value, hint, path: str):
+    """``value`` of a checkpoint's scalar field at ``path``, checked against
+    its type ``hint``: an ``int`` is a JSON integer, a ``float`` any JSON
+    number (made a float), and a ``list[int]`` a list of integers; ``true``
+    and ``false`` are not numbers.  Anything else raises ``ValueError``."""
+    def integer(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if hint is int and integer(value):
+        return value
+    if hint is float and (integer(value) or isinstance(value, float)):
+        return float(value)
+    if hint == list[int] and isinstance(value, list) and all(map(integer, value)):
+        return list(value)
+    name = hint.__name__ if hint in (int, float) else str(hint)
+    raise ValueError(f"checkpoint {path} must be of type {name}, got {value!r}")
 
 
 def _float_array(value) -> np.ndarray:
@@ -640,8 +658,8 @@ def train(
     uninterrupted run.  The metrics file is closed however the run ends.
     """
     cfg.validate()
-    if (cfg.shield_enabled or cfg.fe_context) and basis is None:
-        raise ValueError("shield or learned context requires a pretrained basis artifact")
+    if cfg.needs_basis(cfg.shield_enabled) and basis is None:
+        raise ValueError("shield or FE context requires a pretrained basis artifact")
 
     env_cfg = cfg.env
     steps_per_epoch = cfg.train.steps_per_epoch
@@ -851,8 +869,8 @@ def evaluate(
     if seed is None:
         seed = cfg.seed
     shield_on = cfg.shield_enabled if shield is None else shield
-    if shield_on and basis is None:
-        raise ValueError("shielded evaluation requires a basis artifact in the checkpoint")
+    if cfg.needs_basis(shield_on) and basis is None:
+        raise ValueError("shield or FE context requires a basis artifact in the checkpoint")
 
     if ood:
         env_cfg = replace(
@@ -1049,7 +1067,7 @@ def pretrain_fe(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Pr
         basis, pooled, heldout, cfg.fe.context_samples, cfg.fe.ridge
     )
     header = {
-        "task": cfg.task,
+        "task": cfg.env.task,
         "seed": cfg.seed,
         "episodes": len(datasets),
         "heldout_episodes": len(heldout),

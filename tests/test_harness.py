@@ -28,19 +28,19 @@ from shieldrl.harness.config import (
 from shieldrl.numerics import Mlp
 
 
-def tiny_config(seed=3, total_steps=200, **flags):
+def tiny_config(seed=3, total_steps=200, task="navigation", **flags):
     """Small everything: fast enough for unit tests, same code paths."""
     cfg = ExperimentConfig(
         seed=seed,
         total_steps=total_steps,
         sro_enabled=flags.pop("sro_enabled", False),
         shield_enabled=flags.pop("shield_enabled", False),
-        fe_context=flags.pop("fe_context", False),
+        context=flags.pop("context", "none"),
         **flags,
     )
     cfg = replace(
         cfg,
-        env=replace(cfg.env, obstacle_count=2, horizon=50),
+        env=replace(cfg.env, task=task, obstacle_count=2, horizon=50),
         train=replace(cfg.train, steps_per_epoch=100, hidden=(16,), minibatch=64,
                       critic_iters=2, policy_iters=2),
         fe=replace(cfg.fe, k=2, hidden=(8,), pretrain_episodes=5, epochs=4, batch=128),
@@ -65,17 +65,17 @@ def non_header(records):
 
 
 def test_config_round_trip_is_identity():
-    cfg = ExperimentConfig(task="circle", seed=99)
+    cfg = ExperimentConfig(seed=99)
     cfg = replace(
         cfg,
         total_steps=1234,
-        oracle_phi=True,
-        fe_context=False,
-        env=replace(cfg.env, obstacle_count=7, param_intervals=((0.5, 0.9), (1.1, 1.3))),
+        context="oracle",
+        env=replace(cfg.env, task="circle", obstacle_count=7,
+                    param_intervals=((0.5, 0.9), (1.1, 1.3))),
         train=replace(cfg.train, hidden=(32, 16), alpha=0.25),
         eval=replace(cfg.eval, ood_intervals=((0.1, 0.2),)),
     )
-    cfg.validate()  # syncs the task into the env section
+    cfg.validate()
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -100,9 +100,11 @@ def test_unknown_keys_are_rejected():
 
 def test_removed_keys_are_neither_written_nor_accepted():
     text = serialize_config(ExperimentConfig())
-    for key in ("shield.horizon", "shield.delta", "fe.sample_cap", "train.epochs"):
-        assert key not in text
-        with pytest.raises(ConfigError):
+    written = {line.partition(" = ")[0] for line in text.splitlines()}
+    for key in ("shield.horizon", "shield.delta", "fe.sample_cap", "train.epochs",
+                "task", "oracle_phi", "fe_context"):
+        assert key not in written
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
             parse_config(f"{key} = 1\n")
 
 
@@ -165,6 +167,7 @@ def test_removed_keys_are_neither_written_nor_accepted():
         ("env.friction", "-0.05"),
         ("env.gravity", "-9.81"),
         ("train.sigma_qsafe", "-0.1"),
+        ("context", "learned"),
     ],
 )
 def test_values_a_run_would_reject_do_not_parse(key, value):
@@ -214,25 +217,30 @@ def test_overrides_touch_nested_sections():
 
 
 def test_validate_rules():
-    with pytest.raises(ConfigError):
-        apply_overrides(ExperimentConfig(), {"oracle_phi": "true"}).validate()
+    with pytest.raises(ConfigError, match="expected fe, oracle, none"):
+        apply_overrides(ExperimentConfig(), {"context": "true"}).validate()
     bad_margin = apply_overrides(
         ExperimentConfig(), {"shield.pre_safety_margin": "0.1"}
     )
     with pytest.raises(ConfigError):
         bad_margin.validate()  # margin must exceed the one-step position reach
-    oracle = apply_overrides(
-        ExperimentConfig(), {"oracle_phi": "true", "fe_context": "false"}
-    )
+    oracle = apply_overrides(ExperimentConfig(), {"context": "oracle"})
     oracle.validate()
     assert oracle.context_dim == 4
     assert ExperimentConfig().context_dim == 3  # learned coefficients
+    assert ExperimentConfig(context="none").context_dim == 3  # as many zero columns
 
 
-def test_task_field_propagates_to_env():
-    cfg = ExperimentConfig(task="circle")
-    cfg.validate()
+def test_env_task_is_an_ordinary_env_key():
+    cfg = parse_config("env.task = circle\n")
     assert cfg.env.task == "circle"
+    assert "env.task = circle" in serialize_config(cfg).splitlines()
+    assert parse_config(serialize_config(cfg)) == cfg
+    with pytest.raises(ConfigError, match=re.escape("'env.task'")):
+        parse_config("env.task = maze\n")
+    # validate() only checks: it leaves every section as it was
+    env_section = cfg.env
+    assert cfg.validate().env is env_section
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +366,7 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
 
     monkeypatch.setattr(fe.BasisSet, "evaluate", counted)
     monkeypatch.setattr(run.shieldmod, "select_action", recorded)
-    cfg = tiny_config(seed=4, shield_enabled=True, fe_context=True)
+    cfg = tiny_config(seed=4, shield_enabled=True, context="fe")
     # a wide pre-check margin sends part of the steps to candidate scoring
     cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
     basis = run.pretrain_fe(cfg).basis
@@ -391,7 +399,7 @@ def test_basis_is_evaluated_once_per_executed_step(monkeypatch):
 @pytest.fixture(scope="module")
 def shielded_setup():
     """A shielded config that often scores candidates, with its basis."""
-    cfg = tiny_config(seed=6, shield_enabled=True, fe_context=True)
+    cfg = tiny_config(seed=6, shield_enabled=True, context="fe")
     cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)
     cfg.acp = replace(cfg.acp, warmup_len=20)
     return cfg, run.pretrain_fe(cfg).basis
@@ -507,6 +515,17 @@ def test_a_shielded_rollout_requires_a_dynamics_model():
         )
 
 
+def test_an_fe_context_rollout_requires_a_dynamics_model():
+    cfg = tiny_config(context="fe")
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
+    )
+    with pytest.raises(ValueError, match="rollout with the FE context requires a dynamics model"):
+        run.run_episode(
+            policy, cfg, cfg.env, np.random.default_rng(0), episode_streams(1), shield_on=False
+        )
+
+
 def test_episode_records_do_not_depend_on_the_batch_size(shielded_setup):
     cfg, basis = shielded_setup
     policy = sro.GaussianPolicy.create(
@@ -609,7 +628,7 @@ def test_final_checkpoint_is_written_once(tmp_path, monkeypatch):
 def crowded_config(steps_per_epoch=4000):
     """36 obstacles: placement succeeds for the first episode at seed 1, not the second."""
     cfg = ExperimentConfig(
-        seed=1, total_steps=4000, sro_enabled=False, shield_enabled=False, fe_context=False
+        seed=1, total_steps=4000, sro_enabled=False, shield_enabled=False, context="none"
     )
     cfg.env = replace(cfg.env, obstacle_count=36)
     cfg.train = replace(cfg.train, steps_per_epoch=steps_per_epoch)
@@ -747,7 +766,7 @@ def test_evaluate_counts_placement_failures():
 
 
 def test_singular_online_solves_are_counted_not_fatal():
-    cfg = tiny_config(fe_context=True)
+    cfg = tiny_config(context="fe")
     cfg.fe = replace(cfg.fe, ridge=0.0)
     sdim, dim = cfg.env.state_dim, cfg.env.state_dim + cfg.env.action_dim
     # two identical basis functions: every Gram matrix is singular at ridge 0
@@ -980,13 +999,14 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
     v1 = tmp_path / "v1.json"
     v1.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
                               "policy": {"log_std": [-0.5, -0.5]}}))
-    # version 2 stored per-layer optimizer moments, version 3 only float64 arrays
+    # version 2 stored per-layer optimizer moments, version 3 only float64 arrays,
+    # version 4 a config with task, oracle_phi and fe_context keys
     trained = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
-    v2, v3 = tmp_path / "v2.json", tmp_path / "v3.json"
-    run.save_checkpoint(dict(trained, version=2), v2)
-    run.save_checkpoint(dict(trained, version=3), v3)
-    for version, path in ((1, v1), (2, v2), (3, v3)):
-        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 4"):
+    older = {version: tmp_path / f"v{version}.json" for version in (2, 3, 4)}
+    for version, path in older.items():
+        run.save_checkpoint(dict(trained, version=version), path)
+    for version, path in ((1, v1), *older.items()):
+        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 5"):
             run.load_checkpoint(path)
         assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
         assert f"version={version})" in capsys.readouterr().err
@@ -1119,6 +1139,56 @@ def test_a_boolean_counter_or_lambda_does_not_load(tmp_path, key, value):
         run.evaluate(ck, episodes=1)
 
 
+def with_field(ck, path, corrupt):
+    """A deep copy of ``ck`` whose field at the dotted ``path`` is ``corrupt(value)``."""
+    ck = copy.deepcopy(ck)
+    *parents, leaf = path.split(".")
+    section = ck
+    for key in parents:
+        section = section[key]
+    section[leaf] = corrupt(section[leaf])
+    return ck
+
+
+@pytest.mark.parametrize(
+    "path, corrupt, kind",
+    [
+        ("critic_opt.v_r.step", str, "int"),
+        ("critic_opt.q_c.step", lambda _: True, "int"),
+        ("critic_opt.v_c.step", float, "int"),
+        ("policy_opt.log_std.lr", lambda _: "x", "float"),
+        ("policy_opt.mean_net.eps", lambda _: False, "float"),
+        ("policy.log_std_low", lambda _: "low", "float"),
+        ("policy.mean_net.layer_sizes", lambda sizes: [str(sizes[0]), *sizes[1:]], "list[int]"),
+        ("critics.v_r.layer_sizes", lambda sizes: [True, *sizes[1:]], "list[int]"),
+        ("critics.q_c.layer_sizes", lambda sizes: sizes[0], "list[int]"),
+    ],
+    ids=["step-string", "step-true", "step-float", "lr-string", "eps-false", "log-std-low-string",
+         "layer-sizes-string", "layer-sizes-true", "layer-sizes-number"],
+)
+def test_a_mistyped_scalar_field_is_refused_by_its_path(tmp_path, capsys, path, corrupt, kind):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    ck = with_field(run.load_checkpoint(ck_path), path, corrupt)
+    message = f"checkpoint {path} must be of type {kind}, got "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck)
+    run.save_checkpoint(ck, ck_path)
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
+def test_an_integer_in_a_float_field_restores_as_a_float():
+    ck = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
+    policy = run.policy_from_checkpoint(with_field(ck, "policy.log_std_low", lambda _: -5))
+    assert type(policy.log_std_low) is float and policy.log_std_low == -5.0
+
+
 def test_resume_refuses_another_basis(tmp_path):
     cfg = tiny_config(seed=3, total_steps=100, shield_enabled=True)
     basis_a = run.pretrain_fe(cfg, out_path=tmp_path / "a.json").basis
@@ -1246,8 +1316,27 @@ def test_evaluate_shield_override_requires_a_basis(trained_checkpoint):
         run.evaluate(trained_checkpoint, episodes=1, shield=True)
 
 
+def test_evaluate_refuses_an_fe_context_checkpoint_without_a_basis(tmp_path, capsys):
+    cfg = tiny_config(context="fe")
+    policy = sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
+    )
+    ck = run.build_checkpoint(cfg, policy)
+    message = "shield or FE context requires a basis artifact in the checkpoint"
+    with pytest.raises(ValueError, match=message):
+        run.evaluate(ck, episodes=1, shield=False)
+    ck_path, metrics = tmp_path / "ck.json", tmp_path / "m.jsonl"
+    run.save_checkpoint(ck, ck_path)
+    metrics.write_text('{"kind": "summary"}\n')
+    args = ["eval", "--ckpt", str(ck_path), "--episodes", "2", "--no-shield",
+            "--metrics", str(metrics)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert metrics.read_bytes() == b'{"kind": "summary"}\n'
+
+
 def test_shielded_circle_evaluation_runs_the_horizon():
-    cfg = tiny_config(seed=15, task="circle", shield_enabled=True, fe_context=True)
+    cfg = tiny_config(seed=15, task="circle", shield_enabled=True, context="fe")
     cfg.shield = replace(cfg.shield, pre_safety_margin=1.0)  # consult the shield often
     basis = run.pretrain_fe(cfg).basis
     policy = sro.GaussianPolicy.create(
@@ -1263,7 +1352,7 @@ def test_shielded_circle_evaluation_runs_the_horizon():
 
 
 def test_oracle_context_is_each_episodes_hidden_parameters():
-    cfg = tiny_config(seed=4, oracle_phi=True)
+    cfg = tiny_config(seed=4, context="oracle")
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
     )
@@ -1286,7 +1375,7 @@ def test_oracle_context_is_each_episodes_hidden_parameters():
 
 def test_shielded_oracle_evaluation_runs_the_horizon_deterministically(shielded_setup):
     cfg, basis = shielded_setup
-    cfg = replace(cfg, oracle_phi=True, fe_context=False).validate()
+    cfg = replace(cfg, context="oracle").validate()
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(2)
     )
@@ -1454,7 +1543,7 @@ def test_pooled_fit_is_a_deterministic_float64_basis_of_a_float32_net():
 
 
 def test_cli_pipeline(tmp_path):
-    cfg = tiny_config(seed=16, total_steps=80, shield_enabled=True, fe_context=True)
+    cfg = tiny_config(seed=16, total_steps=80, shield_enabled=True, context="fe")
     cfg = replace(cfg, env=replace(cfg.env, horizon=40),
                   train=replace(cfg.train, steps_per_epoch=80))
     cfg_path = tmp_path / "exp.cfg"
@@ -1498,6 +1587,15 @@ def test_cli_reports_io_errors(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_cli_accept_prints_one_json_line_per_criterion(tmp_path, capsys):
+    out = tmp_path / "accept.jsonl"
+    argv = ["accept", "--suite", "conformal", "--workdir", str(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["passed"] is True
+    assert out.read_text() == line + "\n"
 
 
 def test_training_closes_its_metrics_file_on_any_error(tmp_path, monkeypatch):

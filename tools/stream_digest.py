@@ -37,6 +37,12 @@ Four of these runs use no basis: ``random_episodes``, ``soundness_episodes``,
 pooled fits alone (their precision, say) moves every other digest and must
 leave these four as they were.
 
+The header record of a ``train`` holds the config's text, and so does its
+checkpoint.  A change to that text alone (a key renamed, added or removed)
+moves ``train_records``, ``train_checkpoint`` and ``circle_train_records``
+and no other digest, and a new checkpoint format version moves
+``train_checkpoint``; the records after the header must hash as before.
+
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
 """
@@ -71,7 +77,8 @@ def sha(data: bytes | str) -> str:
 
 
 def setup_config(task: str = "navigation") -> ExperimentConfig:
-    cfg = ExperimentConfig(task=task, seed=0)
+    cfg = ExperimentConfig(seed=0)
+    cfg.env = replace(cfg.env, task=task)
     cfg.fe = replace(cfg.fe, pretrain_episodes=16, epochs=10)
     return cfg.validate()
 
