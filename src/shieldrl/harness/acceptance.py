@@ -28,6 +28,7 @@ from .run import (
     canonical_records,
     collect_random_episodes,
     evaluate,
+    new_policy,
     pretrain_fe,
     run_episode,
     score_heldout,
@@ -252,9 +253,7 @@ def _soundness_episodes(count: int):
     then exactly 0.  Returns the records and the episodes' streams.
     """
     cfg = ExperimentConfig(seed=404, sro_enabled=False, context="none").validate()
-    policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (64, 64), rng_for(404, "init")
-    )
+    policy = new_policy(cfg, rng_for(404, "init"))
     streams = _episode_streams(404, ("rollout", 0), ("shield", 0), 0, count)
     records, _ = run_episode(
         policy, cfg, cfg.env, rng_for(404, "env"), streams,
@@ -304,10 +303,7 @@ def check_shield_soundness(ws: Workspace) -> CriterionResult:
 def check_cost_rate_bound(ws: Workspace) -> CriterionResult:
     basis, _ = ws.ensure_basis()
     cfg = ExperimentConfig(seed=505).validate()
-    policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, cfg.train.hidden,
-        rng_for(505, "init"),
-    )
+    policy = new_policy(cfg, rng_for(505, "init"))
     ck = build_checkpoint(cfg, policy, basis=basis)
     summary = evaluate(ck, episodes=100, seed=505)
     cost_rate = summary["cost_rate_mean"]
@@ -604,13 +600,7 @@ def check_overhead(ws: Workspace) -> CriterionResult:
     basis, _ = ws.ensure_basis()
     shielded_cfg = ExperimentConfig(seed=909).validate()
     plain_cfg = ExperimentConfig(seed=909, shield_enabled=False).validate()
-    policy = sro.GaussianPolicy.create(
-        shielded_cfg.env.state_dim,
-        shielded_cfg.context_dim,
-        shielded_cfg.env.action_dim,
-        shielded_cfg.train.hidden,
-        rng_for(909, "init"),
-    )
+    policy = new_policy(shielded_cfg, rng_for(909, "init"))
     episodes = 25
 
     def cpu_timed(cfg: ExperimentConfig) -> tuple[float, dict]:

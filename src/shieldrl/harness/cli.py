@@ -45,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--basis", default=None, help="pretrained basis artifact")
     p.add_argument("--out", required=True,
-                   help="checkpoint path, rewritten every epoch: JSON (version 5) with "
-                        "config, counters and RNG states readable and each array as the "
-                        "base64 of its little-endian bytes plus its shape, under f8 for "
-                        "float64 and f4 for float32; files of versions 1-4 no longer load")
+                   help="checkpoint path, rewritten every epoch: JSON (version 6) holding "
+                        "the config, counters, RNG states and the parameter and Adam vectors, "
+                        "each array as the base64 of its little-endian bytes plus its shape, "
+                        "under f8 for float64 and f4 for float32; versions 1-5 no longer load")
     p.add_argument("--metrics", default=None, help="JSONL metrics path")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")

@@ -10,11 +10,14 @@ and are stripped by :func:`canonical_records` before stream comparison.
 from __future__ import annotations
 
 import base64
+import binascii
+import copy
 import json
 import math
+import reprlib
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from ..seeding import rng_for
 from .config import ExperimentConfig, parse_config, serialize_config
 
 CHECKPOINT_FORMAT = "checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # Top-level keys of a checkpoint besides format and version, and the JSON
 # types their values take (see ``build_checkpoint``).
 _SECTION = (dict, type(None))
@@ -385,14 +388,19 @@ def build_checkpoint(
 ) -> dict:
     """The checkpoint dict of a policy and, from training, the rest of its state.
 
-    Each training-state section is ``asdict`` of the object it stores (its
-    fields, arrays copied); a section not given is ``None``.
-    ``episode_index`` is the index of the next episode training would run.
+    It holds copies of the state and nothing the config fixes: ``policy`` is
+    ``{mean_net, log_std}`` (the mean network's ``params``), ``critics`` each
+    critic's ``params``, and ``policy_opt`` and ``critic_opt`` the ``{step,
+    m, v}`` of each of those vectors' ``Adam``.  A section not given is
+    ``None``.  ``episode_index`` is the next episode training would run.
     """
 
-    def section(obj) -> dict | None:
-        return None if obj is None else asdict(obj)
+    def state(opt, vectors: dict[str, np.ndarray]) -> dict:
+        adams = [getattr(opt, name) for name in vectors]
+        return {name: {"step": a.step, "m": a.m, "v": a.v} for name, a in zip(vectors, adams)}
 
+    policy_vectors = _policy_vectors(policy)
+    critic_vectors = None if critics is None else _critic_vectors(critics)
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -401,15 +409,27 @@ def build_checkpoint(
         "steps_done": steps_done,
         "episode_index": episode_index,
         "lambda": lam,
-        "policy": asdict(policy),
-        "critics": section(critics),
-        "policy_opt": section(policy_opt),
-        "critic_opt": section(critic_opt),
+        **copy.deepcopy({
+            "policy": policy_vectors,
+            "critics": critic_vectors,
+            "policy_opt": None if policy_opt is None else state(policy_opt, policy_vectors),
+            "critic_opt": None if critic_opt is None else state(critic_opt, critic_vectors),
+        }),
         "rng_states": None if rngs is None else {
             name: rngs[name].bit_generator.state for name in _TRAIN_STREAMS
         },
         "basis": fe.basis_to_record(basis) if basis is not None else None,
     }
+
+
+# The vectors of the policy and of the critics by their keys in a checkpoint,
+# which also name the ``Adam``s of the optimizers that update them.
+def _policy_vectors(policy: sro.GaussianPolicy) -> dict[str, np.ndarray]:
+    return {"mean_net": policy.mean_net.params, "log_std": policy.log_std}
+
+
+def _critic_vectors(critics: sro.CriticSet) -> dict[str, np.ndarray]:
+    return {name: getattr(critics, name).params for name in ("v_r", "v_c", "q_c")}
 
 
 # Key of an encoded array in a checkpoint, by its dtype: the little-endian
@@ -420,11 +440,9 @@ _ARRAY_CODES = {np.dtype(np.float64): "f8", np.dtype(np.float32): "f4"}
 def _encode_numpy(value):
     """JSON form of the numpy values a checkpoint holds (the encoder's fallback).
 
-    A float64 array becomes ``{"f8": <base64 of its little-endian <f8
-    bytes>, "shape": [...]}`` and a float32 array (a float32 network's
-    weights and Adam moments) ``{"f4": <base64 of its <f4 bytes>, "shape":
-    [...]}``.  Either round-trips every bit (NaN, infinities, -0.0,
-    subnormals) and keeps its precision; :func:`_decode_array` reverses it.
+    A float64 or float32 array becomes ``{"f8" or "f4": <base64 of its
+    little-endian bytes>, "shape": [...]}``, which keeps every bit (NaN,
+    infinities, -0.0, subnormals) and its precision.
     """
     code = _ARRAY_CODES.get(value.dtype) if isinstance(value, np.ndarray) else None
     if code is not None:
@@ -437,44 +455,54 @@ def _encode_numpy(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _decode_array(obj: dict):
-    """``object_hook`` of :func:`load_checkpoint`: an encoded array back to a
-    read-only float64 (``f8``) or float32 (``f4``) array over the decoded
-    bytes; other objects unchanged."""
+def _decoded(value, path: str = ""):
+    """Parsed JSON ``value``, at the dotted ``path``, with its encoded arrays decoded."""
+    if isinstance(value, list):
+        return [_decoded(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(value, dict):
+        return value
     for code in _ARRAY_CODES.values():
-        if obj.keys() == {code, "shape"}:
-            raw = base64.b64decode(obj[code])
-            return np.frombuffer(raw, dtype=f"<{code}").reshape(obj["shape"])
-    return obj
+        if value.keys() == {code, "shape"}:
+            return _decode_array(value[code], value["shape"], code, path)
+    return {k: _decoded(v, f"{path}.{k}" if path else k) for k, v in value.items()}
+
+
+def _decode_array(payload, shape, code: str, path: str) -> np.ndarray:
+    """The read-only array that ``{code: payload, "shape": shape}`` at the dotted
+    ``path`` encodes; ``ValueError`` naming ``path`` unless ``payload`` is
+    base64 text and ``shape`` a list of integers >= 0 that fits its bytes."""
+    where = f"checkpoint {path}"
+    if not isinstance(payload, str):
+        raise ValueError(f"{where}: {code} must be base64 text, got {reprlib.repr(payload)}")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{where}: shape must be a list of integers >= 0, got {shape!r}")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{where}: {code} is not base64 ({exc})") from None
+    if len(raw) != math.prod(shape) * np.dtype(code).itemsize:
+        raise ValueError(f"{where}: shape {shape} does not fit its {len(raw)} bytes of {code}")
+    return np.frombuffer(raw, dtype=f"<{code}").reshape(shape)
 
 
 def save_checkpoint(ck: dict, path: str | Path) -> None:
-    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 5.
+    """Write ``ck`` (from :func:`build_checkpoint`) as one JSON file, format version 6.
 
-    Config, epoch, dual variable, step and episode counters and RNG states
-    stay readable JSON; every array (network weights, optimizer moments,
-    log-std, basis weights) is an object holding its ``shape`` and the
-    base64 of its little-endian bytes, under ``"f8"`` for a float64 array
-    and ``"f4"`` for a float32 one (see :func:`_encode_numpy`).  The file
-    is encoded straight into a file beside ``path``, which is then moved
-    over it, so a process killed mid-save leaves the previous checkpoint
-    intact.
+    Arrays are encoded by :func:`_encode_numpy`, the rest stays readable
+    JSON.  It is encoded straight into a file beside ``path``, then moved over
+    it, so a process killed mid-save leaves the previous checkpoint intact.
     """
     fe.write_atomic(path, partial(json.dump, ck, sort_keys=True, default=_encode_numpy))
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    Arrays come back as read-only arrays of their stored precision, float64
-    or float32; restoring a section (:func:`policy_from_checkpoint`,
-    ``train(resume=...)``) copies them.  Files of any other format or
-    version (versions 1-4 among them), and files that are not a JSON
-    object, lack a key :func:`build_checkpoint` writes or hold a value of
-    another JSON type there (``true`` and ``false`` are not numbers) raise
-    ``ValueError``.
-    """
-    return _checked(json.loads(Path(path).read_text(), object_hook=_decode_array))
+    """Read a checkpoint written by :func:`save_checkpoint`, its arrays
+    read-only and of their stored precision.  ``ValueError`` for a file of
+    another format or version (1-5 among them), one that is not a JSON
+    object, lacks a key :func:`build_checkpoint` writes or holds a value of
+    another JSON type there (``true`` and ``false`` are not numbers), or an
+    array that does not decode (:func:`_decode_array`)."""
+    return _checked(_decoded(json.loads(Path(path).read_text())))
 
 
 def _checked(ck) -> dict:
@@ -497,77 +525,71 @@ def _checked(ck) -> dict:
     return ck
 
 
-def _restore(cls, section: dict, path: str):
-    """The ``cls`` object that ``asdict`` turned into ``section``, the
-    checkpoint's section at the dotted ``path`` (``critics``).
-
-    Nested dataclass fields (``Mlp``, ``Adam``) are restored the same way,
-    at ``path`` and their field name (``critics.q_c``).
-    Values are deep copies (an ``Mlp`` copies its weights and biases into
-    its one ``params`` vector), so the object is writable and shares no
-    memory with ``section``.  Array fields keep a float32 array's precision
-    and make anything else float64, so a float32 network resumes as one.
-    A missing or unexpected key, or a section that is not an object, raises
-    ``ValueError``; so does a section whose arrays mix float32 and float64
-    (an ``Mlp`` would promote them all to float64, and an ``Adam`` would
-    update in another precision), a scalar field whose value is not of its
-    type hint (see :func:`_scalar`), and ``Mlp`` weights or biases whose
-    shapes do not match its ``layer_sizes``.  All but the last message name
-    the section or field by its ``path``.
-    """
-    where = f"checkpoint {path}: {cls.__name__} section"
+def _object(section, keys, path: str) -> dict:
+    """``section``, the checkpoint's value at the dotted ``path``, if it is an
+    object with exactly ``keys``; else ``ValueError`` naming ``path``."""
     if not isinstance(section, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    names = {f.name for f in fields(cls)}
-    if section.keys() != names:
+        raise ValueError(f"checkpoint {path} is not a JSON object")
+    if section.keys() != set(keys):
+        raise ValueError(f"checkpoint {path}: missing keys {sorted(set(keys) - section.keys())}, "
+                         f"unexpected keys {sorted(section.keys() - set(keys))}")
+    return section
+
+
+def _copy_into(vector: np.ndarray, value, path: str) -> None:
+    """Copy ``value``, the checkpoint's array at ``path``, into ``vector``."""
+    array = isinstance(value, np.ndarray)
+    if not (array and (value.dtype, value.shape) == (vector.dtype, vector.shape)):
+        got = f"a {value.dtype} array of shape {value.shape}" if array else reprlib.repr(value)
         raise ValueError(
-            f"{where}: missing keys {sorted(names - section.keys())}, "
-            f"unexpected keys {sorted(section.keys() - names)}"
+            f"checkpoint {path} must be a {vector.dtype} array of shape {vector.shape}, got {got}"
         )
-    values, arrays = {}, []
-    for name, hint in typing.get_type_hints(cls).items():
-        value = section[name]
-        if is_dataclass(hint):
-            values[name] = _restore(hint, value, f"{path}.{name}")
-        elif hint == list[np.ndarray]:
-            values[name] = [_float_array(v) for v in value]
-            arrays += values[name]
-        elif np.ndarray in (hint, *typing.get_args(hint)):
-            values[name] = None if value is None else _float_array(value)
-            arrays.append(values[name])
-        else:
-            values[name] = _scalar(value, hint, f"{path}.{name}")
-    if len({a.dtype for a in arrays if a is not None}) > 1:
-        raise ValueError(f"{where} mixes float32 and float64 arrays")
-    return cls(**values)
+    vector[...] = value
 
 
-def _scalar(value, hint, path: str):
-    """``value`` of a checkpoint's scalar field at ``path``, checked against
-    its type ``hint``: an ``int`` is a JSON integer, a ``float`` any JSON
-    number (made a float), and a ``list[int]`` a list of integers; ``true``
-    and ``false`` are not numbers.  Anything else raises ``ValueError``."""
-    def integer(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
+def _load(section, vectors: dict[str, np.ndarray], path: str, opt=None) -> None:
+    """Copy ``section``, the checkpoint's object at the dotted ``path``, into
+    freshly built state: each stored array into the vector of ``vectors``
+    under its key or, with ``opt``, each stored ``{step, m, v}`` into the
+    ``Adam`` of ``opt`` that updates that vector.  An array must have its
+    vector's dtype and shape, a step must be an integer >= 0, and step 0
+    goes with null moments; else ``ValueError`` names the path."""
+    section = _object(section, vectors, path)
+    for name, vector in vectors.items():
+        where = f"{path}.{name}"
+        if opt is None:
+            _copy_into(vector, section[name], where)
+            continue
+        state = _object(section[name], ("step", "m", "v"), where)
+        step = state["step"]
+        if type(step) is not int:
+            raise ValueError(f"checkpoint {where}.step must be of type int, got {step!r}")
+        if step < 0:
+            raise ValueError(f"checkpoint {where}.step must be >= 0, got {step}")
+        if step == 0:
+            if state["m"] is not None or state["v"] is not None:
+                raise ValueError(f"checkpoint {where}: step 0 goes with null moments")
+            continue
+        adam = getattr(opt, name)
+        adam.step, adam.m, adam.v = step, np.empty_like(vector), np.empty_like(vector)
+        _copy_into(adam.m, state["m"], f"{where}.m")
+        _copy_into(adam.v, state["v"], f"{where}.v")
 
-    if hint is int and integer(value):
-        return value
-    if hint is float and (integer(value) or isinstance(value, float)):
-        return float(value)
-    if hint == list[int] and isinstance(value, list) and all(map(integer, value)):
-        return list(value)
-    name = hint.__name__ if hint in (int, float) else str(hint)
-    raise ValueError(f"checkpoint {path} must be of type {name}, got {value!r}")
 
-
-def _float_array(value) -> np.ndarray:
-    """A writable copy of ``value``: float32 if it is a float32 array, else float64."""
-    f32 = isinstance(value, np.ndarray) and value.dtype == np.float32
-    return np.array(value, dtype=np.float32 if f32 else np.float64)
+def new_policy(cfg: ExperimentConfig, rng: np.random.Generator) -> sro.GaussianPolicy:
+    """The policy a fresh run of ``cfg`` starts from, drawn from ``rng``."""
+    return sro.GaussianPolicy.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, cfg.train.hidden, rng
+    )
 
 
 def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
-    return _restore(sro.GaussianPolicy, ck["policy"], "policy")
+    """The checkpoint's policy: built from its config as a fresh run builds
+    it, with the stored vectors copied in (see :func:`_load`)."""
+    cfg = parse_config(ck["config"])
+    policy = new_policy(cfg, rng_for(cfg.seed, "init"))
+    _load(ck["policy"], _policy_vectors(policy), "policy")
+    return policy
 
 
 def _basis_bits(basis: fe.BasisSet | None) -> list | None:
@@ -583,28 +605,21 @@ def _basis_bits(basis: fe.BasisSet | None) -> list | None:
     return [basis.layer_sizes, *((a.shape, a.tobytes()) for a in arrays)]
 
 
-def _check_moment_dtypes(
-    policy: sro.GaussianPolicy,
-    critics: sro.CriticSet,
-    policy_opt: sro.PolicyOptimizer,
-    critic_opt: sro.CriticOptimizer,
-) -> None:
-    """``ValueError`` naming the first optimizer section whose moments are of
-    another dtype than the parameters it updates: Adam would go on in the
-    moments' precision, which no uninterrupted run does."""
-    pairs = [
-        ("policy_opt.mean_net", policy_opt.mean_net, policy.mean_net.params),
-        ("policy_opt.log_std", policy_opt.log_std, policy.log_std),
-        *((f"critic_opt.{name}", getattr(critic_opt, name), getattr(critics, name).params)
-          for name in ("v_r", "v_c", "q_c")),
-    ]
-    for name, opt, param in pairs:
-        for moment in (opt.m, opt.v):
-            if moment is not None and moment.dtype != param.dtype:
-                raise ValueError(
-                    f"checkpoint {name} moments are {moment.dtype}, "
-                    f"but the parameters they update are {param.dtype}"
-                )
+def _check_basis(basis, cfg: ExperimentConfig, shield_on: bool, what: str) -> None:
+    """``ValueError`` unless ``basis`` (``what``) is given if ``cfg.needs_basis(shield_on)``
+    and, if given, maps ``cfg.env``'s state and action to its state and, under
+    the FE context, has ``cfg.fe.k`` functions."""
+    if basis is None:
+        if cfg.needs_basis(shield_on):
+            raise ValueError(f"shield or FE context requires {what}")
+        return
+    want = [cfg.env.state_dim + cfg.env.action_dim, cfg.env.state_dim]
+    got = [basis.layer_sizes[0], basis.layer_sizes[-1]]
+    if got != want:
+        raise ValueError(f"basis maps width {got[0]} to {got[1]}, but the config's env needs "
+                         f"{want[0]} (state + action) to {want[1]} (state)")
+    if cfg.context == "fe" and basis.k != cfg.fe.k:
+        raise ValueError(f"basis has k = {basis.k} functions; the FE context needs {cfg.fe.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,23 +646,23 @@ def train(
     Epoch count is ``total_steps // steps_per_epoch`` (at least one when any
     steps are requested; zero total steps emits the header only).  When
     ``out_path`` is given a resumable checkpoint is rewritten after every
-    epoch (see :func:`build_checkpoint`: its sections are the policy's,
-    critics' and optimizers' dataclass fields).  ``resume`` restores
-    parameters, optimizers, the dual variable, and all random streams, so a
-    resumed run continues the original one bit-for-bit, provided it runs
-    with the same BLAS thread count: OpenBLAS splits products between
-    threads at count-dependent points, and the checkpoint does not record
-    the count.  A checkpoint whose config differs from ``cfg`` in anything
-    but ``total_steps`` raises ``ValueError`` naming the differing keys,
-    and so does one whose basis differs from ``basis`` in its networks or
-    normalization, bit for bit (no basis matches only no basis), whose
-    ``rng_states`` is not exactly one generator state per training stream,
-    whose ``lambda`` is not a finite number >= 0, whose ``epoch``,
-    ``steps_done`` or ``episode_index`` is negative, or whose optimizer
-    moments differ in dtype from the parameters they update.  A fresh run
-    trains float32 critics beside a float64 policy; a checkpoint keeps each
-    network's precision, and a resumed run keeps it too.  Each epoch record
-    times the epoch's phases in ``phase_seconds`` (see ``_PHASES``).
+    epoch (see :func:`build_checkpoint`).  The policy, critics and
+    optimizers are always built from ``cfg`` and its ``init`` stream;
+    ``resume`` copies a checkpoint's vectors, Adam state, dual variable
+    and random streams into the run, so it continues the original one
+    bit-for-bit, provided it runs with the same BLAS thread count: OpenBLAS
+    splits products between threads at count-dependent points, and the
+    checkpoint does not record the count.  A checkpoint whose config
+    differs from ``cfg`` in anything but ``total_steps`` raises
+    ``ValueError`` naming the differing keys, and so does one whose basis
+    differs from ``basis`` in its networks or normalization, bit for bit
+    (no basis matches only no basis), whose ``rng_states`` is not exactly
+    one generator state per training stream, whose ``lambda`` is not a
+    finite number >= 0, whose ``epoch``, ``steps_done`` or
+    ``episode_index`` is negative, or whose stored state does not fit the
+    built objects (see :func:`_load`); so does a missing ``basis`` the run
+    needs or one that does not fit ``cfg`` (:func:`_check_basis`).  Each
+    epoch record times the epoch's phases in ``phase_seconds``.
     Each epoch rolls its ``ceil(steps_per_epoch / horizon)``
     episodes as one lockstep batch.  An episode whose layout cannot be
     placed is dropped and counted in the epoch's ``placement_failures``.  A
@@ -658,8 +673,7 @@ def train(
     uninterrupted run.  The metrics file is closed however the run ends.
     """
     cfg.validate()
-    if cfg.needs_basis(cfg.shield_enabled) and basis is None:
-        raise ValueError("shield or FE context requires a pretrained basis artifact")
+    _check_basis(basis, cfg, cfg.shield_enabled, "a pretrained basis artifact")
 
     env_cfg = cfg.env
     steps_per_epoch = cfg.train.steps_per_epoch
@@ -669,6 +683,14 @@ def train(
         epochs = 1
 
     rngs = {name: rng_for(cfg.seed, name) for name in _TRAIN_STREAMS}
+    init_rng = rng_for(cfg.seed, "init")
+    policy = new_policy(cfg, init_rng)
+    critics = sro.CriticSet.create(
+        cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
+    )
+    policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
+    critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)
+    lam, start_epoch, steps_done, episode_index = 0.0, 0, 0, 0
 
     if resume is not None:
         ck = _checked(resume) if isinstance(resume, dict) else load_checkpoint(resume)
@@ -689,15 +711,6 @@ def train(
         for key in ("epoch", "steps_done", "episode_index"):
             if ck[key] < 0:
                 raise ValueError(f"checkpoint {key} must be >= 0, got {ck[key]}")
-        policy = policy_from_checkpoint(ck)
-        critics = _restore(sro.CriticSet, ck["critics"], "critics")
-        policy_opt = _restore(sro.PolicyOptimizer, ck["policy_opt"], "policy_opt")
-        critic_opt = _restore(sro.CriticOptimizer, ck["critic_opt"], "critic_opt")
-        _check_moment_dtypes(policy, critics, policy_opt, critic_opt)
-        lam = float(ck["lambda"])
-        start_epoch = int(ck["epoch"])
-        steps_done = int(ck["steps_done"])
-        episode_index = int(ck["episode_index"])
         states = ck["rng_states"]
         if states.keys() != set(_TRAIN_STREAMS):
             raise ValueError(
@@ -711,20 +724,12 @@ def train(
                 raise ValueError(
                     f"checkpoint rng_states[{name!r}] is not a generator state: {exc}"
                 ) from None
-    else:
-        init_rng = rng_for(cfg.seed, "init")
-        policy = sro.GaussianPolicy.create(
-            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
-        )
-        critics = sro.CriticSet.create(
-            cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
-        )
-        policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
-        critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)
-        lam = 0.0
-        start_epoch = 0
-        steps_done = 0
-        episode_index = 0
+        _load(ck["policy"], _policy_vectors(policy), "policy")
+        _load(ck["critics"], _critic_vectors(critics), "critics")
+        _load(ck["policy_opt"], _policy_vectors(policy), "policy_opt", policy_opt)
+        _load(ck["critic_opt"], _critic_vectors(critics), "critic_opt", critic_opt)
+        lam = float(ck["lambda"])
+        start_epoch, steps_done, episode_index = ck["epoch"], ck["steps_done"], ck["episode_index"]
 
     def checkpoint_now(epoch_done: int) -> dict:
         return build_checkpoint(cfg, policy, critics, policy_opt, critic_opt, lam, epoch_done,
@@ -855,11 +860,11 @@ def evaluate(
     ``episodes``.  An episode whose layout cannot be placed is left out of
     the records and counted in the summary's ``placement_failures``.
     ``metrics_path`` is opened only after the rollout, so an evaluation that
-    raises leaves an existing file as it was.
+    raises leaves an existing file as it was.  A negative count, and a basis
+    missing or not fitting the config, are refused before the policy is restored.
     """
     ck = _checked(ckpt) if isinstance(ckpt, dict) else load_checkpoint(ckpt)
     cfg = parse_config(ck["config"])
-    policy = policy_from_checkpoint(ck)
     basis = fe.basis_from_record(ck["basis"]) if ck["basis"] else None
 
     if episodes is None:
@@ -869,8 +874,8 @@ def evaluate(
     if seed is None:
         seed = cfg.seed
     shield_on = cfg.shield_enabled if shield is None else shield
-    if cfg.needs_basis(shield_on) and basis is None:
-        raise ValueError("shield or FE context requires a basis artifact in the checkpoint")
+    _check_basis(basis, cfg, shield_on, "a basis artifact in the checkpoint")
+    policy = policy_from_checkpoint(ck)
 
     if ood:
         env_cfg = replace(

@@ -205,14 +205,15 @@ class Mlp:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator floor, the same for every optimizer.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class Adam:
     """Adam for one parameter vector, such as an ``Mlp``'s ``params`` or a log-std."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -227,13 +228,13 @@ class Adam:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.step += 1
-        bc1 = 1.0 - self.beta1**self.step
-        bc2 = 1.0 - self.beta2**self.step
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * np.square(grad)
-        param -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        bc1 = 1.0 - ADAM_BETA1**self.step
+        bc2 = 1.0 - ADAM_BETA2**self.step
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * np.square(grad)
+        param -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def adam_step(net: Mlp, opt: Adam, grads: np.ndarray) -> None:

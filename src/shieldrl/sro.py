@@ -39,6 +39,8 @@ import numpy as np
 from .numerics import Adam, Mlp, adam_step
 
 LOG_2PI = math.log(2.0 * math.pi)
+# The bounds that every policy update clamps the log-std to.
+LOG_STD_LOW, LOG_STD_HIGH = -5.0, 1.0
 
 
 @dataclass
@@ -96,8 +98,6 @@ class GaussianPolicy:
 
     mean_net: Mlp
     log_std: np.ndarray
-    log_std_low: float = -5.0
-    log_std_high: float = 1.0
 
     @classmethod
     def create(
@@ -117,7 +117,7 @@ class GaussianPolicy:
         return self.mean_net.output_dim
 
     def clamp_log_std(self) -> None:
-        np.clip(self.log_std, self.log_std_low, self.log_std_high, out=self.log_std)
+        np.clip(self.log_std, LOG_STD_LOW, LOG_STD_HIGH, out=self.log_std)
 
     def std(self) -> np.ndarray:
         return np.exp(self.log_std)

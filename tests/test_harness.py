@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -693,9 +693,9 @@ def test_abort_checkpoint_holds_the_last_epoch_boundary(tmp_path, monkeypatch, f
 
 def with_nan_policy_weight(ck: dict) -> dict:
     """``ck`` with one policy weight set to NaN: every policy mean is NaN."""
-    policy = run.policy_from_checkpoint(ck)
-    policy.mean_net.weights[0][0, 0] = np.nan
-    return dict(ck, policy=asdict(policy))
+    mean_net = ck["policy"]["mean_net"].copy()
+    mean_net[0] = np.nan  # the first weight of the first layer
+    return dict(ck, policy=dict(ck["policy"], mean_net=mean_net))
 
 
 def test_non_finite_policy_mean_aborts_training_at_the_epoch_boundary(tmp_path):
@@ -755,7 +755,7 @@ def test_recorded_block_has_one_row_per_placed_episode():
 def test_evaluate_counts_placement_failures():
     cfg = crowded_config()
     policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
+        cfg.env.state_dim, cfg.context_dim, 2, cfg.train.hidden, np.random.default_rng(0)
     )
     ck = run.build_checkpoint(cfg, policy)
     summary = run.evaluate(ck, episodes=4, seed=3)
@@ -839,11 +839,10 @@ def test_checkpoint_arrays_round_trip_every_bit(tmp_path):
     loaded = run.load_checkpoint(first)
     run.save_checkpoint(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    for key in ("weights", "biases"):
-        for want, got in zip(ck["policy"]["mean_net"][key], loaded["policy"]["mean_net"][key]):
-            assert got.dtype == np.float64 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-    assert loaded["policy"]["log_std"].tobytes() == policy.log_std.tobytes()
+    for key, want in (("mean_net", policy.mean_net.params), ("log_std", policy.log_std)):
+        got = loaded["policy"][key]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def array_leaves(value, path):
@@ -862,16 +861,12 @@ def test_training_checkpoint_keeps_each_networks_precision(tmp_path):
     sections = ("policy", "critics", "policy_opt", "critic_opt")
     want, got = ({p: a for name in sections for p, a in array_leaves(ck[name], name).items()}
                  for ck in (half.checkpoint, loaded))
-    # 4 two-layer nets, the log-std, and 5 optimizers' m and v
-    assert want.keys() == got.keys() and len(got) == 4 * 4 + 1 + 5 * 2
+    # 4 parameter vectors, the log-std, and 5 optimizers' m and v
+    assert want.keys() == got.keys() and len(got) == 4 + 1 + 5 * 2
     for path, array in got.items():
         dtype = np.float32 if path.startswith("critic") else np.float64
         assert array.dtype == want[path].dtype == dtype, path
         assert array.tobytes() == want[path].tobytes(), path
-    critics = run._restore(sro.CriticSet, loaded["critics"], "critics")
-    assert {net.params.dtype for net in (critics.v_r, critics.v_c, critics.q_c)} == {
-        np.dtype(np.float32)
-    }
     assert run.policy_from_checkpoint(loaded).mean_net.params.dtype == np.float64
     # resuming from the file continues the uninterrupted run
     full = run.train(tiny_config(seed=12, total_steps=200))
@@ -889,11 +884,12 @@ def test_a_network_section_of_mixed_precision_is_refused(tmp_path, capsys):
     args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
     assert cli.main(args) == 0
     ck = run.load_checkpoint(ck_path)
+    # a float64 cost critic beside the two float32 value critics
     q_c = ck["critics"]["q_c"]
-    mixed = dict(q_c, biases=[b.astype(np.float64) for b in q_c["biases"]])
-    ck = dict(ck, critics=dict(ck["critics"], q_c=mixed))
-    message = "checkpoint critics.q_c: Mlp section mixes float32 and float64 arrays"
-    with pytest.raises(ValueError, match=message):
+    ck = dict(ck, critics=dict(ck["critics"], q_c=q_c.astype(np.float64)))
+    message = (f"checkpoint critics.q_c must be a float32 array of shape {q_c.shape}, "
+               f"got a float64 array of shape {q_c.shape}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         run.train(tiny_config(seed=3, total_steps=200), resume=ck)
     run.save_checkpoint(ck, ck_path)
     before = ck_path.read_bytes(), metrics.read_bytes()
@@ -917,8 +913,9 @@ def test_resume_refuses_moments_of_another_precision(tmp_path, capsys, section, 
     recast = dict(opt, m=opt["m"].astype(dtype), v=opt["v"].astype(dtype))
     ck = dict(ck, **{section: dict(ck[section], **{net: recast})})
     params = "float64" if dtype == np.float32 else "float32"
-    message = (f"checkpoint {section}.{net} moments are {np.dtype(dtype)}, "
-               f"but the parameters they update are {params}")
+    shape = opt["m"].shape
+    message = (f"checkpoint {section}.{net}.m must be a {params} array of shape {shape}, "
+               f"got a {np.dtype(dtype)} array of shape {shape}")
     with pytest.raises(ValueError, match=re.escape(message)):
         run.train(tiny_config(seed=3, total_steps=200), resume=ck)
     run.save_checkpoint(ck, ck_path)
@@ -953,13 +950,11 @@ def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
     assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "loaded.json").read_bytes()
 
 
-MLP_KEYS = ["biases", "layer_sizes", "weights"]
-ADAM_KEYS = ["beta1", "beta2", "eps", "lr", "m", "step", "v"]
+ADAM_KEYS = ["m", "step", "v"]
 CHECKPOINT_LAYOUT = sorted(
     ["basis", "config", "epoch", "episode_index", "format", "lambda", "steps_done", "version"]
-    + [f"policy.mean_net.{k}" for k in MLP_KEYS]
-    + ["policy.log_std", "policy.log_std_high", "policy.log_std_low"]
-    + [f"critics.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in MLP_KEYS]
+    + ["policy.mean_net", "policy.log_std"]
+    + [f"critics.{net}" for net in ("q_c", "v_c", "v_r")]
     + [f"policy_opt.{opt}.{k}" for opt in ("log_std", "mean_net") for k in ADAM_KEYS]
     + [f"critic_opt.{net}.{k}" for net in ("q_c", "v_c", "v_r") for k in ADAM_KEYS]
     + ["rng_states.env", "rng_states.qsafe", "rng_states.update"]
@@ -974,8 +969,8 @@ def key_paths(section, prefix=""):
 
 
 def test_checkpoint_layout_is_pinned(tmp_path, capsys):
-    # A new field in a stored dataclass changes the file format: that takes a
-    # CHECKPOINT_VERSION bump and an edit of CHECKPOINT_LAYOUT.
+    # A new stored vector or optimizer state changes the file format: that
+    # takes a CHECKPOINT_VERSION bump and an edit of CHECKPOINT_LAYOUT.
     path = tmp_path / "ck.json"
     run.train(tiny_config(seed=13, total_steps=100), out_path=path)
     ck = run.load_checkpoint(path)
@@ -992,7 +987,7 @@ def test_checkpoint_layout_is_pinned(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     run.save_checkpoint(extra, bad)
     assert cli.main(["eval", "--ckpt", str(bad), "--episodes", "1"]) == 2
-    assert "GaussianPolicy section" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: checkpoint policy: missing keys [], ")
 
 
 def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
@@ -1000,13 +995,14 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
     v1.write_text(json.dumps({"format": "checkpoint", "version": 1, "epoch": 1,
                               "policy": {"log_std": [-0.5, -0.5]}}))
     # version 2 stored per-layer optimizer moments, version 3 only float64 arrays,
-    # version 4 a config with task, oracle_phi and fe_context keys
+    # version 4 a config with task, oracle_phi and fe_context keys, and
+    # version 5 the objects' fields, layer sizes and Adam constants among them
     trained = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
-    older = {version: tmp_path / f"v{version}.json" for version in (2, 3, 4)}
+    older = {version: tmp_path / f"v{version}.json" for version in (2, 3, 4, 5)}
     for version, path in older.items():
         run.save_checkpoint(dict(trained, version=version), path)
     for version, path in ((1, v1), *older.items()):
-        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 5"):
+        with pytest.raises(ValueError, match=f"version={version}\\); this release reads version 6"):
             run.load_checkpoint(path)
         assert cli.main(["eval", "--ckpt", str(path), "--episodes", "1"]) == 2
         assert f"version={version})" in capsys.readouterr().err
@@ -1014,24 +1010,23 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
 
 def test_a_refused_section_is_named_by_its_path():
     ck = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
-    with pytest.raises(ValueError, match=re.escape(
-        "checkpoint policy.mean_net: Mlp section is not a JSON object"
-    )):
+    with pytest.raises(ValueError, match=re.escape("checkpoint policy.mean_net must be a float64")):
         run.policy_from_checkpoint(dict(ck, policy=dict(ck["policy"], mean_net=3)))
     optimizer = dict(ck["critic_opt"], q_c={k: v for k, v in ck["critic_opt"]["q_c"].items()
                                            if k != "step"})
     with pytest.raises(ValueError, match=re.escape(
-        "checkpoint critic_opt.q_c: Adam section: missing keys ['step']"
+        "checkpoint critic_opt.q_c: missing keys ['step'], unexpected keys []"
     )):
         run.train(tiny_config(seed=13, total_steps=200), resume=dict(ck, critic_opt=optimizer))
 
 
 def test_a_checkpoint_section_that_is_not_an_object_is_an_error(tmp_path, capsys):
     ck = run.train(tiny_config(seed=13, total_steps=100)).checkpoint
-    with pytest.raises(ValueError, match="GaussianPolicy section is not a JSON object"):
+    with pytest.raises(ValueError, match="checkpoint policy is not a JSON object"):
         run.policy_from_checkpoint(dict(ck, policy=[1, 2]))
-    with pytest.raises(ValueError, match="Mlp section is not a JSON object"):
-        run.policy_from_checkpoint(dict(ck, policy=dict(ck["policy"], mean_net=3)))
+    with pytest.raises(ValueError, match="checkpoint critic_opt.v_c is not a JSON object"):
+        run.train(tiny_config(seed=13, total_steps=200),
+                  resume=dict(ck, critic_opt=dict(ck["critic_opt"], v_c=3)))
     bad = tmp_path / "bad.json"
     for key, value in (("policy", [1, 2]), ("config", 5), ("basis", [1]), ("rng_states", [1])):
         run.save_checkpoint(dict(ck, **{key: value}), bad)
@@ -1156,15 +1151,8 @@ def with_field(ck, path, corrupt):
         ("critic_opt.v_r.step", str, "int"),
         ("critic_opt.q_c.step", lambda _: True, "int"),
         ("critic_opt.v_c.step", float, "int"),
-        ("policy_opt.log_std.lr", lambda _: "x", "float"),
-        ("policy_opt.mean_net.eps", lambda _: False, "float"),
-        ("policy.log_std_low", lambda _: "low", "float"),
-        ("policy.mean_net.layer_sizes", lambda sizes: [str(sizes[0]), *sizes[1:]], "list[int]"),
-        ("critics.v_r.layer_sizes", lambda sizes: [True, *sizes[1:]], "list[int]"),
-        ("critics.q_c.layer_sizes", lambda sizes: sizes[0], "list[int]"),
     ],
-    ids=["step-string", "step-true", "step-float", "lr-string", "eps-false", "log-std-low-string",
-         "layer-sizes-string", "layer-sizes-true", "layer-sizes-number"],
+    ids=["step-string", "step-true", "step-float"],
 )
 def test_a_mistyped_scalar_field_is_refused_by_its_path(tmp_path, capsys, path, corrupt, kind):
     cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
@@ -1183,10 +1171,83 @@ def test_a_mistyped_scalar_field_is_refused_by_its_path(tmp_path, capsys, path, 
     assert (ck_path.read_bytes(), metrics.read_bytes()) == before
 
 
+def encoded(array: np.ndarray) -> dict:
+    """The JSON object a checkpoint file stores ``array`` as."""
+    return json.loads(json.dumps(array, default=run._encode_numpy))
+
+
+@pytest.mark.parametrize(
+    "path, corrupt, message",
+    [
+        ("critics.q_c", lambda _: 3, " must be a float32 array of shape (257,), got 3"),
+        ("critic_opt.v_r.m", lambda _: "x", " must be a float32 array of shape (225,), got 'x'"),
+        ("critic_opt.v_r", lambda opt: dict(opt, step=-1), ".step must be >= 0, got -1"),
+        ("policy_opt.log_std", lambda opt: dict(opt, step=0), ": step 0 goes with null moments"),
+        ("policy.log_std", lambda _: encoded(np.zeros(3)),
+         " must be a float64 array of shape (2,), got a float64 array of shape (3,)"),
+        ("policy.log_std", lambda value: dict(value, shape="x"),
+         ": shape must be a list of integers >= 0, got 'x'"),
+        ("policy.log_std", lambda value: dict(value, shape=[True, 2]),
+         ": shape must be a list of integers >= 0, got [True, 2]"),
+        ("policy.log_std", lambda value: dict(value, f8=5), ": f8 must be base64 text, got 5"),
+        ("policy.log_std", lambda value: dict(value, shape=[3]),
+         ": shape [3] does not fit its 16 bytes of f8"),
+        ("policy.log_std", lambda value: dict(value, f8="not base64!"), ": f8 is not base64"),
+    ],
+    ids=["critic-number", "moment-string", "step-negative", "step-0-with-moments",
+         "log-std-shape", "shape-string", "shape-boolean", "payload-number", "shape-misfit",
+         "payload-not-base64"],
+)
+def test_a_malformed_stored_array_is_refused_by_its_path(
+    tmp_path, capsys, path, corrupt, message
+):
+    cfg_path, ck_path, metrics = tmp_path / "exp.cfg", tmp_path / "ck.json", tmp_path / "m.jsonl"
+    write_config(tiny_config(seed=3, total_steps=100), cfg_path)
+    args = ["train", "--config", str(cfg_path), "--out", str(ck_path), "--metrics", str(metrics)]
+    assert cli.main(args) == 0
+    # edit the file's JSON: an encoded array is replaced before it is decoded
+    ck_path.write_text(json.dumps(with_field(json.loads(ck_path.read_text()), path, corrupt)))
+    before = ck_path.read_bytes(), metrics.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}{message}")):
+        run.train(tiny_config(seed=3, total_steps=200), resume=ck_path)
+    assert cli.main([*args, "--resume", str(ck_path), "--set", "total_steps=200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {path}{message}") and "Traceback" not in err
+    assert (ck_path.read_bytes(), metrics.read_bytes()) == before
+
+
+def test_a_basis_that_does_not_fit_the_config_is_refused(tmp_path, capsys):
+    cfg = tiny_config(seed=3, context="fe")
+    basis = run.pretrain_fe(cfg).basis  # k = 2 functions over 2 obstacles
+    wider = replace(cfg, env=replace(cfg.env, obstacle_count=4))
+    more = replace(cfg, fe=replace(cfg.fe, k=3))
+    cases = [
+        (wider, f"basis maps width {cfg.env.state_dim + 2} to {cfg.env.state_dim}, but the "
+                f"config's env needs {wider.env.state_dim + 2} (state + action) to "
+                f"{wider.env.state_dim} (state)"),
+        (more, "basis has k = 2 functions; the FE context needs 3"),
+    ]
+    metrics = tmp_path / "m.jsonl"
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run.train(bad.validate(), basis=basis, out_path=tmp_path / "ck.json",
+                      metrics_path=metrics)
+        assert not metrics.exists() and not (tmp_path / "ck.json").exists()
+        policy = sro.GaussianPolicy.create(
+            bad.env.state_dim, bad.context_dim, 2, bad.train.hidden, np.random.default_rng(0)
+        )
+        ck_path = tmp_path / "eval.json"
+        run.save_checkpoint(run.build_checkpoint(bad, policy, basis=basis), ck_path)
+        assert cli.main(["eval", "--ckpt", str(ck_path), "--metrics", str(metrics)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not metrics.exists()
+
+
 def test_an_integer_in_a_float_field_restores_as_a_float():
-    ck = run.train(tiny_config(seed=3, total_steps=100)).checkpoint
-    policy = run.policy_from_checkpoint(with_field(ck, "policy.log_std_low", lambda _: -5))
-    assert type(policy.log_std_low) is float and policy.log_std_low == -5.0
+    # lambda, the one float field left in a checkpoint: JSON may write it as 0
+    ck = dict(run.train(tiny_config(seed=3, total_steps=100)).checkpoint, **{"lambda": 0})
+    resumed = run.train(tiny_config(seed=3, total_steps=100), resume=ck).checkpoint
+    assert type(resumed["lambda"]) is float and resumed["lambda"] == 0.0
 
 
 def test_resume_refuses_another_basis(tmp_path):

@@ -201,7 +201,7 @@ def test_weights_and_biases_are_views_of_one_parameter_vector():
         twin.weights[0][0, 0] = -1.0  # the twin's views are views of its own vector
         assert twin.params[0] == -1.0 and net.params[0] == 0.0
 
-    # the dataclass fields, and so a checkpoint's Mlp section, are unchanged
+    # the dataclass fields are unchanged
     assert asdict(net).keys() == {"layer_sizes", "weights", "biases"}
     with pytest.raises(ShapeMismatchError):
         Mlp([3, 2], [np.zeros((3, 2))], [np.zeros(2)])

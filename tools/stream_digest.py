@@ -14,6 +14,9 @@ pretrained on 16 random-action draws for 10 epochs):
     fits, written as its own one-network basis artifact;
   * ``train_records`` and ``train_checkpoint``: ``canonical_records`` and
     the checkpoint bytes of an 8,000-step full-method ``train`` on it;
+  * ``resumed_train_records``: the same run trained to 4,000 steps, saved,
+    and resumed from the file to 8,000: the records of both halves after
+    their headers, which pin the resume path;
   * ``eval_ood_shielded``, ``eval_ood_unshielded``, ``eval_in_distribution``:
     the records and summary of ``evaluate`` on that checkpoint (20 episodes
     each), wall-clock fields removed;
@@ -40,8 +43,10 @@ leave these four as they were.
 The header record of a ``train`` holds the config's text, and so does its
 checkpoint.  A change to that text alone (a key renamed, added or removed)
 moves ``train_records``, ``train_checkpoint`` and ``circle_train_records``
-and no other digest, and a new checkpoint format version moves
-``train_checkpoint``; the records after the header must hash as before.
+and no other digest; the records after the header must hash as before.  A
+change to the checkpoint format (its layout or version) moves
+``train_checkpoint`` alone: a resume that continues the run bit for bit
+leaves ``resumed_train_records`` as it was.
 
 Streams depend on the BLAS thread count, so the script pins OpenBLAS to one
 thread before numpy loads.  It takes well under a minute on one core.
@@ -124,6 +129,11 @@ def main() -> None:
         result = run.train(train_cfg, basis=basis, out_path=tmp / "ck.json")
         out["train_records"] = sha("\n".join(run.canonical_records(result.records)))
         out["train_checkpoint"] = sha((tmp / "ck.json").read_bytes())
+
+        half = run.train(replace(cfg, total_steps=4000), basis=basis, out_path=tmp / "half.json")
+        resumed = run.train(train_cfg, basis=basis, resume=tmp / "half.json")
+        joined = [r for r in half.records + resumed.records if r["kind"] != "header"]
+        out["resumed_train_records"] = sha("\n".join(run.canonical_records(joined)))
 
         ck = run.load_checkpoint(tmp / "ck.json")
         decisions = hashlib.sha256()
