@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import copy
 import json
 import math
 import reprlib
@@ -131,52 +130,6 @@ def _episode_streams(
     ]
 
 
-# Rows of action noise an episode draws from its rollout stream at a time.
-# Any length gives the same actions; a short block keeps a rollout's memory flat.
-_NOISE_BLOCK = 64
-
-
-class _ActionNoise:
-    """Standard-normal action noise, drawn from each episode's rollout stream in blocks.
-
-    A rollout reads its rollout streams only through
-    ``Generator.standard_normal``, which fills values one after another: a
-    block of rows holds exactly the values that one draw per sample would
-    give, in the same order.  Keep those streams to that one method, or the
-    block length starts to matter.  ``cursor[j]`` is episode ``j``'s next
-    unused row; only :meth:`next` and :meth:`take` move it.
-    """
-
-    def __init__(self, rngs: list[np.random.Generator], action_dim: int):
-        self.rngs = rngs
-        self.block = np.empty((len(rngs), _NOISE_BLOCK, action_dim))
-        self.cursor = np.full(len(rngs), _NOISE_BLOCK)
-        self.episodes = np.arange(len(rngs))
-
-    def next(self) -> np.ndarray:
-        """Consume every episode's next row, ``(episodes, action_dim)``."""
-        for j in np.flatnonzero(self.cursor == self.block.shape[1]):
-            self.rngs[j].standard_normal(out=self.block[j])
-            self.cursor[j] = 0
-        rows = self.block[self.episodes, self.cursor]
-        self.cursor += 1
-        return rows
-
-    def take(self, j: int, m: int) -> np.ndarray:
-        """Consume episode ``j``'s next ``m`` rows, ``(m, action_dim)``.
-
-        Rows past the end of the block come straight from the stream; the
-        next :meth:`next` then starts a new block.
-        """
-        start = self.cursor[j]
-        rows = self.block[j, start : start + m]
-        if rows.shape[0] < m:
-            extra = self.rngs[j].standard_normal((m - rows.shape[0], self.block.shape[2]))
-            rows = np.concatenate([rows, extra])
-        self.cursor[j] = min(start + m, self.block.shape[1])
-        return rows
-
-
 def fe_dynamics(basis: fe.BasisSet, settings) -> typing.Callable[..., shieldmod.FeModel]:
     """The function encoder's ``run_episode`` builder, with ``settings`` (the
     config's ``fe``) giving its refresh period and ridge."""
@@ -216,11 +169,14 @@ def run_episode(
     is raised without it: :func:`fe_dynamics` gives the function encoder,
     ``shield.ExactModel`` the exact dynamics.
 
-    Every action is a ``policy.sample_n`` of block-drawn noise
-    (:class:`_ActionNoise`), with the values of one draw per sample: each
-    step samples all episodes at once from their next noise rows, and a
-    shield that scores candidates resamples episode ``j`` from its rows
-    after that one.  A non-finite policy mean raises ``ValueError``.
+    Every action is a ``policy.sample_n`` of standard-normal noise.  Each
+    placed episode draws its policy noise once, as one ``(horizon,
+    action_dim)`` draw from its rollout stream, and step ``t`` samples all
+    episodes at once from row ``t``.  A shield that scores candidates draws
+    episode ``j``'s further ones from its shield stream, which then also
+    breaks the top-k tie, so the shield moves no policy noise: a shielded
+    and an unshielded rollout of one episode read the same rows.  A
+    non-finite policy mean raises ``ValueError``.
 
     States are ``env``'s read-only vectors; ``env.step`` takes and returns
     the full ones.  Their one truncation, :func:`_state_view`, makes the
@@ -271,7 +227,8 @@ def run_episode(
             raise failure
         return records, None
     n = len(live)
-    rollout_rngs = [streams[i][0] for i in live]
+    horizon, action_dim = env_cfg.horizon, env_cfg.action_dim
+    noise = np.array([streams[i][0].standard_normal((horizon, action_dim)) for i in live])
     shield_rngs = [streams[i][1] for i in live]
 
     model = dynamics(phis, env_cfg) if track else None
@@ -285,19 +242,17 @@ def run_episode(
     def contexts() -> np.ndarray:
         return model.context if cfg.context == "fe" else fixed
 
-    horizon = env_cfg.horizon
     S = _state_view(np.array(states), view_dim)
     returns, ep_costs = np.zeros(n), np.zeros(n)
     if record:
         inputs = np.empty((n, horizon, policy.mean_net.input_dim))
-        taken = np.empty((n, horizon, env_cfg.action_dim))
+        taken = np.empty((n, horizon, action_dim))
         step_rewards, step_costs = np.empty((n, horizon)), np.empty((n, horizon))
     triggers, empties, certified = [0] * n, [0] * n, np.zeros(n, dtype=np.int64)
     gamma_sum, gamma_count = np.zeros(n), np.zeros(n, dtype=np.int64)
-    noise = _ActionNoise(rollout_rngs, env_cfg.action_dim)
 
     def resample(j: int, m: int) -> np.ndarray:
-        return policy.sample_n(mu[j], noise.take(j, m))
+        return policy.sample_n(mu[j], shield_rngs[j].standard_normal((m, action_dim)))
 
     for t in range(horizon):
         X = np.hstack([S, contexts()])
@@ -306,7 +261,7 @@ def run_episode(
             bad = np.argmin(np.isfinite(mu).all(axis=1))
             raise ValueError(f"policy mean is not finite: {mu[bad]}")
         # The action when the shield is off or passes the step, else its first candidate.
-        sampled = policy.sample_n(mu, noise.next())
+        sampled = policy.sample_n(mu, noise[:, t])
 
         if shield_on:
             gammas = conformal.current_gamma(acp)
@@ -393,14 +348,25 @@ def build_checkpoint(
     critic's ``params``, and ``policy_opt`` and ``critic_opt`` the ``{step,
     m, v}`` of each of those vectors' ``Adam``.  A section not given is
     ``None``.  ``episode_index`` is the next episode training would run.
+    The copies are made by the restore's rule: each section is loaded into
+    the state a fresh run of ``cfg`` builds (:func:`_load`), so state that
+    does not fit ``cfg`` raises ``ValueError`` naming its path, and resume
+    and :func:`evaluate` accept every checkpoint built here.
     """
-
-    def state(opt, vectors: dict[str, np.ndarray]) -> dict:
-        adams = [getattr(opt, name) for name in vectors]
-        return {name: {"step": a.step, "m": a.m, "v": a.v} for name, a in zip(vectors, adams)}
-
-    policy_vectors = _policy_vectors(policy)
-    critic_vectors = None if critics is None else _critic_vectors(critics)
+    fresh, fresh_critics, fresh_policy_opt, fresh_critic_opt = _new_state(cfg)
+    policy_vectors, critic_vectors = _policy_vectors(fresh), _critic_vectors(fresh_critics)
+    _load(_policy_vectors(policy), policy_vectors, "policy")
+    policy_state = critic_state = None
+    if critics is not None:
+        _load(_critic_vectors(critics), critic_vectors, "critics")
+    if policy_opt is not None:
+        _load(_adam_states(policy_opt, policy_vectors), policy_vectors, "policy_opt",
+              fresh_policy_opt)
+        policy_state = _adam_states(fresh_policy_opt, policy_vectors)
+    if critic_opt is not None:
+        _load(_adam_states(critic_opt, critic_vectors), critic_vectors, "critic_opt",
+              fresh_critic_opt)
+        critic_state = _adam_states(fresh_critic_opt, critic_vectors)
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -409,12 +375,10 @@ def build_checkpoint(
         "steps_done": steps_done,
         "episode_index": episode_index,
         "lambda": lam,
-        **copy.deepcopy({
-            "policy": policy_vectors,
-            "critics": critic_vectors,
-            "policy_opt": None if policy_opt is None else state(policy_opt, policy_vectors),
-            "critic_opt": None if critic_opt is None else state(critic_opt, critic_vectors),
-        }),
+        "policy": policy_vectors,
+        "critics": None if critics is None else critic_vectors,
+        "policy_opt": policy_state,
+        "critic_opt": critic_state,
         "rng_states": None if rngs is None else {
             name: rngs[name].bit_generator.state for name in _TRAIN_STREAMS
         },
@@ -430,6 +394,12 @@ def _policy_vectors(policy: sro.GaussianPolicy) -> dict[str, np.ndarray]:
 
 def _critic_vectors(critics: sro.CriticSet) -> dict[str, np.ndarray]:
     return {name: getattr(critics, name).params for name in ("v_r", "v_c", "q_c")}
+
+
+def _adam_states(opt, vectors: dict[str, np.ndarray]) -> dict[str, dict]:
+    """The ``{step, m, v}`` of the ``Adam`` of ``opt`` that updates each of ``vectors``."""
+    adams = {name: getattr(opt, name) for name in vectors}
+    return {name: {"step": a.step, "m": a.m, "v": a.v} for name, a in adams.items()}
 
 
 # Key of an encoded array in a checkpoint, by its dtype: the little-endian
@@ -583,6 +553,20 @@ def new_policy(cfg: ExperimentConfig, rng: np.random.Generator) -> sro.GaussianP
     )
 
 
+def _new_state(
+    cfg: ExperimentConfig,
+) -> tuple[sro.GaussianPolicy, sro.CriticSet, sro.PolicyOptimizer, sro.CriticOptimizer]:
+    """The policy, critics and optimizers a fresh run of ``cfg`` starts from,
+    the networks drawn from its ``init`` stream."""
+    init_rng = rng_for(cfg.seed, "init")
+    policy = new_policy(cfg, init_rng)
+    critics = sro.CriticSet.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, cfg.train.hidden, init_rng
+    )
+    return (policy, critics, sro.PolicyOptimizer.create(cfg.train.policy_lr),
+            sro.CriticOptimizer.create(cfg.train.critic_lr))
+
+
 def policy_from_checkpoint(ck: dict) -> sro.GaussianPolicy:
     """The checkpoint's policy: built from its config as a fresh run builds
     it, with the stored vectors copied in (see :func:`_load`)."""
@@ -683,13 +667,7 @@ def train(
         epochs = 1
 
     rngs = {name: rng_for(cfg.seed, name) for name in _TRAIN_STREAMS}
-    init_rng = rng_for(cfg.seed, "init")
-    policy = new_policy(cfg, init_rng)
-    critics = sro.CriticSet.create(
-        cfg.env.state_dim, cfg.context_dim, env_cfg.action_dim, cfg.train.hidden, init_rng
-    )
-    policy_opt = sro.PolicyOptimizer.create(cfg.train.policy_lr)
-    critic_opt = sro.CriticOptimizer.create(cfg.train.critic_lr)
+    policy, critics, policy_opt, critic_opt = _new_state(cfg)
     lam, start_epoch, steps_done, episode_index = 0.0, 0, 0, 0
 
     if resume is not None:

@@ -14,8 +14,8 @@ import numpy as np
 _DOMAINS = {
     "init": 0,  # network weight initialization
     "env": 1,  # hidden-parameter draws and layout placement
-    "rollout": 2,  # policy action sampling
-    "shield": 3,  # shield candidate selection
+    "rollout": 2,  # policy noise: one row per step of an episode
+    "shield": 3,  # shield candidate noise and the top-k pick
     "update": 4,  # minibatch shuffling
     "qsafe": 5,  # safety-score perturbation noise
     "fe": 6,  # basis pretraining (data collection + optimization)

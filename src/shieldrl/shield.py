@@ -196,10 +196,12 @@ def select_action(
     ``action`` is the policy's sample at ``state``; ``resample(m)`` must
     return ``m`` further i.i.d. policy samples as an ``(m, action_dim)``
     array.  ``predictor``, ``gamma`` and ``rng`` are the episode's dynamics
-    model, conformal radius and shield stream.  When intervening, the
-    returned action is always one of the candidates, the policy's action
-    first; ranking ties are broken by candidate index so decisions are
-    deterministic given ``rng``.
+    model, conformal radius and shield stream; ``resample`` is called
+    before the top-k pick reads ``rng``, so a ``resample`` that draws from
+    the same stream (as ``run.run_episode``'s does) draws in a fixed
+    order.  When intervening, the returned action is always one of the
+    candidates, the policy's action first; ranking ties are broken by
+    candidate index so decisions are deterministic given ``rng``.
     """
     if pre_safety_check(state, config, env_config):
         return ShieldDecision(action=action, intervened=False, safe_set_empty=False, scores=None)

@@ -21,12 +21,13 @@ observed episode costs against the cost limit.
 
 The policy and the critics stay frozen while an epoch's episodes are rolled
 out.  A rollout therefore only samples actions, through
-:meth:`GaussianPolicy.sample_n` from each episode's own block-drawn noise,
-and hands the epoch over as one ``(episodes, horizon)``
-:class:`RolloutBuffer` block; ``RolloutBuffer.finalize`` evaluates the
-behaviour means, log-probabilities and value estimates in one batch per
-epoch, runs GAE along each episode's row, and the critic and policy updates
-read the flattened arrays; the safety score's density reads the kept means.
+:meth:`GaussianPolicy.sample_n` from each episode's own noise (one up-front
+draw of policy noise, and the shield's candidate draws), and hands the
+epoch over as one ``(episodes, horizon)`` :class:`RolloutBuffer` block;
+``RolloutBuffer.finalize`` evaluates the behaviour means,
+log-probabilities and value estimates in one batch per epoch, runs GAE
+along each episode's row, and the critic and policy updates read the
+flattened arrays; the safety score's density reads the kept means.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ class GaussianPolicy:
         ``mu`` holds rows of :meth:`mean_batch`, so sampling never
         re-evaluates the network; one mean row broadcasts over ``(m,
         action_dim)`` noise.  A rollout forms every action here: each step's
-        samples for all episodes at once, and the shield's further
-        candidates for one episode.
+        samples for all episodes at once, from the rows of their policy
+        noise, and the shield's further candidates for one episode, from
+        noise drawn on its shield stream.
         """
         return mu + self.std() * noise
 

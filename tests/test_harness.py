@@ -469,8 +469,9 @@ class FarAway:
 
 
 def test_certified_collisions_are_costly_steps_without_a_fallback(monkeypatch, shielded_setup):
+    # enough episodes that the two models give collisions of both kinds
     cfg, basis = shielded_setup
-    episodes, horizon = 4, cfg.env.horizon
+    episodes, horizon = 12, cfg.env.horizon
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(0)
     )
@@ -544,35 +545,33 @@ def test_episode_records_do_not_depend_on_the_batch_size(shielded_setup):
         assert a["mean_gamma"] == pytest.approx(b["mean_gamma"], rel=1e-9)
 
 
-def test_action_noise_block_length_changes_nothing(monkeypatch, shielded_setup):
-    # 7 divides neither the horizon nor the candidate count, and a 1-row
-    # block sends every candidate draw past a block's end
+def test_the_shield_draws_only_from_its_own_streams(shielded_setup):
+    # a rollout reads each rollout stream for one (horizon, action_dim)
+    # draw, so the shield's candidates move no policy noise
     cfg, basis = shielded_setup
+    episodes = 3
     policy = sro.GaussianPolicy.create(
         cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (16,), np.random.default_rng(1)
     )
-    ck = run.build_checkpoint(cfg, policy, basis=basis)
-    actions = []
-
-    def finalize(self, *args, _fn=sro.RolloutBuffer.finalize):
-        actions.append(self.actions.copy())
-        return _fn(self, *args)
-
-    monkeypatch.setattr(sro.RolloutBuffer, "finalize", finalize)
-    outputs = []
-    for block in (1, 7, run._NOISE_BLOCK):
-        monkeypatch.setattr(run, "_NOISE_BLOCK", block)
-        shielded = run.evaluate(ck, episodes=3, ood=True, seed=5)
-        unshielded = run.evaluate(ck, episodes=3, ood=True, seed=5, shield=False)
-        run.train(cfg, basis=basis)
-        assert sum(r["shield_trigger_rate"] for r in shielded["records"]) > 0
-        outputs.append((
-            run.canonical_records(shielded["records"]),
-            run.canonical_records(unshielded["records"]),
-            [epoch.tobytes() for epoch in actions],
-        ))
-        actions.clear()
-    assert outputs[0] == outputs[1] == outputs[2]
+    final = {}
+    for shield_on in (True, False):
+        streams = episode_streams(episodes)
+        records, _ = run.run_episode(
+            policy, cfg, cfg.env, np.random.default_rng(0), streams, shield_on=shield_on,
+            dynamics=run.fe_dynamics(basis, cfg.fe),
+        )
+        if shield_on:
+            assert all(rec["shield_trigger_rate"] > 0 for rec in records)
+        final[shield_on] = [[rng.bit_generator.state for rng in pair] for pair in streams]
+    fresh = episode_streams(episodes)
+    for rollout, _ in fresh:
+        rollout.standard_normal((cfg.env.horizon, cfg.env.action_dim))
+    drawn = [rollout.bit_generator.state for rollout, _ in fresh]
+    assert [rollout for rollout, _ in final[True]] == drawn
+    assert [rollout for rollout, _ in final[False]] == drawn
+    untouched = [shield_rng.bit_generator.state for _, shield_rng in fresh]
+    assert [shield_rng for _, shield_rng in final[False]] == untouched
+    assert all(a != b for (_, a), b in zip(final[True], untouched))
 
 
 def test_one_candidate_shield_acts_as_the_policy(shielded_setup):
@@ -828,9 +827,7 @@ def test_checkpoint_file_round_trip(tmp_path):
 
 def test_checkpoint_arrays_round_trip_every_bit(tmp_path):
     cfg = tiny_config()
-    policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
-    )
+    policy = run.new_policy(cfg, np.random.default_rng(0))
     special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1.0 / 3.0]
     policy.mean_net.weights[0].flat[: len(special)] = special
     ck = run.build_checkpoint(cfg, policy)
@@ -942,9 +939,7 @@ def test_checkpoint_of_a_loaded_basis_has_the_in_memory_bytes(tmp_path):
     cfg = tiny_config(seed=4)
     basis = run.pretrain_fe(cfg, out_path=tmp_path / "basis.json").basis
     loaded = fe.load_basis(tmp_path / "basis.json")
-    policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, 2, (8,), np.random.default_rng(0)
-    )
+    policy = run.new_policy(cfg, np.random.default_rng(0))
     for name, b in (("memory.json", basis), ("loaded.json", loaded)):
         run.save_checkpoint(run.build_checkpoint(cfg, policy, basis=b), tmp_path / name)
     assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "loaded.json").read_bytes()
@@ -1379,9 +1374,7 @@ def test_evaluate_shield_override_requires_a_basis(trained_checkpoint):
 
 def test_evaluate_refuses_an_fe_context_checkpoint_without_a_basis(tmp_path, capsys):
     cfg = tiny_config(context="fe")
-    policy = sro.GaussianPolicy.create(
-        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), np.random.default_rng(0)
-    )
+    policy = run.new_policy(cfg, np.random.default_rng(0))
     ck = run.build_checkpoint(cfg, policy)
     message = "shield or FE context requires a basis artifact in the checkpoint"
     with pytest.raises(ValueError, match=message):
@@ -1394,6 +1387,20 @@ def test_evaluate_refuses_an_fe_context_checkpoint_without_a_basis(tmp_path, cap
     assert cli.main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert metrics.read_bytes() == b'{"kind": "summary"}\n'
+
+
+def test_build_checkpoint_refuses_state_that_does_not_fit_its_config():
+    # the restore's rule, applied before anything is written
+    cfg = tiny_config()
+    narrow = replace(cfg, train=replace(cfg.train, hidden=(8,)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"checkpoint policy\.mean_net must be a float64 array"):
+        run.build_checkpoint(cfg, run.new_policy(narrow, rng))
+    critics = sro.CriticSet.create(
+        cfg.env.state_dim, cfg.context_dim, cfg.env.action_dim, (8,), rng
+    )
+    with pytest.raises(ValueError, match=r"checkpoint critics\.v_r must be a float32 array"):
+        run.build_checkpoint(cfg, run.new_policy(cfg, rng), critics)
 
 
 def test_shielded_circle_evaluation_runs_the_horizon():

@@ -17,6 +17,10 @@ pretrained on 16 random-action draws for 10 epochs):
   * ``resumed_train_records``: the same run trained to 4,000 steps, saved,
     and resumed from the file to 8,000: the records of both halves after
     their headers, which pin the resume path;
+  * ``plain_train_records``: the records of the same 8,000-step ``train``
+    with the shield off and ``context = none`` (no basis), and the records
+    and summary of a 20-episode OOD ``evaluate`` of its checkpoint, which
+    pin the unshielded rollout path;
   * ``eval_ood_shielded``, ``eval_ood_unshielded``, ``eval_in_distribution``:
     the records and summary of ``evaluate`` on that checkpoint (20 episodes
     each), wall-clock fields removed;
@@ -35,10 +39,16 @@ pretrained on 16 random-action draws for 10 epochs):
     arguments through unchanged, so the digest compares trees whose
     ``select_action`` signatures differ.
 
-Four of these runs use no basis: ``random_episodes``, ``soundness_episodes``,
-``soundness_decisions`` and ``acceptance_3_7``.  A change to the basis or
-pooled fits alone (their precision, say) moves every other digest and must
-leave these four as they were.
+Five of these runs use no basis: ``plain_train_records``,
+``random_episodes``, ``soundness_episodes``, ``soundness_decisions`` and
+``acceptance_3_7``.  A change to the basis or pooled fits alone (their
+precision, say) moves every other digest and must leave these five as they
+were.
+
+A change to the shield's draws (how it samples its candidates or makes its
+pick) moves every shielded run and every evaluation of a checkpoint trained
+with the shield: all digests but ``basis``, ``pooled``, ``random_episodes``,
+``acceptance_3_7`` and ``plain_train_records``, which must stay as they were.
 
 The header record of a ``train`` holds the config's text, and so does its
 checkpoint.  A change to that text alone (a key renamed, added or removed)
@@ -134,6 +144,11 @@ def main() -> None:
         resumed = run.train(train_cfg, basis=basis, resume=tmp / "half.json")
         joined = [r for r in half.records + resumed.records if r["kind"] != "header"]
         out["resumed_train_records"] = sha("\n".join(run.canonical_records(joined)))
+
+        plain = run.train(replace(train_cfg, shield_enabled=False, context="none").validate())
+        plain_eval = eval_digest(plain.checkpoint, ood=True)
+        out["plain_train_records"] = sha("\n".join([*run.canonical_records(plain.records),
+                                                    plain_eval]))
 
         ck = run.load_checkpoint(tmp / "ck.json")
         decisions = hashlib.sha256()
